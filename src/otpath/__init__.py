@@ -21,9 +21,6 @@ from .kernel import (
     DualState,
     KernelEval,
     KernelEvaluator,
-    kernel_dt_grad,
-    kernel_grad,
-    kernel_hessian,
     softmax_weights,
 )
 from .laguerre import (
@@ -100,9 +97,6 @@ __all__ = [
     "integrate",
     "integrate_homotopy",
     "integrate_vector",
-    "kernel_dt_grad",
-    "kernel_grad",
-    "kernel_hessian",
     "label_field",
     "newton_1d",
     "ode_rhs",

@@ -5,8 +5,9 @@ returns a CriterionResult; `run_acceptance` executes a selection and is the
 backend of both `otpath verify` and the acceptance test module.  Random
 instances are drawn from pinned seeds so reruns measure the same numbers.
 
-Finite differences here are written against the value/residual functions
-only, never against the derivative code they judge.
+Finite differences here are taken of the value/residual functions, and of
+the kernel's grad block once that block has been checked against the value;
+never of the block they judge.
 """
 
 import filecmp
@@ -119,17 +120,19 @@ def _derivative_draws(variant, dim, draws, rng):
         t = float(rng.uniform(0.15, 0.85))
         h = 1e-5
 
-        grad = kernel.grad(psi, t)
+        ev = kernel.evaluate(psi, t)
+
+        def grad_at(p, s):
+            return kernel.evaluate(p, s).grad
+
         fd_grad = _fd_vector(lambda p: kernel.value(p, t), psi)
-        hess = kernel.hessian(psi, t)
-        fd_hess = _fd_vector(lambda p: kernel.grad(p, t), psi)
-        dtg = kernel.dt_grad(psi, t)
-        fd_dtg = (kernel.grad(psi, t + h) - kernel.grad(psi, t - h)) / (2 * h)
+        fd_hess = _fd_vector(lambda p: grad_at(p, t), psi)
+        fd_dtg = (grad_at(psi, t + h) - grad_at(psi, t - h)) / (2 * h)
         worst_kernel = max(
             worst_kernel,
-            _relative_gap(grad, fd_grad),
-            _relative_gap(hess, fd_hess),
-            _relative_gap(dtg, fd_dtg),
+            _relative_gap(ev.grad, fd_grad),
+            _relative_gap(ev.hess, fd_hess),
+            _relative_gap(ev.dt_grad, fd_dtg),
         )
 
         jac = system.jacobian(psi, t)

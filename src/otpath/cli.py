@@ -7,8 +7,9 @@ error/runtime tables (rows dt, columns N, cells "error (runtime)"; failed
 cells read NAN).  `otpath verify` executes the acceptance criteria and prints
 one pass/fail line each.
 
-Exit codes: 0 success, 1 configuration error, 2 solver failure,
-3 verification failure.
+Exit codes: 0 success, 1 configuration error (any invalid input, including a
+bare ValueError raised on it), 2 solver failure, 3 verification failure.
+Each failure prints one line to stderr.
 """
 
 import argparse
@@ -54,7 +55,15 @@ class ExperimentConfig:
         self.n_list = tuple(int(n) for n in self.n_list)
         self.dt_list = tuple(float(dt) for dt in self.dt_list)
         self.snapshot_times = tuple(float(t) for t in self.snapshot_times)
+        if self.dim not in DEFAULT_PANELS:
+            raise ConfigError(f"dim must be one of {sorted(DEFAULT_PANELS)}, got {self.dim}")
+        for name in ("quad_panels", "quad_order"):
+            value = getattr(self, name)
+            if value is not None and (not isinstance(value, int) or value < 1):
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         for dt in self.dt_list:
+            if not dt > 0.0:
+                raise ConfigError(f"dt={dt} must be positive")
             steps = round(1.0 / dt)
             if steps < 4 or abs(steps * dt - 1.0) > 1e-9:
                 raise ConfigError(f"dt={dt} does not divide 1 into whole steps")
@@ -87,8 +96,8 @@ class ExperimentConfig:
         return cfg
 
     def grid(self):
-        panels = self.quad_panels or DEFAULT_PANELS[self.dim]
-        order = self.quad_order or DEFAULT_ORDER[self.dim]
+        panels = DEFAULT_PANELS[self.dim] if self.quad_panels is None else self.quad_panels
+        order = DEFAULT_ORDER[self.dim] if self.quad_order is None else self.quad_order
         return build_grid(unit_domain(self.dim), panels, order)
 
 
@@ -223,7 +232,10 @@ def _parse_list(text, cast):
 def _build_config(args):
     base = {}
     if args.config:
-        base = json.loads(Path(args.config).read_text())
+        try:
+            base = json.loads(Path(args.config).read_text())
+        except OSError as exc:
+            raise ConfigError(f"cannot read {args.config}: {exc.strerror}") from None
         unknown = set(base) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -286,24 +298,14 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    if args.command == "run":
-        try:
-            config = _build_config(args)
-            run_experiment(config)
-        except ConfigError as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return 1
-        except SolverError as exc:
-            print(f"solver failure: {exc}", file=sys.stderr)
-            return 2
-        return 0
-
-    from .acceptance import run_acceptance
-
-    ids = _parse_list(args.criteria, int) if args.criteria else None
     try:
-        results = run_acceptance(ids)
-    except ConfigError as exc:
+        if args.command == "run":
+            run_experiment(_build_config(args))
+            return 0
+        from .acceptance import run_acceptance
+
+        results = run_acceptance(_parse_list(args.criteria, int) if args.criteria else None)
+    except ValueError as exc:  # ConfigError, or a bare ValueError on bad input
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except SolverError as exc:

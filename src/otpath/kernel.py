@@ -1,17 +1,36 @@
 """Regularized transport kernel: softmax cell weights and their derivatives.
 
-For dual weights psi at homotopy time t < 1, each source point carries a
-softmax distribution over the targets with exponents
-(psi_j - t*c_j(x) - offset_j) / (1 - t).  This module evaluates, by
-quadrature against the source density,
+For dual weights psi at homotopy time t < 1, each source point x carries a
+softmax distribution pi(x) over the targets with exponents
+(a_j - t*C_j(x)) / (1 - t), where a = psi - offsets and C_j(x) is the cost
+to target j.  This module evaluates, by quadrature against the source
+density (node weights w),
 
   grad       -integral of the softmax weights (one entry per target),
   hessian    1/(1-t) * integral of (pi pi^T - diag(pi)),
-  dt_grad    the time derivative of grad, whose integrand carries the
-             differences (psi_k - c_k - offset_k) - (psi_j - c_j - offset_j)
-             divided by (1-t)^2.
+  dt_grad    the time derivative of grad.
 
-All exponentials are shifted by the per-point maximum exponent before
+Layout: the cost matrix is stored once per (grid, targets) pair, target-major
+with shape (N, M), so every per-node reduction (the softmax max and sum) runs
+across the N rows and stays vectorized along the long node axis.
+
+One sweep: `evaluate` passes over the nodes in chunks of CHUNK_NODES columns,
+so the temporaries stay in cache, and accumulates with piw = pi*w
+
+  S = sum piw pi^T,   col = sum piw,   spread = sum piw*(C - pi.C)
+
+(sums over nodes), from which grad = -col and hess = (S - diag(col))/(1-t).
+The time derivative needs no second pass.  Expanding the mean-depth form
+sum piw_j (pi.(a - C) - (a_j - C_j)) gives the identity
+
+  dt_grad = (S a - sum piw (pi.C) - col*a + sum piw*C) / (1-t)^2
+          = (sum_k S_jk (a_k - a_j) + spread_j) / (1-t)^2,
+
+where the second form uses sum_k S_jk = col_j.  It is the one computed: the
+a-terms and the C-terms of the first form each nearly cancel for t near 1,
+and (1-t)^-2 would amplify their separate rounding errors.
+
+All exponentials are shifted by the per-node maximum exponent before
 exponentiating; the raw formulas overflow for t close to 1.
 """
 
@@ -21,6 +40,8 @@ import numpy as np
 
 from .errors import NonFiniteValueError
 from .model import cost_matrix, density_eval
+
+CHUNK_NODES = 4096  # nodes per sweep chunk: (N, CHUNK_NODES) temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -54,33 +75,46 @@ def _check_time(t):
         raise ValueError(f"kernel derivatives require t in [0, 1), got {t}")
 
 
+def _softmax(a, t, cost, out=None, peak=None):
+    """Target-major softmax weights for the (N, m) cost block `cost`; `out`
+    (N, m) and `peak` (m,) are optional scratch buffers."""
+    out = np.multiply(cost, -t, out=out)
+    out += a[:, None]
+    out /= 1.0 - t
+    peak = np.max(out, axis=0, out=peak)
+    out -= peak
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=0, out=peak)
+    return out
+
+
 class KernelEvaluator:
     """Kernel derivatives for one (problem, grid) pair.
 
-    Precomputes the cost matrix and the density-weighted quadrature weights,
-    which dominate the per-call cost otherwise; repeated evaluations (ODE
-    stages, Newton iterations) should share one instance.
+    Builds the target-major (N, M) cost matrix and the density-weighted
+    quadrature weights once; repeated evaluations (ODE stages, Newton
+    iterations) should share one instance.
     """
 
     def __init__(self, problem, grid):
         self.problem = problem
         self.grid = grid
-        self.cost = cost_matrix(grid.nodes, problem.targets.points, problem.cost.exponent)
+        self.cost = cost_matrix(problem.targets.points, grid.nodes, problem.cost.exponent)
         self.offsets = np.asarray(problem.offsets, dtype=float)
         self.mu_weights = grid.weights * density_eval(problem.mu, grid.nodes)
         self.n = problem.n
 
-    def node_weights(self, psi, t):
-        """(M, N) softmax weights at every quadrature node."""
+    def _depth(self, psi, t):
+        """Validated a = psi - offsets."""
         _check_time(t)
         psi = np.asarray(psi, dtype=float)
         if not np.all(np.isfinite(psi)):
             raise NonFiniteValueError("dual weights contain non-finite entries")
-        expo = (psi[None, :] - self.offsets[None, :] - t * self.cost) / (1.0 - t)
-        expo -= expo.max(axis=1, keepdims=True)
-        pi = np.exp(expo)
-        pi /= pi.sum(axis=1, keepdims=True)
-        return pi
+        return psi - self.offsets
+
+    def node_weights(self, psi, t):
+        """(M, N) softmax weights at every quadrature node."""
+        return _softmax(self._depth(psi, t), t, self.cost).T
 
     def value(self, psi, t):
         """Dual transport value -(1-t) * integral of log-sum-exp.
@@ -88,42 +122,41 @@ class KernelEvaluator:
         Only used as the independent reference for derivative checks; the
         solver itself never needs it.
         """
-        _check_time(t)
-        psi = np.asarray(psi, dtype=float)
-        expo = (psi[None, :] - self.offsets[None, :] - t * self.cost) / (1.0 - t)
-        m = expo.max(axis=1)
-        lse = m + np.log(np.exp(expo - m[:, None]).sum(axis=1))
+        a = self._depth(psi, t)
+        expo = (a[:, None] - t * self.cost) / (1.0 - t)
+        m = expo.max(axis=0)
+        lse = m + np.log(np.exp(expo - m).sum(axis=0))
         return -(1.0 - t) * float(np.sum(self.mu_weights * lse))
 
-    def grad(self, psi, t):
-        pi = self.node_weights(psi, t)
-        return -np.sum(self.mu_weights[:, None] * pi, axis=0)
-
-    def hessian(self, psi, t):
-        pi = self.node_weights(psi, t)
-        piw = self.mu_weights[:, None] * pi
-        return (piw.T @ pi - np.diag(piw.sum(axis=0))) / (1.0 - t)
-
-    def dt_grad(self, psi, t):
-        pi = self.node_weights(psi, t)
-        psi = np.asarray(psi, dtype=float)
-        depth = psi[None, :] - self.offsets[None, :] - self.cost
-        mean_depth = (pi * depth).sum(axis=1, keepdims=True)
-        piw = self.mu_weights[:, None] * pi
-        return np.sum(piw * (mean_depth - depth), axis=0) / (1.0 - t) ** 2
-
     def evaluate(self, psi, t):
-        """All three derivative blocks from a single softmax sweep."""
-        pi = self.node_weights(psi, t)
-        psi = np.asarray(psi, dtype=float)
-        piw = self.mu_weights[:, None] * pi
-        col = piw.sum(axis=0)
-        grad = -col
-        hess = (piw.T @ pi - np.diag(col)) / (1.0 - t)
-        depth = psi[None, :] - self.offsets[None, :] - self.cost
-        mean_depth = (pi * depth).sum(axis=1, keepdims=True)
-        dt_grad = np.sum(piw * (mean_depth - depth), axis=0) / (1.0 - t) ** 2
-        return KernelEval(grad=grad, hess=hess, dt_grad=dt_grad)
+        """Gradient, Hessian and time derivative from one chunked node sweep."""
+        a = self._depth(psi, t)
+        n, m = self.cost.shape
+        width = min(m, CHUNK_NODES)
+        # scratch reused by every chunk: fresh large temporaries per chunk
+        # cost more in page faults than the arithmetic on them
+        pi_buf, piw_buf, peak_buf = np.empty((n, width)), np.empty((n, width)), np.empty(width)
+        outer = np.zeros((n, n))
+        col = np.zeros(n)
+        spread = np.zeros(n)
+        for lo in range(0, m, CHUNK_NODES):
+            cost = self.cost[:, lo : lo + CHUNK_NODES]
+            w = self.mu_weights[lo : lo + CHUNK_NODES]
+            k = w.size
+            pi = _softmax(a, t, cost, out=pi_buf[:, :k], peak=peak_buf[:k])
+            piw = np.multiply(pi, w, out=piw_buf[:, :k])
+            outer += piw @ pi.T
+            col += pi @ w
+            # pi is not needed past here: its buffer takes C_j - pi.C
+            mean_cost = np.multiply(pi, cost, out=pi).sum(axis=0)
+            dev = np.subtract(cost, mean_cost, out=pi)
+            spread += np.multiply(dev, piw, out=dev).sum(axis=1)
+        pull = (outer * (a[None, :] - a[:, None])).sum(axis=1)
+        return KernelEval(
+            grad=-col,
+            hess=(outer - np.diag(col)) / (1.0 - t),
+            dt_grad=(pull + spread) / (1.0 - t) ** 2,
+        )
 
 
 def softmax_weights(psi, t, x, problem):
@@ -135,15 +168,3 @@ def softmax_weights(psi, t, x, problem):
     expo -= expo.max()
     pi = np.exp(expo)
     return pi / pi.sum()
-
-
-def kernel_grad(psi, t, problem, grid):
-    return KernelEvaluator(problem, grid).grad(psi, t)
-
-
-def kernel_hessian(psi, t, problem, grid):
-    return KernelEvaluator(problem, grid).hessian(psi, t)
-
-
-def kernel_dt_grad(psi, t, problem, grid):
-    return KernelEvaluator(problem, grid).dt_grad(psi, t)

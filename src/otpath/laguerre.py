@@ -7,12 +7,20 @@ cost(x, y_j) - w_j is minimal over the targets.  Two measure backends:
              endpoints solve the pairwise bisector equations in closed form,
              and masses come from closed-form interval integrals.
   grid       any supported dimension/cost: label every quadrature node by its
-             minimizing target (ties to the lowest index) and sum the
-             density-weighted quadrature weights per label.
+             minimizing target and sum the density-weighted quadrature
+             weights per label.
 
 The analytic route is exact up to rounding; the grid route carries an
 O(node spacing) boundary error, which is why it is never used where the
 acceptance tolerances are tighter than that.
+
+Grid labels run over the target-major (N, M) cost matrix, the layout the
+kernel uses: a running minimum over the N target rows, each pass vectorized
+along the nodes.  A row takes over a node only when strictly smaller, so ties
+go to the lowest index exactly as `np.argmin` resolves them.  `GridCells`
+holds that matrix and the node masses of one (grid, targets, density); the
+solver builds it once and passes it to `power_cell_measures` and
+`measure_jacobian`, which otherwise build it per call.
 """
 
 from dataclasses import dataclass
@@ -107,16 +115,64 @@ def cells_1d(psi, targets, domain, density=None):
     return LaguerreDiagram1D(order=order, boundaries=cuts, measures=measures)
 
 
+def _node_labels(cost, weights):
+    """Per-node argmin over the rows of cost - weights[:, None], for a
+    target-major (N, M) cost matrix; ties go to the lowest index."""
+    best = cost[0] - weights[0]
+    labels = np.zeros(cost.shape[1], dtype=np.intp)
+    for j in range(1, cost.shape[0]):
+        cand = cost[j] - weights[j]
+        labels[cand < best] = j
+        np.minimum(best, cand, out=best)
+    return labels
+
+
 def grid_labels(weights, targets, grid, cost_exponent=2.0):
     """Per-node argmin of cost(x, y_j) - weights_j; ties go to the lowest index."""
-    costs = cost_matrix(grid.nodes, targets.points, cost_exponent)
-    return np.argmin(costs - np.asarray(weights, dtype=float)[None, :], axis=1)
+    cost = cost_matrix(targets.points, grid.nodes, cost_exponent)
+    return _node_labels(cost, np.asarray(weights, dtype=float))
+
+
+@dataclass(frozen=True)
+class GridCells:
+    """Operands of grid-label cell masses for one (grid, targets, density):
+    the target-major (N, M) cost matrix and the density-weighted node masses."""
+
+    cost: np.ndarray
+    node_mass: np.ndarray
+
+    def __post_init__(self):
+        self.cost.setflags(write=False)
+        self.node_mass.setflags(write=False)
+
+    @classmethod
+    def build(cls, targets, grid, density, cost_exponent=2.0, cost=None):
+        """`cost` passes in an existing target-major matrix of the same
+        targets, grid and exponent instead of building another."""
+        if cost is None:
+            cost = cost_matrix(targets.points, grid.nodes, cost_exponent)
+        return cls(cost=cost, node_mass=grid.weights * density_eval(density, grid.nodes))
+
+    def masses(self, weights):
+        labels = _node_labels(self.cost, np.asarray(weights, dtype=float))
+        return np.bincount(labels, weights=self.node_mass, minlength=self.cost.shape[0])
 
 
 def power_cell_measures(
-    weights, targets, domain, density, grid=None, mode=MODE_AUTO, cost_exponent=2.0
+    weights,
+    targets,
+    domain,
+    density,
+    grid=None,
+    mode=MODE_AUTO,
+    cost_exponent=2.0,
+    cells=None,
 ):
-    """Masses of the power cells of `weights` under `density`."""
+    """Masses of the power cells of `weights` under `density`.
+
+    In grid mode `cells` (a GridCells of the same targets, grid, density and
+    exponent) saves building the cost matrix on this call.
+    """
     weights = np.asarray(weights, dtype=float)
     if mode == MODE_AUTO:
         mode = (
@@ -126,11 +182,11 @@ def power_cell_measures(
         if targets.dim != 1 or cost_exponent != 2.0:
             raise ConfigError("analytic cell measures need 1-D quadratic cost")
         return cells_1d(weights, targets, domain, density).measures
-    if grid is None:
-        raise ConfigError("grid-label cell measures need a quadrature grid")
-    labels = grid_labels(weights, targets, grid, cost_exponent)
-    node_mass = grid.weights * density_eval(density, grid.nodes)
-    return np.bincount(labels, weights=node_mass, minlength=targets.n)
+    if cells is None:
+        if grid is None:
+            raise ConfigError("grid-label cell measures need a quadrature grid")
+        cells = GridCells.build(targets, grid, density, cost_exponent)
+    return cells.masses(weights)
 
 
 def cell_measures(psi, problem, grid, mode=MODE_AUTO):
@@ -156,7 +212,14 @@ def _grid_spacing(grid):
 
 
 def measure_jacobian(
-    weights, targets, domain, density, grid=None, mode=MODE_AUTO, fd_step=1e-5
+    weights,
+    targets,
+    domain,
+    density,
+    grid=None,
+    mode=MODE_AUTO,
+    fd_step=1e-5,
+    cells=None,
 ):
     """Jacobian of weights -> cell masses (quadratic cost).
 
@@ -164,7 +227,8 @@ def measure_jacobian(
     i, j contributes density(x_ij) / (2|y_i - y_j|) on the diagonal and its
     negative off-diagonal.  On a grid, central differences; the step is
     widened so cell boundaries move by at least one node spacing, because
-    grid-label masses are piecewise constant below that scale.
+    grid-label masses are piecewise constant below that scale.  The grid
+    operands are built once per call unless `cells` passes them in.
     """
     weights = np.asarray(weights, dtype=float)
     n = targets.n
@@ -190,6 +254,8 @@ def measure_jacobian(
         return jac
     if grid is None:
         raise ConfigError("grid-mode measure Jacobian needs a quadrature grid")
+    if cells is None:
+        cells = GridCells.build(targets, grid, density)
     pts = targets.points
     gaps = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
     step = max(fd_step, 2.0 * _grid_spacing(grid) * float(gaps.max()))
@@ -197,12 +263,8 @@ def measure_jacobian(
     for k in range(n):
         bump = np.zeros(n)
         bump[k] = step
-        plus = power_cell_measures(
-            weights + bump, targets, domain, density, grid=grid, mode=MODE_GRID
-        )
-        minus = power_cell_measures(
-            weights - bump, targets, domain, density, grid=grid, mode=MODE_GRID
-        )
+        plus = cells.masses(weights + bump)
+        minus = cells.masses(weights - bump)
         jac[:, k] = (plus - minus) / (2.0 * step)
     return 0.5 * (jac + jac.T)
 
@@ -212,9 +274,9 @@ def smoothed_cell_field(psi, t, problem, grid):
     if t >= 1.0:
         raise ValueError("smoothed cells are only defined for t < 1")
     psi = np.asarray(psi, dtype=float)
-    weights = KernelEvaluator(problem, grid).node_weights(psi, t)
-    labels = grid_labels(psi - problem.offsets, problem.targets, grid, problem.cost.exponent)
-    return CellField(nodes=grid.nodes, labels=labels, weights=weights)
+    kernel = KernelEvaluator(problem, grid)
+    labels = _node_labels(kernel.cost, psi - problem.offsets)
+    return CellField(nodes=grid.nodes, labels=labels, weights=kernel.node_weights(psi, t))
 
 
 def label_field(psi, problem, grid):

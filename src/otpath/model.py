@@ -197,10 +197,16 @@ class CostSpec:
 
 
 def cost_matrix(points, targets, exponent):
-    """(M, N) matrix of ||x_i - y_j||^p for batch points and target rows."""
+    """(M, N) matrix of ||x_i - y_j||^p for batch points and target rows.
+
+    Summed one axis at a time, so no (M, N, dim) temporary is held.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    diff = pts[:, None, :] - targets[None, :, :]
-    sq = (diff**2).sum(axis=2)
+    targets = np.asarray(targets, dtype=float)
+    sq = np.zeros((pts.shape[0], targets.shape[0]))
+    for axis in range(pts.shape[1]):
+        diff = np.subtract.outer(pts[:, axis], targets[:, axis])
+        sq += np.multiply(diff, diff, out=diff)
     if exponent == 2.0:
         return sq
     return sq ** (exponent / 2.0)

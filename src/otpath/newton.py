@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .laguerre import cells_1d, measure_jacobian, power_cell_measures
+from .laguerre import GridCells, cells_1d, measure_jacobian, power_cell_measures
 from .linsolve import solve_dual_system
 from .model import Domain
 from .residuals import ResidualSystem
@@ -151,13 +151,15 @@ def solve_xi_star(targets, rho, grid, tol=1e-8, max_iter=100):
     start (an empty cell zeroes a Jacobian row and stalls the iteration).
     The Jacobian's all-ones kernel is deflated, and the returned weights are
     normalized to mean zero (cell masses are shift-invariant, so the defining
-    equation only fixes xi up to a constant).
+    equation only fixes xi up to a constant).  Beyond 1-D the cells are grid
+    labels, whose operands are built once for the whole solve.
     """
     domain = Domain(lower=grid.lower, upper=grid.upper)
     n = targets.n
+    cells = GridCells.build(targets, grid, rho) if targets.dim > 1 else None
 
     def masses(xi):
-        return power_cell_measures(xi, targets, domain, rho, grid=grid, cost_exponent=2.0)
+        return power_cell_measures(xi, targets, domain, rho, grid=grid, cells=cells)
 
     xi = np.zeros(n)
     current = masses(xi)
@@ -172,7 +174,9 @@ def solve_xi_star(targets, rho, grid, tol=1e-8, max_iter=100):
             break
         try:
             step = _newton_direction(
-                measure_jacobian(xi, targets, domain, rho, grid=grid), g, deflate=True
+                measure_jacobian(xi, targets, domain, rho, grid=grid, cells=cells),
+                g,
+                deflate=True,
             )
         except SolverError:
             iterations = k

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NonFiniteValueError
 from .kernel import KernelEvaluator
-from .laguerre import MODE_AUTO, measure_jacobian, power_cell_measures
+from .laguerre import GridCells, measure_jacobian, power_cell_measures
 
 
 @dataclass(frozen=True)
@@ -52,13 +52,19 @@ class ResidualSystem:
 
     Shares one kernel evaluator across calls; `full` additionally shares the
     softmax sweep (and, for p4, the measure Jacobian) between the residual,
-    Jacobian, and time derivative.
+    Jacobian, and time derivative.  For p4 beyond 1-D the rho cells are grid
+    labels; their operands are built here once, reusing the kernel's cost
+    matrix when the outer cost is quadratic like the inner one.
     """
 
     def __init__(self, problem, grid):
         self.problem = problem
         self.grid = grid
         self.kernel = KernelEvaluator(problem, grid)
+        self.rho_cells = None
+        if problem.variant == "p4" and problem.dim > 1:
+            shared = self.kernel.cost if problem.cost.exponent == 2.0 else None
+            self.rho_cells = GridCells.build(problem.targets, grid, problem.rho, cost=shared)
 
     def _check_time(self, t):
         if self.problem.scales_penalty:
@@ -72,13 +78,13 @@ class ResidualSystem:
     def _rho_masses(self, xi):
         p = self.problem
         return power_cell_measures(
-            xi, p.targets, p.domain, p.rho, grid=self.grid, cost_exponent=2.0
+            xi, p.targets, p.domain, p.rho, grid=self.grid, cells=self.rho_cells
         )
 
     def _rho_jacobian(self, xi):
         p = self.problem
         return measure_jacobian(
-            xi, p.targets, p.domain, p.rho, grid=self.grid, mode=MODE_AUTO
+            xi, p.targets, p.domain, p.rho, grid=self.grid, cells=self.rho_cells
         )
 
     def _penalty_gradient(self, psi, t):
@@ -92,7 +98,7 @@ class ResidualSystem:
     def value(self, psi, t):
         self._check_time(t)
         psi = np.asarray(psi, dtype=float)
-        return self._penalty_gradient(psi, t) + self.kernel.grad(psi, t)
+        return self._penalty_gradient(psi, t) + self.kernel.evaluate(psi, t).grad
 
     def jacobian(self, psi, t):
         """Symmetric negative (semi)definite Jacobian of the residual in psi.
@@ -103,8 +109,7 @@ class ResidualSystem:
         """
         self._check_time(t)
         psi = np.asarray(psi, dtype=float)
-        hess = self.kernel.hessian(psi, t)
-        return hess + self._penalty_jacobian(psi, t)
+        return self.kernel.evaluate(psi, t).hess + self._penalty_jacobian(psi, t)
 
     def _penalty_jacobian(self, psi, t):
         p = self.problem
@@ -117,7 +122,7 @@ class ResidualSystem:
     def dt(self, psi, t):
         self._check_time(t)
         psi = np.asarray(psi, dtype=float)
-        return self.kernel.dt_grad(psi, t) + self._penalty_dt(psi, t)
+        return self.kernel.evaluate(psi, t).dt_grad + self._penalty_dt(psi, t)
 
     def _penalty_dt(self, psi, t, rho_jac=None):
         p = self.problem

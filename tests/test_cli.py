@@ -159,3 +159,36 @@ def test_main_verify_fast_criteria(capsys):
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 2
     assert main(["verify", "--criteria", "99"]) == 1
+
+
+# (argv, JSON config or None, expected exit code); "{tmp}" stands for the
+# test's scratch directory.
+BAD_INPUTS = [
+    pytest.param(["run", "--quad-panels", "0"], None, 1, id="quad-panels-0"),
+    pytest.param(["run", "--quad-order", "0"], None, 1, id="quad-order-0"),
+    pytest.param(["run", "--quad-panels", "-2"], None, 1, id="quad-panels-negative"),
+    pytest.param(["run", "--dt", "0"], None, 1, id="dt-0"),
+    pytest.param(["run", "--n", "2,x"], None, 1, id="n-not-int"),  # bare ValueError
+    pytest.param(["run"], {"dim": 3}, 1, id="config-dim-3"),
+    pytest.param(["run"], {"quad_panels": 0}, 1, id="config-quad-panels-0"),
+    pytest.param(["run"], {"quad_order": 2.5}, 1, id="config-quad-order-float"),
+    pytest.param(["run"], {"n_list": ["x"]}, 1, id="config-n-not-int"),  # bare ValueError
+    pytest.param(["run"], "not json", 1, id="config-not-json"),
+    pytest.param(["run", "--config", "{tmp}/missing.json"], None, 1, id="config-missing"),
+    pytest.param(["verify", "--criteria", "1,x"], None, 1, id="criteria-not-int"),
+    pytest.param(["verify", "--criteria", "99"], None, 1, id="criteria-unknown"),
+]
+
+
+@pytest.mark.parametrize("argv, config, code", BAD_INPUTS)
+def test_bad_inputs_exit_with_documented_code(tmp_path, capsys, argv, config, code):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    if config is not None:
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(config if isinstance(config, str) else json.dumps(config))
+        argv += ["--config", str(cfg_path)]
+    if argv[0] == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == code
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("configuration error: ")

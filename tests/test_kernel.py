@@ -6,11 +6,11 @@ from otpath import (
     KernelEvaluator,
     NonFiniteValueError,
     build_problem,
-    kernel_dt_grad,
-    kernel_grad,
-    kernel_hessian,
+    build_grid,
     softmax_weights,
+    unit_domain,
 )
+from otpath.kernel import CHUNK_NODES
 from conftest import central_diff, central_diff_scalar_arg
 
 
@@ -19,6 +19,10 @@ def _random_problem(n, dim=1, seed=0, variant="p1"):
     if variant == "p3":
         cfg["anchor"] = [0.5] * dim
     return build_problem(cfg)
+
+
+def _evaluate(psi, t, problem, grid):
+    return KernelEvaluator(problem, grid).evaluate(psi, t)
 
 
 def test_softmax_symmetric_point(mirror_pair):
@@ -54,40 +58,40 @@ def test_softmax_sums_to_one_everywhere(grid1, p1_1d):
 
 
 def test_grad_constant_at_t_zero(grid1, p1_1d):
-    g = kernel_grad(np.zeros(4), 0.0, p1_1d, grid1)
+    g = _evaluate(np.zeros(4), 0.0, p1_1d, grid1).grad
     assert np.allclose(g, -0.25, atol=1e-12)
 
 
 def test_grad_single_target(grid1):
     prob = build_problem({"variant": "p1", "dim": 1, "targets": [[0.4]]})
     for psi, t in ((np.array([2.0]), 0.0), (np.array([-1.0]), 0.7)):
-        assert kernel_grad(psi, t, prob, grid1) == pytest.approx(-1.0, abs=1e-12)
+        assert _evaluate(psi, t, prob, grid1).grad == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_grad_shift_invariance(grid1, p1_1d):
     psi = np.array([0.3, -0.4, 0.2, 0.0])
-    g0 = kernel_grad(psi, 0.6, p1_1d, grid1)
-    g1 = kernel_grad(psi + 1.7, 0.6, p1_1d, grid1)
+    g0 = _evaluate(psi, 0.6, p1_1d, grid1).grad
+    g1 = _evaluate(psi + 1.7, 0.6, p1_1d, grid1).grad
     assert np.abs(g0 - g1).max() <= 1e-12
 
 
 def test_grad_range_and_total(grid1, p1_1d):
     rng = np.random.default_rng(2)
     for _ in range(5):
-        g = kernel_grad(rng.uniform(-1, 1, 4), rng.uniform(0, 0.9), p1_1d, grid1)
+        g = _evaluate(rng.uniform(-1, 1, 4), rng.uniform(0, 0.9), p1_1d, grid1).grad
         assert np.all(g <= 0.0) and np.all(g >= -1.0)
         assert g.sum() == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_hessian_two_targets_at_zero(grid1, mirror_pair):
-    hess = kernel_hessian(np.zeros(2), 0.0, mirror_pair, grid1)
+    hess = _evaluate(np.zeros(2), 0.0, mirror_pair, grid1).hess
     assert np.allclose(hess, [[-0.25, 0.25], [0.25, -0.25]], atol=1e-12)
 
 
 def test_hessian_structure(grid1, p1_1d):
     rng = np.random.default_rng(3)
     for _ in range(5):
-        hess = kernel_hessian(rng.uniform(-1, 1, 4), rng.uniform(0.05, 0.9), p1_1d, grid1)
+        hess = _evaluate(rng.uniform(-1, 1, 4), rng.uniform(0.05, 0.9), p1_1d, grid1).hess
         assert np.abs(hess - hess.T).max() <= 1e-10
         assert np.abs(hess.sum(axis=1)).max() <= 1e-10
         assert np.linalg.eigvalsh(hess).max() <= 1e-10
@@ -95,39 +99,38 @@ def test_hessian_structure(grid1, p1_1d):
 
 def test_dt_grad_vanishes_by_symmetry(grid1, mirror_pair):
     # both targets see the same cost profile under the symmetric density
-    dt = kernel_dt_grad(np.zeros(2), 0.5, mirror_pair, grid1)
+    dt = _evaluate(np.zeros(2), 0.5, mirror_pair, grid1).dt_grad
     assert np.abs(dt).max() <= 1e-12
 
 
 def test_dt_grad_single_target(grid1):
     prob = build_problem({"variant": "p1", "dim": 1, "targets": [[0.4]]})
-    assert kernel_dt_grad(np.array([0.3]), 0.5, prob, grid1) == pytest.approx(0.0, abs=1e-15)
+    assert _evaluate(np.array([0.3]), 0.5, prob, grid1).dt_grad == pytest.approx(0.0, abs=1e-15)
 
 
 def test_dt_grad_total_is_zero(grid1, p1_1d):
     rng = np.random.default_rng(4)
     for _ in range(5):
-        dt = kernel_dt_grad(rng.uniform(-1, 1, 4), rng.uniform(0.05, 0.9), p1_1d, grid1)
+        dt = _evaluate(rng.uniform(-1, 1, 4), rng.uniform(0.05, 0.9), p1_1d, grid1).dt_grad
         assert abs(dt.sum()) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
 def test_finite_difference_consistency(grid1, n):
+    # grad against the value; hess and dt_grad against the grad block
     rng = np.random.default_rng(n)
     prob = _random_problem(n, seed=n)
     ke = KernelEvaluator(prob, grid1)
     for _ in range(5):
         psi = rng.uniform(-0.5, 0.5, n)
         t = rng.uniform(0.15, 0.85)
-        grad = ke.grad(psi, t)
+        ev = ke.evaluate(psi, t)
         fd_grad = central_diff(lambda p: ke.value(p, t), psi)
-        assert np.abs(grad - fd_grad).max() <= 1e-6 * max(1.0, np.abs(grad).max())
-        hess = ke.hessian(psi, t)
-        fd_hess = central_diff(lambda p: ke.grad(p, t), psi)
-        assert np.abs(hess - fd_hess).max() <= 1e-5 * max(1.0, np.abs(hess).max())
-        dtg = ke.dt_grad(psi, t)
-        fd_dt = central_diff_scalar_arg(lambda s: ke.grad(psi, s), t)
-        assert np.abs(dtg - fd_dt).max() <= 1e-5 * max(1.0, np.abs(fd_dt).max())
+        assert np.abs(ev.grad - fd_grad).max() <= 1e-6 * max(1.0, np.abs(ev.grad).max())
+        fd_hess = central_diff(lambda p: ke.evaluate(p, t).grad, psi)
+        assert np.abs(ev.hess - fd_hess).max() <= 1e-5 * max(1.0, np.abs(ev.hess).max())
+        fd_dt = central_diff_scalar_arg(lambda s: ke.evaluate(psi, s).grad, t)
+        assert np.abs(ev.dt_grad - fd_dt).max() <= 1e-5 * max(1.0, np.abs(fd_dt).max())
 
 
 def test_offset_kernel_matches_shifted_plain_kernel(grid1):
@@ -136,12 +139,12 @@ def test_offset_kernel_matches_shifted_plain_kernel(grid1):
     plain = build_problem(
         {"variant": "p1", "dim": 1, "targets": anchored.targets.points.tolist()}
     )
-    ka = KernelEvaluator(anchored, grid1)
-    kp = KernelEvaluator(plain, grid1)
     psi = np.array([0.2, -0.1, 0.4])
     t = 0.55
-    assert np.allclose(ka.grad(psi, t), kp.grad(psi - anchored.offsets, t), atol=1e-14)
-    assert np.allclose(ka.dt_grad(psi, t), kp.dt_grad(psi - anchored.offsets, t), atol=1e-12)
+    ea = KernelEvaluator(anchored, grid1).evaluate(psi, t)
+    ep = KernelEvaluator(plain, grid1).evaluate(psi - anchored.offsets, t)
+    assert np.allclose(ea.grad, ep.grad, atol=1e-14)
+    assert np.allclose(ea.dt_grad, ep.dt_grad, atol=1e-12)
 
 
 def test_no_overflow_for_extreme_exponents(grid1, p1_1d):
@@ -154,18 +157,53 @@ def test_no_overflow_for_extreme_exponents(grid1, p1_1d):
     assert np.isfinite(ev.dt_grad).all()
 
 
-def test_single_sweep_matches_individual_calls(grid1, p1_1d):
-    ke = KernelEvaluator(p1_1d, grid1)
-    psi = np.array([0.3, -0.2, 0.1, 0.0])
-    ev = ke.evaluate(psi, 0.45)
-    assert np.allclose(ev.grad, ke.grad(psi, 0.45), atol=0)
-    assert np.allclose(ev.hess, ke.hessian(psi, 0.45), atol=0)
-    assert np.allclose(ev.dt_grad, ke.dt_grad(psi, 0.45), atol=0)
+def _node_major_reference(ke, psi, t):
+    """The three blocks by the node-major (M, N) formulas the fused sweep
+    replaced: one softmax over all nodes, then per-block reductions."""
+    cost = ke.cost.T
+    expo = (psi[None, :] - ke.offsets[None, :] - t * cost) / (1.0 - t)
+    expo -= expo.max(axis=1, keepdims=True)
+    pi = np.exp(expo)
+    pi /= pi.sum(axis=1, keepdims=True)
+    piw = ke.mu_weights[:, None] * pi
+    col = piw.sum(axis=0)
+    hess = (piw.T @ pi - np.diag(col)) / (1.0 - t)
+    depth = psi[None, :] - ke.offsets[None, :] - cost
+    mean_depth = (pi * depth).sum(axis=1, keepdims=True)
+    dt_grad = np.sum(piw * (mean_depth - depth), axis=0) / (1.0 - t) ** 2
+    return -col, hess, dt_grad
+
+
+def _rel_gap(got, ref):
+    return np.abs(got - ref).max() / max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 0.99])
+@pytest.mark.parametrize("variant", ["p1", "p3"])
+@pytest.mark.parametrize(
+    "dim, panels, order",
+    [
+        (1, 64, 8),  # 512 nodes: one partial chunk
+        (2, 12, 6),  # 5,184 nodes: a full chunk and a partial one
+        (2, 24, 6),  # 20,736 nodes
+    ],
+)
+def test_evaluate_matches_node_major_reference(dim, panels, order, variant, t):
+    grid = build_grid(unit_domain(dim), panels, order)
+    assert grid.n_nodes < CHUNK_NODES or grid.n_nodes % CHUNK_NODES
+    prob = _random_problem(5, dim=dim, seed=11, variant=variant)
+    ke = KernelEvaluator(prob, grid)
+    psi = np.random.default_rng(dim).uniform(-0.5, 0.5, 5)
+    ev = ke.evaluate(psi, t)
+    grad, hess, dt_grad = _node_major_reference(ke, psi, t)
+    assert _rel_gap(ev.grad, grad) <= 1e-12
+    assert _rel_gap(ev.hess, hess) <= 1e-12
+    assert _rel_gap(ev.dt_grad, dt_grad) <= 1e-12
 
 
 def test_time_domain_enforced(grid1, p1_1d):
     with pytest.raises(ValueError):
-        kernel_grad(np.zeros(4), 1.0, p1_1d, grid1)
+        KernelEvaluator(p1_1d, grid1).evaluate(np.zeros(4), 1.0)
     with pytest.raises(ValueError):
         softmax_weights(np.zeros(4), 1.2, np.array([0.5]), p1_1d)
 

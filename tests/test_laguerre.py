@@ -20,7 +20,16 @@ from otpath import (
     unit_domain,
     unregularized_residual,
 )
-from otpath.laguerre import MODE_ANALYTIC, MODE_GRID, measure_jacobian
+from otpath.laguerre import (
+    MODE_ANALYTIC,
+    MODE_GRID,
+    GridCells,
+    _node_labels,
+    grid_labels,
+    measure_jacobian,
+)
+from otpath.model import cost_matrix, density_eval
+from otpath.residuals import ResidualSystem
 
 
 def test_symmetric_boundary(dom1):
@@ -105,7 +114,7 @@ def test_modes_agree_on_random_instances(dom1, grid1):
 
 def test_measures_limit_of_kernel_grad(grid1, p1_1d):
     psi = np.array([0.2, -0.1, 0.3, 0.0])
-    soft = -KernelEvaluator(p1_1d, grid1).grad(psi, 1.0 - 1e-4)
+    soft = -KernelEvaluator(p1_1d, grid1).evaluate(psi, 1.0 - 1e-4).grad
     hard = cell_measures(psi, p1_1d, grid1)
     assert np.abs(soft - hard).max() <= 1e-3
 
@@ -246,3 +255,80 @@ def test_grid_mode_requires_grid(dom1):
             mode=MODE_ANALYTIC,
             cost_exponent=3.0,
         )
+
+
+def test_node_labels_match_argmin_on_exact_ties():
+    # small integers make exact ties between targets common
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 7):
+        cost = rng.integers(0, 4, size=(n, 500)).astype(float)
+        weights = rng.integers(0, 3, size=n).astype(float)
+        expected = np.argmin((cost - weights[:, None]).T, axis=1)
+        assert np.array_equal(_node_labels(cost, weights), expected)
+
+
+@pytest.mark.parametrize("dim, exponent", [(1, 2.0), (2, 2.0), (2, 3.0)])
+def test_grid_labels_match_argmin(dim, exponent):
+    grid = build_grid(unit_domain(dim), 16, 4)
+    rng = np.random.default_rng(dim)
+    for trial in range(5):
+        targets = sample_targets(6, dim, unit_domain(dim), seed=trial)
+        weights = rng.uniform(-0.2, 0.2, 6)
+        costs = cost_matrix(grid.nodes, targets.points, exponent)
+        expected = np.argmin(costs - weights[None, :], axis=1)
+        assert np.array_equal(grid_labels(weights, targets, grid, exponent), expected)
+    # a node equidistant from two equal-weight targets goes to the lower index
+    pair = TargetSet(points=np.array([[0.75] * dim, [0.25] * dim]))
+    mid = build_grid(unit_domain(dim), 1, 3)  # the node at the box center
+    assert grid_labels(np.zeros(2), pair, mid, exponent)[(mid.n_nodes - 1) // 2] == 0
+
+
+def _bincount_masses(weights, targets, grid, density):
+    """Node-major argmin labels and bincount: the pre-target-major route."""
+    costs = cost_matrix(grid.nodes, targets.points, 2.0)
+    labels = np.argmin(costs - weights[None, :], axis=1)
+    node_mass = grid.weights * density_eval(density, grid.nodes)
+    return np.bincount(labels, weights=node_mass, minlength=targets.n)
+
+
+def _bincount_jacobian(weights, targets, grid, density, step):
+    n = targets.n
+    jac = np.zeros((n, n))
+    for k in range(n):
+        bump = np.zeros(n)
+        bump[k] = step
+        plus = _bincount_masses(weights + bump, targets, grid, density)
+        minus = _bincount_masses(weights - bump, targets, grid, density)
+        jac[:, k] = (plus - minus) / (2.0 * step)
+    return 0.5 * (jac + jac.T)
+
+
+def test_p4_2d_grid_cells_bit_identical_to_bincount(dom2):
+    grid = build_grid(dom2, 24, 6)
+    prob = build_problem(
+        {"variant": "p4", "dim": 2, "n_targets": 6, "seed": 4, "rho": {"kind": "gauss"}}
+    )
+    system = ResidualSystem(prob, grid)
+    assert system.rho_cells.cost is system.kernel.cost  # quadratic: one matrix
+    pts = prob.targets.points
+    gaps = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+    step = max(1e-5, 2.0 * (1.0 / (24 * 6)) * float(gaps.max()))
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        xi = rng.uniform(-0.1, 0.1, 6)
+        expected = _bincount_masses(xi, prob.targets, grid, prob.rho)
+        for cells in (None, system.rho_cells):
+            got = power_cell_measures(
+                xi, prob.targets, dom2, prob.rho, grid=grid, cells=cells
+            )
+            assert np.array_equal(got, expected)
+            jac = measure_jacobian(xi, prob.targets, dom2, prob.rho, grid=grid, cells=cells)
+            assert np.array_equal(
+                jac, _bincount_jacobian(xi, prob.targets, grid, prob.rho, step)
+            )
+    cubic = build_problem(
+        {"variant": "p4", "dim": 2, "n_targets": 6, "seed": 4, "rho": {"kind": "gauss"},
+         "cost_exponent": 3}
+    )
+    cubic_cells = ResidualSystem(cubic, grid).rho_cells
+    assert np.array_equal(cubic_cells.cost, GridCells.build(cubic.targets, grid, cubic.rho).cost)

@@ -127,7 +127,7 @@ def test_p2_penalty_dt_vanishes_at_zero(grid1):
     system = ResidualSystem(prob, grid1)
     for t in (0.3, 0.7):
         dt = system.dt(np.zeros(3), t)
-        kernel_part = system.kernel.dt_grad(np.zeros(3), t)
+        kernel_part = system.kernel.evaluate(np.zeros(3), t).dt_grad
         assert np.allclose(dt, kernel_part, atol=0)
 
 
