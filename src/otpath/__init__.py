@@ -14,15 +14,9 @@ from .homotopy import (
     Trajectory,
     capture_snapshot,
     integrate_homotopy,
-    ode_rhs,
     rk3_tableau,
 )
-from .kernel import (
-    DualState,
-    KernelEval,
-    KernelEvaluator,
-    softmax_weights,
-)
+from .kernel import DualState, KernelEval, KernelEvaluator
 from .laguerre import (
     CellField,
     LaguerreDiagram1D,
@@ -49,16 +43,8 @@ from .model import (
     unit_domain,
 )
 from .newton import NewtonReport, fixed_t_oracle, newton_1d, solve_xi_star
-from .quadrature import QuadratureGrid, build_grid, integrate, integrate_vector, refine_grid
-from .residuals import (
-    InitialData,
-    ResidualEval,
-    ResidualSystem,
-    initial_state,
-    residual,
-    residual_dt,
-    residual_jacobian,
-)
+from .quadrature import QuadratureGrid, build_grid, integrate, refine_grid
+from .residuals import InitialData, ResidualEval, ResidualSystem
 
 __version__ = "0.1.0"
 
@@ -93,23 +79,16 @@ __all__ = [
     "density_eval",
     "fixed_t_oracle",
     "gaussian_bump_density",
-    "initial_state",
     "integrate",
     "integrate_homotopy",
-    "integrate_vector",
     "label_field",
     "newton_1d",
-    "ode_rhs",
     "parabola_targets",
     "power_cell_measures",
     "refine_grid",
-    "residual",
-    "residual_dt",
-    "residual_jacobian",
     "rk3_tableau",
     "sample_targets",
     "smoothed_cell_field",
-    "softmax_weights",
     "solve_xi_star",
     "triple_intersection_check",
     "uniform_density",

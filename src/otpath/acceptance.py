@@ -135,12 +135,11 @@ def _derivative_draws(variant, dim, draws, rng):
             _relative_gap(ev.dt_grad, fd_dtg),
         )
 
-        jac = system.jacobian(psi, t)
-        fd_jac = _fd_vector(lambda p: system.value(p, t), psi)
-        dtr = system.dt(psi, t)
-        fd_dtr = (system.value(psi, t + h) - system.value(psi, t - h)) / (2 * h)
+        res = system.full(psi, t)
+        fd_jac = _fd_vector(lambda p: system.full(p, t).g, psi)
+        fd_dtr = (system.full(psi, t + h).g - system.full(psi, t - h).g) / (2 * h)
         worst_residual = max(
-            worst_residual, _relative_gap(jac, fd_jac), _relative_gap(dtr, fd_dtr)
+            worst_residual, _relative_gap(res.jac, fd_jac), _relative_gap(res.dt, fd_dtr)
         )
     return worst_kernel, worst_residual
 
@@ -181,12 +180,12 @@ def criterion_3_initial_residuals():
         p1 = _problem("p1", n)
         worst = max(
             worst,
-            float(np.abs(ResidualSystem(p1, grid).value(np.log(float(n)) * np.ones(n), 1e-6)).max()),
+            float(np.abs(ResidualSystem(p1, grid).full(np.log(float(n)) * np.ones(n), 1e-6).g).max()),
         )
         p3 = _problem("p3", n)
         system = ResidualSystem(p3, grid)
         worst = max(
-            worst, float(np.abs(system.value(system.initial_state().psi0, 1e-6)).max())
+            worst, float(np.abs(system.full(system.initial_state().psi0, 1e-6).g).max())
         )
     return CriterionResult(
         cid=3,

@@ -8,8 +8,9 @@ cells read NAN).  `otpath verify` executes the acceptance criteria and prints
 one pass/fail line each.
 
 Exit codes: 0 success, 1 configuration error (any invalid input, including a
-bare ValueError raised on it), 2 solver failure, 3 verification failure.
-Each failure prints one line to stderr.
+bare ValueError raised on it and anything the argument parser refuses),
+2 solver failure, 3 verification failure.  Each failure prints one line to
+stderr.
 """
 
 import argparse
@@ -21,11 +22,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .homotopy import DEFAULT_ALPHA, DEFAULT_BETA, integrate_homotopy, rk3_tableau
-from .laguerre import unregularized_residual
+from .homotopy import (
+    DEFAULT_ALPHA,
+    DEFAULT_BETA,
+    integrate_homotopy,
+    lattice_steps,
+    rk3_tableau,
+    snapshot_steps,
+)
 from .model import DEFAULT_ORDER, DEFAULT_PANELS, build_problem, unit_domain
 from .newton import fixed_t_oracle, newton_1d
-from .quadrature import build_grid, refine_grid
+from .quadrature import build_grid
 
 SURROGATE_T = 1.0 - 1e-4  # fixed-t stand-in for the baseline in 2-D
 
@@ -61,17 +68,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and (not isinstance(value, int) or value < 1):
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        for dt in self.dt_list:
-            if not dt > 0.0:
-                raise ConfigError(f"dt={dt} must be positive")
-            steps = round(1.0 / dt)
-            if steps < 4 or abs(steps * dt - 1.0) > 1e-9:
-                raise ConfigError(f"dt={dt} does not divide 1 into whole steps")
-            for t in self.snapshot_times:
-                if abs(round(t * steps) / steps - t) > 1e-9:
-                    raise ConfigError(
-                        f"snapshot time {t} is off the dt={dt} step lattice"
-                    )
+        for dt in self.dt_list:  # the integrator's own lattice checks, run up front
+            snapshot_steps(self.snapshot_times, lattice_steps(dt))
         # defaults the problem layer refuses to guess
         if self.variant == "p3" and self.anchor is None:
             self.anchor = tuple(unit_domain(self.dim).center)
@@ -139,12 +137,6 @@ def write_snapshot_csv(path, cell_field):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _terminal_error(problem, psi, grid):
-    """Sup-norm recomputed exactly as the integrator's report does it."""
-    report_grid = refine_grid(grid, 4 if problem.dim == 1 else 2)
-    return float(np.abs(unregularized_residual(problem, psi, report_grid)).max())
-
-
 def _newton_block(problem, grid):
     if problem.dim == 1 and problem.cost.exponent == 2.0 and problem.variant in ("p1", "p2"):
         report = newton_1d(problem)
@@ -205,6 +197,10 @@ def run_experiment(config):
                 "beta": config.beta,
                 "seed": config.seed,
                 "error_sup": traj.report.error_sup,
+                "report_grid": {
+                    "panels_per_axis": traj.report.grid.panels_per_axis,
+                    "order": traj.report.grid.order,
+                },
                 "runtime_seconds": traj.report.runtime_seconds,
                 "psi_final": [float(v) for v in traj.report.psi],
             }
@@ -285,8 +281,15 @@ def _add_run_flags(sub):
     sub.add_argument("--out", help="output directory")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refusals exit 1 with one line, like any invalid input (subparsers too)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="otpath",
         description="semi-discrete transport solver along the regularization path",
     )
@@ -296,9 +299,8 @@ def main(argv=None):
     verify.add_argument(
         "--criteria", help="comma-separated criterion ids (default: all)"
     )
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         if args.command == "run":
             run_experiment(_build_config(args))
             return 0

@@ -17,12 +17,13 @@ from .errors import ConfigError, NonFiniteValueError, SolverError
 from .kernel import DualState
 from .laguerre import label_field, smoothed_cell_field, unregularized_residual
 from .linsolve import solve_dual_system
-from .quadrature import refine_grid
+from .quadrature import QuadratureGrid, refine_grid
 from .residuals import ResidualSystem
 
 DEFAULT_ALPHA = 0.125
 DEFAULT_BETA = 0.25
 ORDER_TOL = 1e-12
+BOOST_FACTOR = 2  # panels-per-axis refinement of the stage grid past boost_after
 
 
 @dataclass(frozen=True)
@@ -94,10 +95,13 @@ def rk3_tableau(alpha, beta):
 
 @dataclass(frozen=True)
 class TerminalReport:
+    """The t=1 state and its unregularized residual, evaluated on `grid`."""
+
     psi: np.ndarray
     residual: np.ndarray
     error_sup: float
     runtime_seconds: float
+    grid: QuadratureGrid
 
 
 @dataclass
@@ -128,16 +132,16 @@ class _Flow:
 
     Near t = 1 the kernel integrands concentrate on cell boundaries; past
     `boost_after` the stage systems are assembled on a grid refined by
-    `boost_factor` to keep quadrature error below the step error.
+    BOOST_FACTOR to keep quadrature error below the step error.
     """
 
-    def __init__(self, problem, grid, boost_after=None, boost_factor=2):
+    def __init__(self, problem, grid, boost_after=None):
         self.problem = problem
         self.base = ResidualSystem(problem, grid)
         self.boost_after = boost_after
         self.boosted = None
         if boost_after is not None:
-            self.boosted = ResidualSystem(problem, refine_grid(grid, boost_factor))
+            self.boosted = ResidualSystem(problem, refine_grid(grid, BOOST_FACTOR))
         self.deflate = problem.variant == "p4"
 
     def rhs(self, psi, t):
@@ -148,11 +152,6 @@ class _Flow:
         return solve_dual_system(ev.jac, -ev.dt, deflate=self.deflate, t=t)
 
 
-def ode_rhs(problem, psi, t, grid):
-    """One-off trajectory slope psi'(t): solves jacobian * x = -dt."""
-    return _Flow(problem, grid).rhs(np.asarray(psi, dtype=float), t)
-
-
 def capture_snapshot(problem, psi, t, grid):
     """Cell field export: softmax weights for t < 1, hard labels at t = 1."""
     if t >= 1.0:
@@ -160,11 +159,23 @@ def capture_snapshot(problem, psi, t, grid):
     return smoothed_cell_field(psi, t, problem, grid)
 
 
-def _lattice(dt):
-    steps = round(1.0 / dt)
+def lattice_steps(dt):
+    """Number of steps of size dt from t=0 to t=1, at least 4 whole ones."""
+    steps = round(1.0 / dt) if dt > 0.0 else 0
     if steps < 4 or abs(steps * dt - 1.0) > 1e-9:
         raise ConfigError(f"dt={dt} must divide 1 into at least 4 whole steps")
     return steps
+
+
+def snapshot_steps(snapshot_times, steps):
+    """Map lattice index -> snapshot time; every time must be a lattice time."""
+    snap_set = {}
+    for t_snap in snapshot_times:
+        k = round(float(t_snap) * steps)
+        if abs(k / steps - float(t_snap)) > 1e-9 or not 0 <= k <= steps:
+            raise ConfigError(f"snapshot time {t_snap} is not on the step lattice")
+        snap_set[k] = float(t_snap)
+    return snap_set
 
 
 def integrate_homotopy(
@@ -174,43 +185,33 @@ def integrate_homotopy(
     tableau=None,
     snapshot_times=(),
     boost_after=0.9,
-    boost_factor=2,
-    report_grid=None,
 ):
     """Integrate the dual trajectory from t=0 to t=1 on a uniform lattice.
 
     Parameters
     ----------
     problem, grid : the instance and its quadrature rule.
-    dt : step size; 1/dt must be an integer and dt <= 0.25.
+    dt : step size; 1/dt must be an integer of at least 4.
     tableau : RKTableau, defaults to the (1/8, 1/4) member.
     snapshot_times : lattice times at which to export cell fields.
-    boost_after, boost_factor : quadrature refinement regime near t=1;
-        boost_after=None disables it.
-    report_grid : grid for the terminal residual; defaults to a refinement
-        of `grid` (4x panels in 1-D, 2x in 2-D) so label-based cell masses
-        do not dominate the reported error.
+    boost_after : start of the quadrature refinement regime near t=1;
+        None disables it.
 
     Returns a Trajectory whose report holds the t=1 residual, its sup-norm,
-    and the wall time of the integration loop plus terminal evaluation.
+    the grid it was evaluated on (`grid` with 4x panels in 1-D, 2x in 2-D, so
+    label-based cell masses do not dominate the reported error), and the wall
+    time of the integration loop plus terminal evaluation.
     """
-    if dt > 0.25:
-        raise ConfigError(f"dt={dt} exceeds the supported maximum 0.25")
-    steps = _lattice(dt)
+    steps = lattice_steps(dt)
     if tableau is None:
         tableau = rk3_tableau(DEFAULT_ALPHA, DEFAULT_BETA)
     if max(tableau.alpha, tableau.beta) >= 1.0:
         raise ConfigError("stage times must stay below 1 so t=1 is never evaluated")
 
-    snap_set = {}
-    for t_snap in snapshot_times:
-        k = round(float(t_snap) * steps)
-        if abs(k / steps - float(t_snap)) > 1e-9 or not 0 <= k <= steps:
-            raise ConfigError(f"snapshot time {t_snap} is not on the step lattice")
-        snap_set[k] = float(t_snap)
+    snap_set = snapshot_steps(snapshot_times, steps)
 
     start = time.perf_counter()
-    flow = _Flow(problem, grid, boost_after=boost_after, boost_factor=boost_factor)
+    flow = _Flow(problem, grid, boost_after=boost_after)
     init = flow.base.initial_state()
     psi = init.psi0.copy()
     states = [DualState(t=0.0, psi=psi.copy())]
@@ -238,13 +239,13 @@ def integrate_homotopy(
         if k + 1 in snap_set:
             snapshots.append((t1, capture_snapshot(problem, psi, t1, grid)))
 
-    if report_grid is None:
-        report_grid = refine_grid(grid, 4 if problem.dim == 1 else 2)
+    report_grid = refine_grid(grid, 4 if problem.dim == 1 else 2)
     residual = unregularized_residual(problem, psi, report_grid)
     report = TerminalReport(
         psi=psi,
         residual=residual,
         error_sup=float(np.abs(residual).max()),
         runtime_seconds=time.perf_counter() - start,
+        grid=report_grid,
     )
     return Trajectory(states=states, snapshots=snapshots, report=report)

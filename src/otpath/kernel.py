@@ -158,13 +158,3 @@ class KernelEvaluator:
             dt_grad=(pull + spread) / (1.0 - t) ** 2,
         )
 
-
-def softmax_weights(psi, t, x, problem):
-    """Softmax weights over the targets at a single source point x."""
-    _check_time(t)
-    psi = np.asarray(psi, dtype=float)
-    costs = cost_matrix(x, problem.targets.points, problem.cost.exponent)[0]
-    expo = (psi - problem.offsets - t * costs) / (1.0 - t)
-    expo -= expo.max()
-    pi = np.exp(expo)
-    return pi / pi.sum()

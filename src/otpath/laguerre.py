@@ -1,14 +1,15 @@
 """Laguerre (power) cells: geometry, measures, and terminal-residual pieces.
 
 Cell j of weight vector w is the set of source points where
-cost(x, y_j) - w_j is minimal over the targets.  Two measure backends:
+cost(x, y_j) - w_j is minimal over the targets.  The data pick one of two
+measure routes; there is no option to choose:
 
-  analytic   1-D with quadratic cost only: cells are intervals whose
+  analytic   1-D targets with quadratic cost: cells are intervals whose
              endpoints solve the pairwise bisector equations in closed form,
              and masses come from closed-form interval integrals.
-  grid       any supported dimension/cost: label every quadrature node by its
-             minimizing target and sum the density-weighted quadrature
-             weights per label.
+  grid       everything else (2-D, or cubic cost): label every quadrature
+             node by its minimizing target and sum the density-weighted
+             quadrature weights per label.
 
 The analytic route is exact up to rounding; the grid route carries an
 O(node spacing) boundary error, which is why it is never used where the
@@ -31,9 +32,7 @@ from .errors import ConfigError
 from .kernel import KernelEvaluator
 from .model import cost_matrix, density_eval, interval_mass, uniform_density
 
-MODE_AUTO = "auto"
-MODE_ANALYTIC = "analytic"
-MODE_GRID = "grid"
+FD_STEP = 1e-5  # least central-difference step of the grid measure Jacobian
 
 
 @dataclass(frozen=True)
@@ -164,23 +163,17 @@ def power_cell_measures(
     domain,
     density,
     grid=None,
-    mode=MODE_AUTO,
     cost_exponent=2.0,
     cells=None,
 ):
     """Masses of the power cells of `weights` under `density`.
 
-    In grid mode `cells` (a GridCells of the same targets, grid, density and
-    exponent) saves building the cost matrix on this call.
+    Analytic for 1-D targets with quadratic cost, grid labels otherwise; on
+    the grid route `cells` (a GridCells of the same targets, grid, density
+    and exponent) saves building the cost matrix on this call.
     """
     weights = np.asarray(weights, dtype=float)
-    if mode == MODE_AUTO:
-        mode = (
-            MODE_ANALYTIC if targets.dim == 1 and cost_exponent == 2.0 else MODE_GRID
-        )
-    if mode == MODE_ANALYTIC:
-        if targets.dim != 1 or cost_exponent != 2.0:
-            raise ConfigError("analytic cell measures need 1-D quadratic cost")
+    if targets.dim == 1 and cost_exponent == 2.0:
         return cells_1d(weights, targets, domain, density).measures
     if cells is None:
         if grid is None:
@@ -189,7 +182,7 @@ def power_cell_measures(
     return cells.masses(weights)
 
 
-def cell_measures(psi, problem, grid, mode=MODE_AUTO):
+def cell_measures(psi, problem, grid):
     """Source-density masses of the problem's cells at dual weights psi.
 
     The anchored variant's offsets shift the effective weights, matching the
@@ -201,7 +194,6 @@ def cell_measures(psi, problem, grid, mode=MODE_AUTO):
         problem.domain,
         problem.mu,
         grid=grid,
-        mode=mode,
         cost_exponent=problem.cost.exponent,
     )
 
@@ -217,24 +209,21 @@ def measure_jacobian(
     domain,
     density,
     grid=None,
-    mode=MODE_AUTO,
-    fd_step=1e-5,
     cells=None,
 ):
     """Jacobian of weights -> cell masses (quadratic cost).
 
-    Analytic in 1-D: each interface point between consecutive nonempty cells
-    i, j contributes density(x_ij) / (2|y_i - y_j|) on the diagonal and its
-    negative off-diagonal.  On a grid, central differences; the step is
-    widened so cell boundaries move by at least one node spacing, because
-    grid-label masses are piecewise constant below that scale.  The grid
-    operands are built once per call unless `cells` passes them in.
+    Analytic for 1-D targets: each interface point between consecutive
+    nonempty cells i, j contributes density(x_ij) / (2|y_i - y_j|) on the
+    diagonal and its negative off-diagonal.  Beyond 1-D, central differences
+    of grid-label masses; the step is widened from FD_STEP so cell
+    boundaries move by at least one node spacing, because grid-label masses
+    are piecewise constant below that scale.  The grid operands are built
+    once per call unless `cells` passes them in.
     """
     weights = np.asarray(weights, dtype=float)
     n = targets.n
-    if mode == MODE_AUTO:
-        mode = MODE_ANALYTIC if targets.dim == 1 else MODE_GRID
-    if mode == MODE_ANALYTIC:
+    if targets.dim == 1:
         coords = targets.points[:, 0]
         order = np.argsort(coords)
         y = coords[order]
@@ -253,12 +242,12 @@ def measure_jacobian(
             jac[j, i] -= gain
         return jac
     if grid is None:
-        raise ConfigError("grid-mode measure Jacobian needs a quadrature grid")
+        raise ConfigError("grid-label measure Jacobian needs a quadrature grid")
     if cells is None:
         cells = GridCells.build(targets, grid, density)
     pts = targets.points
     gaps = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
-    step = max(fd_step, 2.0 * _grid_spacing(grid) * float(gaps.max()))
+    step = max(FD_STEP, 2.0 * _grid_spacing(grid) * float(gaps.max()))
     jac = np.zeros((n, n))
     for k in range(n):
         bump = np.zeros(n)

@@ -4,10 +4,10 @@ and the equal-mass weight solve that seeds the Wasserstein-penalty variant.
 
 The baseline is deliberately undamped so its initialization sensitivity is
 reproducible; the other two are damped because downstream code relies on
-them converging.
+them converging, and share one damped loop, `_damped_newton`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ class NewtonReport:
     converged: bool
 
 
-def newton_1d(problem, psi0=None, tol=1e-8, max_iter=100, grid=None):
+def newton_1d(problem, psi0=None, tol=1e-8, max_iter=100):
     """Plain Newton iteration on the unregularized 1-D dual.
 
     Residual: exp(-psi_j) - mu(cell_j(psi)).  The Jacobian is analytic:
@@ -36,8 +36,6 @@ def newton_1d(problem, psi0=None, tol=1e-8, max_iter=100, grid=None):
     mu(x_ij) / (2|y_i - y_j|) off-diagonal, and the diagonal collects
     -exp(-psi_i) minus the row's interface terms.  Stops at sup-norm below
     `tol` or after `max_iter` updates; divergence is reported, not raised.
-    `grid` is accepted for signature parity but the closed-form cell masses
-    make it unnecessary.
     """
     if problem.dim != 1 or problem.cost.exponent != 2.0:
         raise ConfigError("the Newton baseline needs 1-D targets and quadratic cost")
@@ -89,30 +87,34 @@ def _newton_direction(jac, g, deflate):
     raise SolverError("Jacobian is singular beyond repair")
 
 
-def _damped_newton(res_fn, jac_fn, psi0, tol, max_iter, deflate=False):
-    """Shared damped iteration: accept the full step if the sup-norm drops,
-    otherwise halve it up to MAX_HALVINGS times."""
+def _damped_newton(evaluate, psi0, tol, max_iter, deflate=False, admissible=None):
+    """Shared damped iteration: accept the full step if the sup-norm drops
+    (and `admissible(g_trial, g_start)` holds, when given), otherwise halve
+    it up to MAX_HALVINGS times.  `evaluate(psi)` returns the residual and a
+    thunk for the Jacobian there; it runs once per trial point, the thunk
+    only at accepted points."""
     psi = np.asarray(psi0, dtype=float).copy()
-    g = res_fn(psi)
+    g, jacobian = evaluate(psi)
+    g_start = g
     sup = float(np.abs(g).max())
     for k in range(max_iter):
         if sup < tol:
             return NewtonReport(psi=psi, iterations=k, residual_sup=sup, converged=True)
         try:
-            step = _newton_direction(jac_fn(psi), g, deflate)
+            step = _newton_direction(jacobian(), g, deflate)
         except SolverError:
             return NewtonReport(psi=psi, iterations=k, residual_sup=sup, converged=False)
         scale = 1.0
         for _ in range(MAX_HALVINGS + 1):
             trial = psi - scale * step
             try:
-                g_trial = res_fn(trial)
+                g_trial, jac_trial = evaluate(trial)
             except SolverError:
                 g_trial = None
             if g_trial is not None and np.all(np.isfinite(g_trial)):
                 sup_trial = float(np.abs(g_trial).max())
-                if sup_trial < sup:
-                    psi, g, sup = trial, g_trial, sup_trial
+                if sup_trial < sup and (admissible is None or admissible(g_trial, g_start)):
+                    psi, g, jacobian, sup = trial, g_trial, jac_trial, sup_trial
                     break
             scale *= 0.5
         else:
@@ -124,7 +126,8 @@ def fixed_t_oracle(problem, t, tol=1e-10, grid=None, psi0=None, max_iter=100):
     """Damped Newton on the fixed-t residual; independent of the ODE path.
 
     Warm-startable through psi0; the default start extrapolates the
-    closed-form initial data to time t.
+    closed-form initial data to time t.  Each trial point costs one
+    `ResidualSystem.full`; its Jacobian is assembled only if it is accepted.
     """
     if grid is None:
         raise ConfigError("fixed_t_oracle needs a quadrature grid")
@@ -132,17 +135,15 @@ def fixed_t_oracle(problem, t, tol=1e-10, grid=None, psi0=None, max_iter=100):
     if psi0 is None:
         init = system.initial_state()
         psi0 = init.psi0 if init.dpsi0 is None else init.psi0 + t * init.dpsi0
-    return _damped_newton(
-        lambda p: system.value(p, t),
-        lambda p: system.jacobian(p, t),
-        psi0,
-        tol,
-        max_iter,
-        deflate=problem.variant == "p4",
-    )
+
+    def evaluate(psi):
+        ev = system.full(psi, t)
+        return ev.g, lambda: ev.jac
+
+    return _damped_newton(evaluate, psi0, tol, max_iter, deflate=problem.variant == "p4")
 
 
-def solve_xi_star(targets, rho, grid, tol=1e-8, max_iter=100):
+def solve_xi_star(targets, rho, grid, tol=1e-8, max_iter=100, cells=None):
     """Weights whose power cells split rho into N equal masses.
 
     Damped Newton on xi -> rho-cells(xi) - 1/N with the measure Jacobian and
@@ -152,49 +153,23 @@ def solve_xi_star(targets, rho, grid, tol=1e-8, max_iter=100):
     The Jacobian's all-ones kernel is deflated, and the returned weights are
     normalized to mean zero (cell masses are shift-invariant, so the defining
     equation only fixes xi up to a constant).  Beyond 1-D the cells are grid
-    labels, whose operands are built once for the whole solve.
+    labels, whose operands `cells` (a GridCells of targets, grid and rho)
+    passes in or are built once for the whole solve.
     """
     domain = Domain(lower=grid.lower, upper=grid.upper)
     n = targets.n
-    cells = GridCells.build(targets, grid, rho) if targets.dim > 1 else None
+    if cells is None and targets.dim > 1:
+        cells = GridCells.build(targets, grid, rho)
 
-    def masses(xi):
-        return power_cell_measures(xi, targets, domain, rho, grid=grid, cells=cells)
+    def evaluate(xi):
+        g = power_cell_measures(xi, targets, domain, rho, grid=grid, cells=cells) - 1.0 / n
+        return g, lambda: measure_jacobian(xi, targets, domain, rho, grid=grid, cells=cells)
 
-    xi = np.zeros(n)
-    current = masses(xi)
-    floor = 0.5 * min(float(current.min()), 1.0 / n)
-    g = current - 1.0 / n
-    sup = float(np.abs(g).max())
-    iterations = max_iter
-    converged = False
-    for k in range(max_iter):
-        if sup < tol:
-            iterations, converged = k, True
-            break
-        try:
-            step = _newton_direction(
-                measure_jacobian(xi, targets, domain, rho, grid=grid, cells=cells),
-                g,
-                deflate=True,
-            )
-        except SolverError:
-            iterations = k
-            break
-        scale = 1.0
-        for _ in range(MAX_HALVINGS + 1):
-            trial_masses = masses(xi - scale * step)
-            trial_sup = float(np.abs(trial_masses - 1.0 / n).max())
-            if trial_masses.min() >= floor and trial_sup < sup:
-                xi = xi - scale * step
-                g = trial_masses - 1.0 / n
-                sup = trial_sup
-                break
-            scale *= 0.5
-        else:
-            iterations = k
-            break
-    centered = xi - xi.mean()
-    return NewtonReport(
-        psi=centered, iterations=iterations, residual_sup=sup, converged=converged
+    def above_floor(g, g_start):
+        # masses m = g + 1/N must stay >= min(m_start.min(), 1/N) / 2
+        return g.min() >= 0.5 * min(float(g_start.min()), 0.0) - 0.5 / n
+
+    report = _damped_newton(
+        evaluate, np.zeros(n), tol, max_iter, deflate=True, admissible=above_floor
     )
+    return replace(report, psi=report.psi - report.psi.mean())

@@ -93,15 +93,8 @@ def build_grid(domain, panels_per_axis, order):
 
 
 def refine_grid(grid, factor):
-    """Same rule with `factor` times as many panels per axis."""
-    box = _Box(grid.lower, grid.upper)
-    return build_grid(box, grid.panels_per_axis * int(factor), grid.order)
-
-
-@dataclass(frozen=True)
-class _Box:
-    lower: tuple
-    upper: tuple
+    """Same rule on the same box with `factor` times as many panels per axis."""
+    return build_grid(grid, grid.panels_per_axis * int(factor), grid.order)
 
 
 def integrate(grid, f):
@@ -121,17 +114,3 @@ def integrate(grid, f):
         )
     return float(np.sum(grid.weights * values))
 
-
-def integrate_vector(grid, f, n):
-    """Componentwise integral of an (M, n)-valued integrand in one sweep."""
-    values = np.asarray(f(grid.nodes), dtype=float)
-    if values.shape != (grid.n_nodes, n):
-        raise ValueError(
-            f"integrand returned shape {values.shape}, expected ({grid.n_nodes}, {n})"
-        )
-    if not np.all(np.isfinite(values)):
-        bad = int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0])
-        raise NonFiniteValueError(
-            f"vector integrand is non-finite at node {bad}: x={grid.nodes[bad]}"
-        )
-    return np.sum(grid.weights[:, None] * values, axis=0)

@@ -10,10 +10,13 @@ residuals are
   p4: rho-cells(-psi/t) + g(psi, t)
 
 The trajectory psi(t) is the root of the residual at every t; the governing
-ODE is jacobian * psi' = -dt.
+ODE is jacobian * psi' = -dt.  `ResidualSystem.full` is the one evaluation:
+all three blocks at a point from one kernel sweep plus the penalty's terms;
+the ODE stages, the Newton oracle and the acceptance checks all read it.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,13 +34,21 @@ class InitialData:
     dpsi0: np.ndarray = None
 
 
-@dataclass(frozen=True)
 class ResidualEval:
-    """Residual vector, Jacobian in psi, and time derivative at one (psi, t)."""
+    """Residual vector `g`, Jacobian `jac` in psi, and time derivative `dt`
+    at one (psi, t).  `jac` and `dt` are assembled on first use, so a caller
+    that reads only `g` (a rejected Newton trial) skips p4's measure Jacobian."""
 
-    g: np.ndarray
-    jac: np.ndarray
-    dt: np.ndarray
+    def __init__(self, g, blocks):
+        self.g = g
+        self._blocks = blocks  # () -> (jac, dt)
+
+    @cached_property
+    def _jac_dt(self):
+        return self._blocks()
+
+    jac = property(lambda self: self._jac_dt[0])
+    dt = property(lambda self: self._jac_dt[1])
 
 
 def _safe_exp(a, what):
@@ -50,8 +61,8 @@ def _safe_exp(a, what):
 class ResidualSystem:
     """Residual evaluations for one (problem, grid) pair.
 
-    Shares one kernel evaluator across calls; `full` additionally shares the
-    softmax sweep (and, for p4, the measure Jacobian) between the residual,
+    Shares one kernel evaluator across calls; `full` shares the softmax
+    sweep (and, for p4, the measure Jacobian) between the residual,
     Jacobian, and time derivative.  For p4 beyond 1-D the rho cells are grid
     labels; their operands are built here once, reusing the kernel's cost
     matrix when the outer cost is quadratic like the inner one.
@@ -75,81 +86,46 @@ class ResidualSystem:
         elif not 0.0 <= t < 1.0:
             raise ValueError(f"t must lie in [0, 1), got {t}")
 
-    def _rho_masses(self, xi):
-        p = self.problem
-        return power_cell_measures(
-            xi, p.targets, p.domain, p.rho, grid=self.grid, cells=self.rho_cells
-        )
+    def _penalty(self, psi, t):
+        """The penalty term's g block and a thunk for its (jac, dt) blocks.
 
-    def _rho_jacobian(self, xi):
-        p = self.problem
-        return measure_jacobian(
-            xi, p.targets, p.domain, p.rho, grid=self.grid, cells=self.rho_cells
-        )
-
-    def _penalty_gradient(self, psi, t):
-        p = self.problem
-        if p.variant == "p2":
-            return _safe_exp(-psi / t, "entropy penalty term")
-        if p.variant == "p4":
-            return self._rho_masses(-psi / t)
-        return _safe_exp(-psi, "entropy penalty term")
-
-    def value(self, psi, t):
-        self._check_time(t)
-        psi = np.asarray(psi, dtype=float)
-        return self._penalty_gradient(psi, t) + self.kernel.evaluate(psi, t).grad
-
-    def jacobian(self, psi, t):
-        """Symmetric negative (semi)definite Jacobian of the residual in psi.
-
-        For p4 the matrix is singular along the all-ones direction: both the
+        For p4 the Jacobian is singular along the all-ones direction: both the
         transport term and the cell masses are invariant under constant
         shifts of psi.  The ODE layer deflates that direction when solving.
         """
-        self._check_time(t)
-        psi = np.asarray(psi, dtype=float)
-        return self.kernel.evaluate(psi, t).hess + self._penalty_jacobian(psi, t)
-
-    def _penalty_jacobian(self, psi, t):
         p = self.problem
-        if p.variant == "p2":
-            return np.diag(-_safe_exp(-psi / t, "entropy penalty term") / t)
         if p.variant == "p4":
-            return -self._rho_jacobian(-psi / t) / t
-        return np.diag(-_safe_exp(-psi, "entropy penalty term"))
+            xi = -psi / t
+            masses = power_cell_measures(
+                xi, p.targets, p.domain, p.rho, grid=self.grid, cells=self.rho_cells
+            )
 
-    def dt(self, psi, t):
-        self._check_time(t)
-        psi = np.asarray(psi, dtype=float)
-        return self.kernel.evaluate(psi, t).dt_grad + self._penalty_dt(psi, t)
+            def blocks():
+                rho_jac = measure_jacobian(
+                    xi, p.targets, p.domain, p.rho, grid=self.grid, cells=self.rho_cells
+                )
+                return -rho_jac / t, rho_jac @ psi / t**2
 
-    def _penalty_dt(self, psi, t, rho_jac=None):
-        p = self.problem
+            return masses, blocks
         if p.variant == "p2":
-            return _safe_exp(-psi / t, "entropy penalty term") * psi / t**2
-        if p.variant == "p4":
-            if rho_jac is None:
-                rho_jac = self._rho_jacobian(-psi / t)
-            return rho_jac @ psi / t**2
-        return np.zeros_like(psi)
+            e = _safe_exp(-psi / t, "entropy penalty term")
+            return e, lambda: (np.diag(-e / t), e * psi / t**2)
+        e = _safe_exp(-psi, "entropy penalty term")
+        return e, lambda: (np.diag(-e), np.zeros_like(psi))
 
     def full(self, psi, t):
-        """Residual, Jacobian, and time derivative in one sweep."""
+        """Residual, its symmetric negative (semi)definite Jacobian in psi,
+        and its time derivative, from one kernel sweep."""
         self._check_time(t)
-        psi = np.asarray(psi, dtype=float)
+        psi = np.array(psi, dtype=float)  # a copy: jac and dt may be built later
         ke = self.kernel.evaluate(psi, t)
-        p = self.problem
-        if p.variant == "p4":
-            rho_jac = self._rho_jacobian(-psi / t)
-            g = self._rho_masses(-psi / t) + ke.grad
-            jac = ke.hess - rho_jac / t
-            dt = ke.dt_grad + self._penalty_dt(psi, t, rho_jac=rho_jac)
-        else:
-            g = self._penalty_gradient(psi, t) + ke.grad
-            jac = ke.hess + self._penalty_jacobian(psi, t)
-            dt = ke.dt_grad + self._penalty_dt(psi, t)
-        return ResidualEval(g=g, jac=jac, dt=dt)
+        g, penalty_blocks = self._penalty(psi, t)
+
+        def blocks():
+            jac, dt = penalty_blocks()
+            return ke.hess + jac, ke.dt_grad + dt
+
+        return ResidualEval(g + ke.grad, blocks)
 
     def initial_state(self):
         """Closed-form start of the trajectory for this variant."""
@@ -170,25 +146,10 @@ class ResidualSystem:
         # Grid-label masses in 2-D are quantized at roughly the boundary-node
         # mass, so the equal-mass solve cannot go below ~1e-3 there.
         tol = 1e-8 if p.dim == 1 else 1e-3
-        report = solve_xi_star(p.targets, p.rho, self.grid, tol=tol)
+        report = solve_xi_star(p.targets, p.rho, self.grid, tol=tol, cells=self.rho_cells)
         if not report.converged:
             raise NonFiniteValueError(
                 "equal-mass weight solve for the p4 start did not converge"
             )
         return InitialData(psi0=np.zeros(n), dpsi0=-report.psi)
 
-
-def residual(problem, psi, t, grid):
-    return ResidualSystem(problem, grid).value(psi, t)
-
-
-def residual_jacobian(problem, psi, t, grid):
-    return ResidualSystem(problem, grid).jacobian(psi, t)
-
-
-def residual_dt(problem, psi, t, grid):
-    return ResidualSystem(problem, grid).dt(psi, t)
-
-
-def initial_state(problem, grid):
-    return ResidualSystem(problem, grid).initial_state()

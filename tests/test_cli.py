@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from otpath import ConfigError, build_problem
-from otpath.cli import ExperimentConfig, _terminal_error, main, run_experiment
+from otpath import ConfigError, build_grid, build_problem, unit_domain, unregularized_residual
+from otpath.cli import ExperimentConfig, main, run_experiment
 
 
 def _read(path):
@@ -46,7 +46,12 @@ def test_summary_matches_stored_state(tmp_path):
     run_experiment(config)
     report = json.loads((tmp_path / "p1_1d_n3_dt0.1.json").read_text())
     problem = build_problem(config.problem_config(3))
-    recomputed = _terminal_error(problem, np.array(report["psi_final"]), config.grid())
+    # the report names the grid its residual was evaluated on
+    used = report["report_grid"]
+    assert used == {"panels_per_axis": 4 * config.grid().panels_per_axis, "order": 8}
+    grid = build_grid(unit_domain(1), used["panels_per_axis"], used["order"])
+    residual = unregularized_residual(problem, np.array(report["psi_final"]), grid)
+    recomputed = float(np.abs(residual).max())
     assert recomputed == pytest.approx(report["error_sup"], rel=1e-12)
     summary = (tmp_path / "summary.csv").read_text()
     assert f"{report['error_sup']:.3e}" in summary
@@ -177,6 +182,13 @@ BAD_INPUTS = [
     pytest.param(["run", "--config", "{tmp}/missing.json"], None, 1, id="config-missing"),
     pytest.param(["verify", "--criteria", "1,x"], None, 1, id="criteria-not-int"),
     pytest.param(["verify", "--criteria", "99"], None, 1, id="criteria-unknown"),
+    # refused by the argument parser itself
+    pytest.param(["run", "--dim", "3"], None, 1, id="dim-3"),
+    pytest.param(["run", "--seed", "x"], None, 1, id="seed-not-int"),
+    pytest.param(["run", "--bogus"], None, 1, id="unknown-flag"),
+    pytest.param(["verify", "--bogus"], None, 1, id="verify-unknown-flag"),
+    pytest.param(["solve"], None, 1, id="unknown-command"),
+    pytest.param([], None, 1, id="no-command"),
 ]
 
 
@@ -187,8 +199,16 @@ def test_bad_inputs_exit_with_documented_code(tmp_path, capsys, argv, config, co
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(config if isinstance(config, str) else json.dumps(config))
         argv += ["--config", str(cfg_path)]
-    if argv[0] == "run":
+    if argv[:1] == ["run"]:
         argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == code
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and err.startswith("configuration error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["verify", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: otpath" in capsys.readouterr().out

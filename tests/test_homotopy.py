@@ -6,14 +6,19 @@ import pytest
 from otpath import (
     ConfigError,
     NearSingularJacobianError,
+    ResidualSystem,
     build_problem,
     integrate_homotopy,
-    ode_rhs,
-    residual_dt,
-    residual_jacobian,
     rk3_tableau,
 )
+from otpath.linsolve import solve_dual_system
 from otpath.model import cost_matrix
+
+
+def _slope(problem, psi, t, grid):
+    """Trajectory slope psi'(t): the solution x of jac x = -dt at (psi, t)."""
+    ev = ResidualSystem(problem, grid).full(psi, t)
+    return solve_dual_system(ev.jac, -ev.dt)
 
 
 def _exact_tableau(alpha, beta):
@@ -82,13 +87,13 @@ def test_tableau_parameter_constraints():
 
 def test_rhs_single_target_stationary(grid1):
     prob = build_problem({"variant": "p1", "dim": 1, "targets": [[0.4]]})
-    slope = ode_rhs(prob, np.zeros(1), 0.5, grid1)
+    slope = _slope(prob, np.zeros(1), 0.5, grid1)
     assert slope == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rhs_symmetry(grid1, mirror_pair):
     for t in (0.0, 0.4, 0.8):
-        slope = ode_rhs(mirror_pair, np.log(2.0) * np.ones(2), t, grid1)
+        slope = _slope(mirror_pair, np.log(2.0) * np.ones(2), t, grid1)
         assert slope[0] == pytest.approx(slope[1], abs=1e-12)
 
 
@@ -96,11 +101,10 @@ def test_rhs_solves_the_stage_system(grid1, p1_1d):
     rng = np.random.default_rng(20)
     psi = rng.uniform(-0.3, 0.3, 4)
     t = 0.45
-    slope = ode_rhs(p1_1d, psi, t, grid1)
-    jac = residual_jacobian(p1_1d, psi, t, grid1)
-    dt = residual_dt(p1_1d, psi, t, grid1)
-    defect = np.abs(jac @ slope + dt).max()
-    assert defect <= 1e-10 * max(1.0, np.abs(dt).max())
+    slope = _slope(p1_1d, psi, t, grid1)
+    ev = ResidualSystem(p1_1d, grid1).full(psi, t)
+    defect = np.abs(ev.jac @ slope + ev.dt).max()
+    assert defect <= 1e-10 * max(1.0, np.abs(ev.dt).max())
 
 
 def test_stationary_trajectory(grid1):
@@ -141,6 +145,9 @@ def test_trajectory_lattice_and_finiteness(grid1, p1_1d):
     assert np.all(np.diff(times) > 0)
     assert np.isfinite(traj.psi_matrix).all()
     assert len(traj.states) == 11
+    # the terminal residual is evaluated on the 4x refinement in 1-D
+    assert traj.report.grid.panels_per_axis == 4 * grid1.panels_per_axis
+    assert traj.report.residual.shape == (4,)
 
 
 def test_mass_conservation_along_path(grid1):
@@ -170,13 +177,11 @@ def test_uniform_boundedness_along_path(grid1):
 
 def test_jacobian_definite_along_accepted_path(grid1):
     # Cholesky of the negated Jacobian must succeed at every stored state
-    from otpath import ResidualSystem
-
     prob = build_problem({"variant": "p1", "dim": 1, "n_targets": 4, "seed": 4})
     system = ResidualSystem(prob, grid1)
     traj = integrate_homotopy(prob, 1e-1, grid1)
     for state in traj.states[:-1]:
-        factor = np.linalg.cholesky(-system.jacobian(state.psi, state.t))
+        factor = np.linalg.cholesky(-system.full(state.psi, state.t).jac)
         assert np.all(np.diag(factor) > 0.0)
 
 
@@ -194,7 +199,7 @@ def test_continuity_into_the_endpoint(grid1):
     dt = 1e-3
     traj = integrate_homotopy(prob, dt, grid1)
     last = traj.states[-2]
-    slope = ode_rhs(prob, last.psi, last.t, grid1)
+    slope = _slope(prob, last.psi, last.t, grid1)
     gap = np.abs(traj.report.psi - last.psi).max()
     assert gap <= 10.0 * dt * max(np.abs(slope).max(), 1e-12)
 

@@ -7,7 +7,6 @@ from otpath import (
     NonFiniteValueError,
     build_problem,
     build_grid,
-    softmax_weights,
     unit_domain,
 )
 from otpath.kernel import CHUNK_NODES
@@ -25,24 +24,31 @@ def _evaluate(psi, t, problem, grid):
     return KernelEvaluator(problem, grid).evaluate(psi, t)
 
 
-def test_softmax_symmetric_point(mirror_pair):
+def test_softmax_symmetric_point(dom1, mirror_pair):
+    grid = build_grid(dom1, 1, 3)  # its middle node is x = 0.5
+    ke = KernelEvaluator(mirror_pair, grid)
     for t in (0.0, 0.3, 0.9):
-        pi = softmax_weights(np.zeros(2), t, np.array([0.5]), mirror_pair)
-        assert np.allclose(pi, [0.5, 0.5], atol=1e-15)
+        pi = ke.node_weights(np.zeros(2), t)
+        assert np.allclose(pi[1], [0.5, 0.5], atol=1e-15)
+        assert np.allclose(pi[0], pi[2, ::-1], atol=1e-12)  # mirror nodes swap
 
 
-def test_softmax_at_t_zero_ignores_position(p1_1d):
+def test_softmax_at_t_zero_ignores_position(grid1, p1_1d):
     psi = np.array([0.4, -0.2, 0.1, 0.0])
     ref = np.exp(psi) / np.exp(psi).sum()
-    for x in (np.array([0.1]), np.array([0.9])):
-        assert np.allclose(softmax_weights(psi, 0.0, x, p1_1d), ref, atol=1e-15)
+    pi = KernelEvaluator(p1_1d, grid1).node_weights(psi, 0.0)
+    assert np.abs(pi - ref).max() <= 1e-15
 
 
-def test_softmax_overflow_safe_near_one():
+def test_softmax_overflow_safe_near_one(grid1):
     prob = build_problem({"variant": "p1", "dim": 1, "targets": [[0.0], [1.0]]})
-    pi = softmax_weights(np.zeros(2), 0.99, np.array([0.0]), prob)
-    # costs are (0, 1) at x=0, so the second exponent is -99
-    assert pi[0] == pytest.approx(1.0 / (1.0 + np.exp(-99.0)), rel=1e-12)
+    pi = KernelEvaluator(prob, grid1).node_weights(np.zeros(2), 0.99)[0]
+    # costs are (x^2, (1-x)^2) at the first node x, so the second exponent is
+    # -99 (1 - 2x): near -99, far past where unshifted sums lose the first term
+    x = grid1.nodes[0, 0]
+    gap = np.exp(-99.0 * (1.0 - 2.0 * x))
+    assert pi[0] == pytest.approx(1.0 / (1.0 + gap), rel=1e-12)
+    assert pi[1] == pytest.approx(gap / (1.0 + gap), rel=1e-9)
     assert np.isfinite(pi).all()
 
 
@@ -205,7 +211,7 @@ def test_time_domain_enforced(grid1, p1_1d):
     with pytest.raises(ValueError):
         KernelEvaluator(p1_1d, grid1).evaluate(np.zeros(4), 1.0)
     with pytest.raises(ValueError):
-        softmax_weights(np.zeros(4), 1.2, np.array([0.5]), p1_1d)
+        KernelEvaluator(p1_1d, grid1).node_weights(np.zeros(4), 1.2)
 
 
 def test_dual_state_validation():

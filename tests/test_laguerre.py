@@ -21,8 +21,6 @@ from otpath import (
     unregularized_residual,
 )
 from otpath.laguerre import (
-    MODE_ANALYTIC,
-    MODE_GRID,
     GridCells,
     _node_labels,
     grid_labels,
@@ -82,9 +80,17 @@ def test_cells_1d_rejects_higher_dim():
         cells_1d(np.zeros(2), two_d, unit_domain(2))
 
 
+def _grid_measures(psi, problem, grid):
+    """cell_measures on the grid-label route, which 1-D quadratic cost skips."""
+    cells = GridCells.build(problem.targets, grid, problem.mu)
+    return cells.masses(np.asarray(psi, dtype=float) - problem.offsets)
+
+
 def test_symmetric_measures(dom1, grid1, mirror_pair):
-    for mode in (MODE_ANALYTIC, MODE_GRID):
-        m = cell_measures(np.zeros(2), mirror_pair, grid1, mode=mode)
+    for m in (
+        cell_measures(np.zeros(2), mirror_pair, grid1),
+        _grid_measures(np.zeros(2), mirror_pair, grid1),
+    ):
         assert np.allclose(m, [0.5, 0.5], atol=1e-9)
 
 
@@ -100,13 +106,9 @@ def test_modes_agree_on_random_instances(dom1, grid1):
         targets = sample_targets(n, 1, box, seed=1000 + trial)
         psi = rng.uniform(-1.0, 1.0, n)
         density = uniform_density(dom1) if trial % 2 else gaussian_bump_density(dom1)
-        exact = power_cell_measures(psi, targets, dom1, density, mode=MODE_ANALYTIC)
-        coarse = power_cell_measures(
-            psi, targets, dom1, density, grid=grid1, mode=MODE_GRID
-        )
-        refined = power_cell_measures(
-            psi, targets, dom1, density, grid=fine, mode=MODE_GRID
-        )
+        exact = power_cell_measures(psi, targets, dom1, density)
+        coarse = GridCells.build(targets, grid1, density).masses(psi)
+        refined = GridCells.build(targets, fine, density).masses(psi)
         assert np.abs(exact - coarse).max() <= 5e-3
         assert np.abs(exact - refined).max() <= 1e-4
         assert exact.sum() == pytest.approx(1.0, abs=1e-9)
@@ -121,9 +123,9 @@ def test_measures_limit_of_kernel_grad(grid1, p1_1d):
 
 def test_shift_invariance(grid1, p1_1d):
     psi = np.array([0.5, -0.2, 0.1, 0.4])
-    for mode in (MODE_ANALYTIC, MODE_GRID):
-        base = cell_measures(psi, p1_1d, grid1, mode=mode)
-        shifted = cell_measures(psi + 3.3, p1_1d, grid1, mode=mode)
+    for measures in (cell_measures, _grid_measures):
+        base = measures(psi, p1_1d, grid1)
+        shifted = measures(psi + 3.3, p1_1d, grid1)
         assert np.abs(base - shifted).max() <= 1e-12
 
 
@@ -240,21 +242,19 @@ def test_triple_intersection_detects_meeting_point(grid1):
     assert triple_intersection_check(np.zeros(3), prob, grid1, eps=1e-6) == 0
 
 
-def test_grid_mode_requires_grid(dom1):
+def test_grid_mode_requires_grid(dom1, dom2):
+    # the analytic route covers 1-D quadratic cost only; cubic cost and 2-D
+    # targets take grid labels and need a grid
     targets = TargetSet(points=np.array([[0.2], [0.6]]))
     with pytest.raises(ConfigError):
         power_cell_measures(
-            np.zeros(2), targets, dom1, uniform_density(dom1), mode=MODE_GRID
+            np.zeros(2), targets, dom1, uniform_density(dom1), cost_exponent=3.0
         )
+    planar = TargetSet(points=np.array([[0.2, 0.5], [0.6, 0.5]]))
     with pytest.raises(ConfigError):
-        power_cell_measures(
-            np.zeros(2),
-            targets,
-            dom1,
-            uniform_density(dom1),
-            mode=MODE_ANALYTIC,
-            cost_exponent=3.0,
-        )
+        power_cell_measures(np.zeros(2), planar, dom2, uniform_density(dom2))
+    with pytest.raises(ConfigError):
+        measure_jacobian(np.zeros(2), planar, dom2, uniform_density(dom2))
 
 
 def test_node_labels_match_argmin_on_exact_ties():

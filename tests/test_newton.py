@@ -3,11 +3,12 @@ import pytest
 
 from otpath import (
     ConfigError,
+    KernelEvaluator,
+    ResidualSystem,
     build_problem,
     fixed_t_oracle,
     newton_1d,
     power_cell_measures,
-    residual,
     sample_targets,
     solve_xi_star,
     gaussian_bump_density,
@@ -75,7 +76,7 @@ def test_oracle_meets_tolerance(grid1):
     prob = build_problem({"variant": "p1", "dim": 1, "n_targets": 4, "seed": 4})
     report = fixed_t_oracle(prob, 0.5, grid=grid1)
     assert report.converged
-    assert np.abs(residual(prob, report.psi, 0.5, grid1)).max() < 1e-10
+    assert np.abs(ResidualSystem(prob, grid1).full(report.psi, 0.5).g).max() < 1e-10
 
 
 def test_oracle_warm_start(grid1):
@@ -91,7 +92,32 @@ def test_oracle_handles_p4_gauge(grid1):
     )
     report = fixed_t_oracle(prob, 0.5, tol=1e-9, grid=grid1)
     assert report.converged
-    assert np.abs(residual(prob, report.psi, 0.5, grid1)).max() < 1e-9
+    assert np.abs(ResidualSystem(prob, grid1).full(report.psi, 0.5).g).max() < 1e-9
+
+
+def test_oracle_sweeps_once_per_trial_point(grid1, monkeypatch):
+    swept = []
+    original = KernelEvaluator.evaluate
+
+    def counting(self, psi, t):
+        swept.append(np.asarray(psi, dtype=float).tobytes())
+        return original(self, psi, t)
+
+    monkeypatch.setattr(KernelEvaluator, "evaluate", counting)
+    prob = build_problem(
+        {"variant": "p3", "dim": 1, "n_targets": 8, "seed": 4, "anchor": [0.5]}
+    )
+    # full Newton steps: the start plus one trial per iteration
+    report = fixed_t_oracle(prob, 0.5, tol=1e-8, grid=grid1)
+    assert report.converged
+    assert len(swept) == report.iterations + 1
+    # with step halving near t = 1: still no point swept twice, so an
+    # accepted point's Jacobian comes from the sweep that tested it
+    swept.clear()
+    report = fixed_t_oracle(prob, 1.0 - 1e-4, tol=1e-8, grid=grid1)
+    assert report.converged
+    assert len(swept) > report.iterations + 1
+    assert len(set(swept)) == len(swept)
 
 
 def test_xi_star_symmetric(grid1):

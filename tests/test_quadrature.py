@@ -9,9 +9,7 @@ from otpath import (
     density_eval,
     gaussian_bump_density,
     integrate,
-    integrate_vector,
     refine_grid,
-    softmax_weights,
 )
 
 
@@ -71,22 +69,6 @@ def test_refinement_stability(dom1, dom2, grid1, grid2):
         assert abs(coarse - fine) <= 1e-8
 
 
-def test_integrate_vector_components(dom1, grid1):
-    out = integrate_vector(grid1, lambda x: np.column_stack([np.ones(len(x)), x[:, 0]]), 2)
-    assert np.allclose(out, [1.0, 0.5], atol=1e-13)
-
-
-def test_integrate_vector_softmax_total_mass(grid1, p1_1d):
-    psi = np.array([0.3, -0.1, 0.2, 0.0])
-
-    def weighted_pi(x):
-        pi = np.stack([softmax_weights(psi, 0.4, pt, p1_1d) for pt in x])
-        return pi * density_eval(p1_1d.mu, x)[:, None]
-
-    out = integrate_vector(grid1, weighted_pi, 4)
-    assert out.sum() == pytest.approx(1.0, abs=1e-10)
-
-
 def test_non_finite_integrand_rejected(grid1):
     def bad(x):
         vals = np.ones(len(x))
@@ -95,14 +77,6 @@ def test_non_finite_integrand_rejected(grid1):
 
     with pytest.raises(NonFiniteValueError):
         integrate(grid1, bad)
-
-    def bad_vec(x):
-        vals = np.ones((len(x), 2))
-        vals[5, 1] = np.inf
-        return vals
-
-    with pytest.raises(NonFiniteValueError):
-        integrate_vector(grid1, bad_vec, 2)
 
 
 def test_determinism_bitwise(dom2):
