@@ -20,11 +20,9 @@ from .kernel import DualState, KernelEval, KernelEvaluator
 from .laguerre import (
     CellField,
     LaguerreDiagram1D,
-    cell_measures,
+    cell_operands,
     cells_1d,
-    label_field,
     power_cell_measures,
-    smoothed_cell_field,
     triple_intersection_check,
     unregularized_residual,
 )
@@ -74,21 +72,19 @@ __all__ = [
     "build_grid",
     "build_problem",
     "capture_snapshot",
-    "cell_measures",
+    "cell_operands",
     "cells_1d",
     "density_eval",
     "fixed_t_oracle",
     "gaussian_bump_density",
     "integrate",
     "integrate_homotopy",
-    "label_field",
     "newton_1d",
     "parabola_targets",
     "power_cell_measures",
     "refine_grid",
     "rk3_tableau",
     "sample_targets",
-    "smoothed_cell_field",
     "solve_xi_star",
     "triple_intersection_check",
     "uniform_density",

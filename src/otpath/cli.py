@@ -62,6 +62,8 @@ class ExperimentConfig:
         self.n_list = tuple(int(n) for n in self.n_list)
         self.dt_list = tuple(float(dt) for dt in self.dt_list)
         self.snapshot_times = tuple(float(t) for t in self.snapshot_times)
+        if not self.n_list or not self.dt_list:
+            raise ConfigError("n_list and dt_list must each name at least one value")
         if self.dim not in DEFAULT_PANELS:
             raise ConfigError(f"dim must be one of {sorted(DEFAULT_PANELS)}, got {self.dim}")
         for name in ("quad_panels", "quad_order"):
@@ -138,10 +140,10 @@ def write_snapshot_csv(path, cell_field):
 
 
 def _newton_block(problem, grid):
-    if problem.dim == 1 and problem.cost.exponent == 2.0 and problem.variant in ("p1", "p2"):
+    try:  # newton_1d refuses every problem but 1-D quadratic p1/p2
         report = newton_1d(problem)
         method = "newton_1d"
-    else:
+    except ConfigError:
         # exact cell geometry in 2-D is out of scope; a converged fixed-t
         # solve just below the endpoint stands in, and says so
         report = fixed_t_oracle(problem, SURROGATE_T, tol=1e-8, grid=grid)

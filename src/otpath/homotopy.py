@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, NonFiniteValueError, SolverError
 from .kernel import DualState
-from .laguerre import label_field, smoothed_cell_field, unregularized_residual
+from .laguerre import CellField, grid_labels, unregularized_residual
 from .linsolve import solve_dual_system
 from .quadrature import QuadratureGrid, refine_grid
 from .residuals import ResidualSystem
@@ -58,12 +58,14 @@ class RKTableau:
 def rk3_tableau(alpha, beta):
     """Member (alpha, beta) of the third-order family.
 
-    Requires alpha, beta != 0, alpha != beta, and alpha != 2/3; the
+    Requires finite alpha, beta != 0, alpha != beta, and alpha != 2/3; the
     coefficients then satisfy the order conditions identically, which is
-    re-checked numerically on construction.
+    re-checked numerically on construction (a NaN defect fails the check).
     """
     alpha = float(alpha)
     beta = float(beta)
+    if not np.isfinite([alpha, beta]).all():
+        raise ConfigError(f"tableau parameters must be finite, got ({alpha}, {beta})")
     if alpha == 0.0 or beta == 0.0:
         raise ConfigError("tableau parameters must be nonzero")
     if alpha == beta:
@@ -86,7 +88,7 @@ def rk3_tableau(alpha, beta):
         b=np.array([b1, b2, b3]),
     )
     defects = np.abs(tableau.order_defects())
-    if defects.max() > ORDER_TOL:
+    if not defects.max() <= ORDER_TOL:
         raise SolverError(
             f"tableau ({alpha}, {beta}) violates the order conditions: {defects}"
         )
@@ -152,11 +154,14 @@ class _Flow:
         return solve_dual_system(ev.jac, -ev.dt, deflate=self.deflate, t=t)
 
 
-def capture_snapshot(problem, psi, t, grid):
-    """Cell field export: softmax weights for t < 1, hard labels at t = 1."""
-    if t >= 1.0:
-        return label_field(psi, problem, grid)
-    return smoothed_cell_field(psi, t, problem, grid)
+def capture_snapshot(system, psi, t):
+    """Cell field on the system's grid: hard labels at every t, plus the
+    softmax weights for t < 1, both from the kernel's cells."""
+    psi = np.asarray(psi, dtype=float)
+    kernel = system.kernel
+    labels = grid_labels(psi - kernel.offsets, kernel.cells)
+    weights = kernel.node_weights(psi, t) if t < 1.0 else None
+    return CellField(nodes=system.grid.nodes, labels=labels, weights=weights)
 
 
 def lattice_steps(dt):
@@ -217,7 +222,7 @@ def integrate_homotopy(
     states = [DualState(t=0.0, psi=psi.copy())]
     snapshots = []
     if 0 in snap_set:
-        snapshots.append((0.0, capture_snapshot(problem, psi, 0.0, grid)))
+        snapshots.append((0.0, capture_snapshot(flow.base, psi, 0.0)))
 
     b1, b2, b3 = tableau.b
     for k in range(steps):
@@ -237,7 +242,7 @@ def integrate_homotopy(
             raise NonFiniteValueError(f"state became non-finite at t={t1:.6g}")
         states.append(DualState(t=t1, psi=psi.copy()))
         if k + 1 in snap_set:
-            snapshots.append((t1, capture_snapshot(problem, psi, t1, grid)))
+            snapshots.append((t1, capture_snapshot(flow.base, psi, t1)))
 
     report_grid = refine_grid(grid, 4 if problem.dim == 1 else 2)
     residual = unregularized_residual(problem, psi, report_grid)

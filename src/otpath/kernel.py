@@ -12,7 +12,9 @@ density (node weights w),
 
 Layout: the cost matrix is stored once per (grid, targets) pair, target-major
 with shape (N, M), so every per-node reduction (the softmax max and sum) runs
-across the N rows and stays vectorized along the long node axis.
+across the N rows and stays vectorized along the long node axis.  It and the
+node masses are the source density's `laguerre.GridCells`, which snapshots
+label with too.
 
 One sweep: `evaluate` passes over the nodes in chunks of CHUNK_NODES columns,
 so the temporaries stay in cache, and accumulates with piw = pi*w
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteValueError
-from .model import cost_matrix, density_eval
+from .laguerre import GridCells
 
 CHUNK_NODES = 4096  # nodes per sweep chunk: (N, CHUNK_NODES) temporaries stay in cache
 
@@ -91,17 +93,16 @@ def _softmax(a, t, cost, out=None, peak=None):
 class KernelEvaluator:
     """Kernel derivatives for one (problem, grid) pair.
 
-    Builds the target-major (N, M) cost matrix and the density-weighted
-    quadrature weights once; repeated evaluations (ODE stages, Newton
-    iterations) should share one instance.
+    Builds the source density's grid cells (the target-major (N, M) cost
+    matrix and the density-weighted quadrature weights) once; repeated
+    evaluations (ODE stages, Newton iterations) should share one instance.
     """
 
     def __init__(self, problem, grid):
         self.problem = problem
         self.grid = grid
-        self.cost = cost_matrix(problem.targets.points, grid.nodes, problem.cost.exponent)
+        self.cells = GridCells.build(problem.targets, grid, problem.mu, problem.cost.exponent)
         self.offsets = np.asarray(problem.offsets, dtype=float)
-        self.mu_weights = grid.weights * density_eval(problem.mu, grid.nodes)
         self.n = problem.n
 
     def _depth(self, psi, t):
@@ -114,7 +115,7 @@ class KernelEvaluator:
 
     def node_weights(self, psi, t):
         """(M, N) softmax weights at every quadrature node."""
-        return _softmax(self._depth(psi, t), t, self.cost).T
+        return _softmax(self._depth(psi, t), t, self.cells.cost).T
 
     def value(self, psi, t):
         """Dual transport value -(1-t) * integral of log-sum-exp.
@@ -123,15 +124,15 @@ class KernelEvaluator:
         solver itself never needs it.
         """
         a = self._depth(psi, t)
-        expo = (a[:, None] - t * self.cost) / (1.0 - t)
+        expo = (a[:, None] - t * self.cells.cost) / (1.0 - t)
         m = expo.max(axis=0)
         lse = m + np.log(np.exp(expo - m).sum(axis=0))
-        return -(1.0 - t) * float(np.sum(self.mu_weights * lse))
+        return -(1.0 - t) * float(np.sum(self.cells.node_mass * lse))
 
     def evaluate(self, psi, t):
         """Gradient, Hessian and time derivative from one chunked node sweep."""
         a = self._depth(psi, t)
-        n, m = self.cost.shape
+        n, m = self.cells.cost.shape
         width = min(m, CHUNK_NODES)
         # scratch reused by every chunk: fresh large temporaries per chunk
         # cost more in page faults than the arithmetic on them
@@ -140,8 +141,8 @@ class KernelEvaluator:
         col = np.zeros(n)
         spread = np.zeros(n)
         for lo in range(0, m, CHUNK_NODES):
-            cost = self.cost[:, lo : lo + CHUNK_NODES]
-            w = self.mu_weights[lo : lo + CHUNK_NODES]
+            cost = self.cells.cost[:, lo : lo + CHUNK_NODES]
+            w = self.cells.node_mass[lo : lo + CHUNK_NODES]
             k = w.size
             pi = _softmax(a, t, cost, out=pi_buf[:, :k], peak=peak_buf[:k])
             piw = np.multiply(pi, w, out=piw_buf[:, :k])

@@ -1,27 +1,29 @@
 """Laguerre (power) cells: geometry, measures, and terminal-residual pieces.
 
 Cell j of weight vector w is the set of source points where
-cost(x, y_j) - w_j is minimal over the targets.  The data pick one of two
-measure routes; there is no option to choose:
+cost(x, y_j) - w_j is minimal over the targets.  Cell masses take one of two
+routes.  `cell_operands` is the one place that picks it, and the operands it
+returns carry the choice:
 
-  analytic   1-D targets with quadratic cost: cells are intervals whose
-             endpoints solve the pairwise bisector equations in closed form,
-             and masses come from closed-form interval integrals.
-  grid       everything else (2-D, or cubic cost): label every quadrature
-             node by its minimizing target and sum the density-weighted
-             quadrature weights per label.
+  IntervalCells  1-D targets with quadratic cost: cells are intervals whose
+                 endpoints solve the pairwise bisector equations in closed
+                 form, and masses come from closed-form interval integrals.
+  GridCells      everything else (2-D, or cubic cost): label every quadrature
+                 node by its minimizing target and sum the density-weighted
+                 quadrature weights per label.
 
-The analytic route is exact up to rounding; the grid route carries an
-O(node spacing) boundary error, which is why it is never used where the
-acceptance tolerances are tighter than that.
+`power_cell_measures` and `measure_jacobian` read the route off the operands
+they are given; there is no option to choose.  The interval route is exact up
+to rounding; the grid route carries an O(node spacing) boundary error, which
+is why it is never used where the acceptance tolerances are tighter than that.
 
-Grid labels run over the target-major (N, M) cost matrix, the layout the
-kernel uses: a running minimum over the N target rows, each pass vectorized
-along the nodes.  A row takes over a node only when strictly smaller, so ties
-go to the lowest index exactly as `np.argmin` resolves them.  `GridCells`
-holds that matrix and the node masses of one (grid, targets, density); the
-solver builds it once and passes it to `power_cell_measures` and
-`measure_jacobian`, which otherwise build it per call.
+`grid_labels` is the one label routine: a running minimum over the N rows of
+the target-major (N, M) cost matrix, each pass vectorized along the nodes.  A
+row takes over a node only when strictly smaller, so ties go to the lowest
+index exactly as `np.argmin` resolves them.  A `GridCells` is built once per
+grid and then shared: the kernel holds the source-density cells, the residual
+system the rho cells (on the kernel's matrix when both costs are quadratic),
+and snapshots label with the kernel's.
 """
 
 from dataclasses import dataclass
@@ -29,8 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .kernel import KernelEvaluator
-from .model import cost_matrix, density_eval, interval_mass, uniform_density
+from .model import (
+    DensitySpec,
+    Domain,
+    TargetSet,
+    cost_matrix,
+    density_eval,
+    interval_mass,
+    uniform_density,
+)
 
 FD_STEP = 1e-5  # least central-difference step of the grid measure Jacobian
 
@@ -114,9 +123,64 @@ def cells_1d(psi, targets, domain, density=None):
     return LaguerreDiagram1D(order=order, boundaries=cuts, measures=measures)
 
 
-def _node_labels(cost, weights):
-    """Per-node argmin over the rows of cost - weights[:, None], for a
-    target-major (N, M) cost matrix; ties go to the lowest index."""
+@dataclass(frozen=True)
+class IntervalCells:
+    """Operands of exact interval cell masses: 1-D targets (quadratic cost),
+    the domain interval and the density."""
+
+    targets: TargetSet
+    domain: Domain
+    density: DensitySpec
+
+    def __post_init__(self):
+        if self.targets.dim != 1:
+            raise ConfigError("interval cells need 1-D targets")
+
+    @property
+    def n(self):
+        return self.targets.n
+
+
+@dataclass(frozen=True)
+class GridCells:
+    """Operands of grid-label cell masses for one (grid, targets, density,
+    cost): the targets, the target-major (N, M) cost matrix, the
+    density-weighted node masses, and the largest node spacing of the grid."""
+
+    targets: TargetSet
+    cost: np.ndarray
+    node_mass: np.ndarray
+    spacing: float
+
+    def __post_init__(self):
+        self.cost.setflags(write=False)
+        self.node_mass.setflags(write=False)
+
+    @property
+    def n(self):
+        return self.targets.n
+
+    @classmethod
+    def build(cls, targets, grid, density, cost_exponent=2.0, cost=None):
+        """`cost` passes in an existing target-major matrix of the same
+        targets, grid and exponent instead of building another."""
+        if cost is None:
+            cost = cost_matrix(targets.points, grid.nodes, cost_exponent)
+        counts = grid.panels_per_axis * grid.order
+        spacing = max((hi - lo) / counts for lo, hi in zip(grid.lower, grid.upper))
+        node_mass = grid.weights * density_eval(density, grid.nodes)
+        return cls(targets=targets, cost=cost, node_mass=node_mass, spacing=spacing)
+
+    def masses(self, weights):
+        labels = grid_labels(weights, self)
+        return np.bincount(labels, weights=self.node_mass, minlength=self.n)
+
+
+def grid_labels(weights, cells):
+    """Per-node argmin of cost(x, y_j) - weights_j over the rows of the
+    GridCells' target-major matrix; ties go to the lowest index."""
+    cost = cells.cost
+    weights = np.asarray(weights, dtype=float)
     best = cost[0] - weights[0]
     labels = np.zeros(cost.shape[1], dtype=np.intp)
     for j in range(1, cost.shape[0]):
@@ -126,128 +190,59 @@ def _node_labels(cost, weights):
     return labels
 
 
-def grid_labels(weights, targets, grid, cost_exponent=2.0):
-    """Per-node argmin of cost(x, y_j) - weights_j; ties go to the lowest index."""
-    cost = cost_matrix(targets.points, grid.nodes, cost_exponent)
-    return _node_labels(cost, np.asarray(weights, dtype=float))
+def cell_operands(targets, density, grid, cost_exponent=2.0, cost=None):
+    """Cell-mass operands of `targets` under `density` over the box of `grid`.
 
-
-@dataclass(frozen=True)
-class GridCells:
-    """Operands of grid-label cell masses for one (grid, targets, density):
-    the target-major (N, M) cost matrix and the density-weighted node masses."""
-
-    cost: np.ndarray
-    node_mass: np.ndarray
-
-    def __post_init__(self):
-        self.cost.setflags(write=False)
-        self.node_mass.setflags(write=False)
-
-    @classmethod
-    def build(cls, targets, grid, density, cost_exponent=2.0, cost=None):
-        """`cost` passes in an existing target-major matrix of the same
-        targets, grid and exponent instead of building another."""
-        if cost is None:
-            cost = cost_matrix(targets.points, grid.nodes, cost_exponent)
-        return cls(cost=cost, node_mass=grid.weights * density_eval(density, grid.nodes))
-
-    def masses(self, weights):
-        labels = _node_labels(self.cost, np.asarray(weights, dtype=float))
-        return np.bincount(labels, weights=self.node_mass, minlength=self.cost.shape[0])
-
-
-def power_cell_measures(
-    weights,
-    targets,
-    domain,
-    density,
-    grid=None,
-    cost_exponent=2.0,
-    cells=None,
-):
-    """Masses of the power cells of `weights` under `density`.
-
-    Analytic for 1-D targets with quadratic cost, grid labels otherwise; on
-    the grid route `cells` (a GridCells of the same targets, grid, density
-    and exponent) saves building the cost matrix on this call.
+    The only place the route is decided: IntervalCells for 1-D targets with
+    quadratic cost, GridCells otherwise.  `cost` passes an existing
+    target-major matrix to the grid route instead of building another.
     """
-    weights = np.asarray(weights, dtype=float)
     if targets.dim == 1 and cost_exponent == 2.0:
-        return cells_1d(weights, targets, domain, density).measures
-    if cells is None:
-        if grid is None:
-            raise ConfigError("grid-label cell measures need a quadrature grid")
-        cells = GridCells.build(targets, grid, density, cost_exponent)
+        return IntervalCells(targets, Domain(lower=grid.lower, upper=grid.upper), density)
+    return GridCells.build(targets, grid, density, cost_exponent, cost)
+
+
+def power_cell_measures(weights, cells):
+    """Masses of the power cells of `weights` under the density of `cells`."""
+    weights = np.asarray(weights, dtype=float)
+    if isinstance(cells, IntervalCells):
+        return cells_1d(weights, cells.targets, cells.domain, cells.density).measures
     return cells.masses(weights)
 
 
-def cell_measures(psi, problem, grid):
-    """Source-density masses of the problem's cells at dual weights psi.
-
-    The anchored variant's offsets shift the effective weights, matching the
-    argmin convention cost_j(x) - psi_j - offset_j used everywhere.
-    """
-    return power_cell_measures(
-        np.asarray(psi, dtype=float) - problem.offsets,
-        problem.targets,
-        problem.domain,
-        problem.mu,
-        grid=grid,
-        cost_exponent=problem.cost.exponent,
-    )
-
-
-def _grid_spacing(grid):
-    counts = grid.panels_per_axis * grid.order
-    return max((hi - lo) / counts for lo, hi in zip(grid.lower, grid.upper))
-
-
-def measure_jacobian(
-    weights,
-    targets,
-    domain,
-    density,
-    grid=None,
-    cells=None,
-):
+def measure_jacobian(weights, cells):
     """Jacobian of weights -> cell masses (quadratic cost).
 
-    Analytic for 1-D targets: each interface point between consecutive
-    nonempty cells i, j contributes density(x_ij) / (2|y_i - y_j|) on the
-    diagonal and its negative off-diagonal.  Beyond 1-D, central differences
-    of grid-label masses; the step is widened from FD_STEP so cell
-    boundaries move by at least one node spacing, because grid-label masses
-    are piecewise constant below that scale.  The grid operands are built
-    once per call unless `cells` passes them in.
+    Interval cells: each interface point between consecutive nonempty cells
+    i, j contributes density(x_ij) / (2|y_i - y_j|) on the diagonal and its
+    negative off-diagonal.  Grid cells: central differences of grid-label
+    masses; the step is widened from FD_STEP so cell boundaries move by at
+    least one node spacing, because grid-label masses are piecewise constant
+    below that scale.
     """
     weights = np.asarray(weights, dtype=float)
-    n = targets.n
-    if targets.dim == 1:
-        coords = targets.points[:, 0]
+    n = cells.n
+    if isinstance(cells, IntervalCells):
+        coords = cells.targets.points[:, 0]
         order = np.argsort(coords)
         y = coords[order]
-        cells, _ = _sorted_cells(y, weights[order], domain.lower[0], domain.upper[0])
+        lo, hi = cells.domain.lower[0], cells.domain.upper[0]
+        intervals, _ = _sorted_cells(y, weights[order], lo, hi)
         jac = np.zeros((n, n))
-        lo, hi = domain.lower[0], domain.upper[0]
-        for (ka, _, end_a), (kb, _, _) in zip(cells[:-1], cells[1:]):
+        for (ka, _, end_a), (kb, _, _) in zip(intervals[:-1], intervals[1:]):
             cut = end_a
             if not lo < cut < hi:
                 continue
             i, j = order[ka], order[kb]
-            gain = density_eval(density, np.array([cut])) / (2.0 * abs(y[kb] - y[ka]))
+            gain = density_eval(cells.density, np.array([cut])) / (2.0 * abs(y[kb] - y[ka]))
             jac[i, i] += gain
             jac[j, j] += gain
             jac[i, j] -= gain
             jac[j, i] -= gain
         return jac
-    if grid is None:
-        raise ConfigError("grid-label measure Jacobian needs a quadrature grid")
-    if cells is None:
-        cells = GridCells.build(targets, grid, density)
-    pts = targets.points
+    pts = cells.targets.points
     gaps = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
-    step = max(FD_STEP, 2.0 * _grid_spacing(grid) * float(gaps.max()))
+    step = max(FD_STEP, 2.0 * cells.spacing * float(gaps.max()))
     jac = np.zeros((n, n))
     for k in range(n):
         bump = np.zeros(n)
@@ -258,46 +253,24 @@ def measure_jacobian(
     return 0.5 * (jac + jac.T)
 
 
-def smoothed_cell_field(psi, t, problem, grid):
-    """Softmax cell weights on the grid for t < 1, plus hard argmin labels."""
-    if t >= 1.0:
-        raise ValueError("smoothed cells are only defined for t < 1")
-    psi = np.asarray(psi, dtype=float)
-    kernel = KernelEvaluator(problem, grid)
-    labels = _node_labels(kernel.cost, psi - problem.offsets)
-    return CellField(nodes=grid.nodes, labels=labels, weights=kernel.node_weights(psi, t))
-
-
-def label_field(psi, problem, grid):
-    """Hard cell labels at t = 1 (no softmax weights)."""
-    labels = grid_labels(
-        np.asarray(psi, dtype=float) - problem.offsets,
-        problem.targets,
-        grid,
-        problem.cost.exponent,
-    )
-    return CellField(nodes=grid.nodes, labels=labels, weights=None)
-
-
 def unregularized_residual(problem, psi, grid):
     """Residual of the t = 1 optimality system; its sup-norm is the reported
     terminal error.
 
-    The transport term becomes exact cell masses of the source density.  For
-    p4 the penalty term is also a cell mass: rho-cells of -psi under the
-    quadratic inner cost, against mu-cells of psi under the outer cost.
+    The transport term becomes exact cell masses of the source density at
+    weights psi - offsets (the argmin convention cost_j(x) - psi_j - offset_j
+    used everywhere).  For p4 the penalty term is also a cell mass: rho-cells
+    of -psi under the quadratic inner cost, against mu-cells of psi under the
+    outer cost; when the outer cost is quadratic too, both share one matrix.
     """
     psi = np.asarray(psi, dtype=float)
-    mu_mass = cell_measures(psi, problem, grid)
+    exponent = problem.cost.exponent
+    mu_cells = cell_operands(problem.targets, problem.mu, grid, exponent)
+    mu_mass = power_cell_measures(psi - problem.offsets, mu_cells)
     if problem.variant == "p4":
-        penalty = power_cell_measures(
-            -psi,
-            problem.targets,
-            problem.domain,
-            problem.rho,
-            grid=grid,
-            cost_exponent=2.0,
-        )
+        shared = mu_cells.cost if isinstance(mu_cells, GridCells) and exponent == 2.0 else None
+        rho_cells = cell_operands(problem.targets, problem.rho, grid, cost=shared)
+        penalty = power_cell_measures(-psi, rho_cells)
     else:
         penalty = np.exp(-psi)
     return penalty - mu_mass
@@ -314,11 +287,11 @@ def triple_intersection_check(psi, problem, grid, eps=None):
     n = problem.n
     if n < 3:
         return 0
-    costs = cost_matrix(grid.nodes, problem.targets.points, problem.cost.exponent)
+    costs = cost_matrix(problem.targets.points, grid.nodes, problem.cost.exponent)
     if eps is None:
         eps = 1e-3 * float(costs.max() - costs.min())
-    adjusted = costs - (psi - problem.offsets)[None, :]
-    gap = adjusted - adjusted.min(axis=1, keepdims=True)
+    adjusted = costs - (psi - problem.offsets)[:, None]
+    gap = adjusted - adjusted.min(axis=0)
     near = gap <= eps
-    triple = near[:, :-2] & near[:, 1:-1] & near[:, 2:]
-    return int(np.count_nonzero(triple.any(axis=1)))
+    triple = near[:-2] & near[1:-1] & near[2:]
+    return int(np.count_nonzero(triple.any(axis=0)))

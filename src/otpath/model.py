@@ -196,16 +196,17 @@ class CostSpec:
             raise ConfigError(f"cost exponent must be 2 or 3, got {self.exponent}")
 
 
-def cost_matrix(points, targets, exponent):
-    """(M, N) matrix of ||x_i - y_j||^p for batch points and target rows.
+def cost_matrix(targets, nodes, exponent):
+    """Target-major (N, M) matrix of ||y_j - x_i||^p for N target rows and
+    M node rows, the layout every caller reduces over.
 
-    Summed one axis at a time, so no (M, N, dim) temporary is held.
+    Summed one axis at a time, so no (N, M, dim) temporary is held.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    targets = np.asarray(targets, dtype=float)
-    sq = np.zeros((pts.shape[0], targets.shape[0]))
-    for axis in range(pts.shape[1]):
-        diff = np.subtract.outer(pts[:, axis], targets[:, axis])
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    nodes = np.asarray(nodes, dtype=float)
+    sq = np.zeros((targets.shape[0], nodes.shape[0]))
+    for axis in range(targets.shape[1]):
+        diff = np.subtract.outer(targets[:, axis], nodes[:, axis])
         sq += np.multiply(diff, diff, out=diff)
     if exponent == 2.0:
         return sq
@@ -363,8 +364,6 @@ def build_problem(config):
 
     if config.get("targets") is not None:
         targets = TargetSet(points=np.asarray(config["targets"], dtype=float))
-        if targets.dim != domain.dim:
-            raise ConfigError("explicit targets have the wrong dimension")
     elif config.get("parabola"):
         if domain.dim != 2:
             raise ConfigError("the parabola layout is two-dimensional")
@@ -389,20 +388,12 @@ def build_problem(config):
     cost = CostSpec(exponent=float(config.get("cost_exponent", 2)))
 
     anchor = ()
-    rho = None
-    if variant == "p3":
-        if config.get("anchor") is None:
-            raise ConfigError("variant p3 requires an anchor point")
+    if config.get("anchor") is not None:
         anchor = tuple(float(a) for a in np.atleast_1d(config["anchor"]))
-    elif config.get("anchor") is not None:
-        raise ConfigError("anchor is only meaningful for variant p3")
-    if variant == "p4":
-        if config.get("rho") is None:
-            raise ConfigError("variant p4 requires the density rho")
+    rho = None
+    if config.get("rho") is not None:
         rho = _density_from_config(config["rho"], domain)
         _validate_density(rho, domain, "rho")
-    elif config.get("rho") is not None:
-        raise ConfigError("rho is only meaningful for variant p4")
 
     return ProblemSpec(
         variant=variant,

@@ -12,9 +12,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .laguerre import GridCells, cells_1d, measure_jacobian, power_cell_measures
+from .laguerre import IntervalCells, measure_jacobian, power_cell_measures
 from .linsolve import solve_dual_system
-from .model import Domain
 from .residuals import ResidualSystem
 
 MAX_HALVINGS = 30
@@ -36,23 +35,25 @@ def newton_1d(problem, psi0=None, tol=1e-8, max_iter=100):
     mu(x_ij) / (2|y_i - y_j|) off-diagonal, and the diagonal collects
     -exp(-psi_i) minus the row's interface terms.  Stops at sup-norm below
     `tol` or after `max_iter` updates; divergence is reported, not raised.
+    That is the t = 1 system of p1 and p2 only, so other variants, cubic cost
+    and 2-D targets are refused.
     """
-    if problem.dim != 1 or problem.cost.exponent != 2.0:
-        raise ConfigError("the Newton baseline needs 1-D targets and quadratic cost")
+    if problem.variant not in ("p1", "p2") or problem.cost.exponent != 2.0:
+        raise ConfigError("the Newton baseline needs variant p1 or p2 and quadratic cost")
+    cells = IntervalCells(problem.targets, problem.domain, problem.mu)
     n = problem.n
     psi = np.zeros(n) if psi0 is None else np.asarray(psi0, dtype=float).copy()
-    targets, domain, mu = problem.targets, problem.domain, problem.mu
 
     def res(p):
         with np.errstate(over="ignore"):  # divergence shows up as inf, reported below
-            return np.exp(-p) - cells_1d(p, targets, domain, mu).measures
+            return np.exp(-p) - power_cell_measures(p, cells)
 
     g = res(psi)
     for k in range(max_iter):
         if np.abs(g).max() < tol:
             return NewtonReport(psi=psi, iterations=k, residual_sup=float(np.abs(g).max()), converged=True)
         with np.errstate(over="ignore"):
-            jac = -np.diag(np.exp(-psi)) - measure_jacobian(psi, targets, domain, mu)
+            jac = -np.diag(np.exp(-psi)) - measure_jacobian(psi, cells)
         try:
             step = solve_dual_system(jac, g)
         except SolverError:
@@ -143,8 +144,9 @@ def fixed_t_oracle(problem, t, tol=1e-10, grid=None, psi0=None, max_iter=100):
     return _damped_newton(evaluate, psi0, tol, max_iter, deflate=problem.variant == "p4")
 
 
-def solve_xi_star(targets, rho, grid, tol=1e-8, max_iter=100, cells=None):
-    """Weights whose power cells split rho into N equal masses.
+def solve_xi_star(cells, tol=1e-8, max_iter=100):
+    """Weights whose power cells split the density of `cells` (the operands
+    from `laguerre.cell_operands`) into N equal masses.
 
     Damped Newton on xi -> rho-cells(xi) - 1/N with the measure Jacobian and
     the standard semi-discrete globalization: besides decreasing the residual,
@@ -152,18 +154,13 @@ def solve_xi_star(targets, rho, grid, tol=1e-8, max_iter=100, cells=None):
     start (an empty cell zeroes a Jacobian row and stalls the iteration).
     The Jacobian's all-ones kernel is deflated, and the returned weights are
     normalized to mean zero (cell masses are shift-invariant, so the defining
-    equation only fixes xi up to a constant).  Beyond 1-D the cells are grid
-    labels, whose operands `cells` (a GridCells of targets, grid and rho)
-    passes in or are built once for the whole solve.
+    equation only fixes xi up to a constant).
     """
-    domain = Domain(lower=grid.lower, upper=grid.upper)
-    n = targets.n
-    if cells is None and targets.dim > 1:
-        cells = GridCells.build(targets, grid, rho)
+    n = cells.n
 
     def evaluate(xi):
-        g = power_cell_measures(xi, targets, domain, rho, grid=grid, cells=cells) - 1.0 / n
-        return g, lambda: measure_jacobian(xi, targets, domain, rho, grid=grid, cells=cells)
+        g = power_cell_measures(xi, cells) - 1.0 / n
+        return g, lambda: measure_jacobian(xi, cells)
 
     def above_floor(g, g_start):
         # masses m = g + 1/N must stay >= min(m_start.min(), 1/N) / 2

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NonFiniteValueError
 from .kernel import KernelEvaluator
-from .laguerre import GridCells, measure_jacobian, power_cell_measures
+from .laguerre import GridCells, cell_operands, measure_jacobian, power_cell_measures
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,9 @@ class ResidualSystem:
 
     Shares one kernel evaluator across calls; `full` shares the softmax
     sweep (and, for p4, the measure Jacobian) between the residual,
-    Jacobian, and time derivative.  For p4 beyond 1-D the rho cells are grid
-    labels; their operands are built here once, reusing the kernel's cost
-    matrix when the outer cost is quadratic like the inner one.
+    Jacobian, and time derivative.  For p4 the rho cells' operands are built
+    here once, on the kernel's cost matrix when the grid route needs one and
+    the outer cost is quadratic like the inner one.
     """
 
     def __init__(self, problem, grid):
@@ -73,9 +73,9 @@ class ResidualSystem:
         self.grid = grid
         self.kernel = KernelEvaluator(problem, grid)
         self.rho_cells = None
-        if problem.variant == "p4" and problem.dim > 1:
-            shared = self.kernel.cost if problem.cost.exponent == 2.0 else None
-            self.rho_cells = GridCells.build(problem.targets, grid, problem.rho, cost=shared)
+        if problem.variant == "p4":
+            shared = self.kernel.cells.cost if problem.cost.exponent == 2.0 else None
+            self.rho_cells = cell_operands(problem.targets, problem.rho, grid, cost=shared)
 
     def _check_time(self, t):
         if self.problem.scales_penalty:
@@ -96,14 +96,10 @@ class ResidualSystem:
         p = self.problem
         if p.variant == "p4":
             xi = -psi / t
-            masses = power_cell_measures(
-                xi, p.targets, p.domain, p.rho, grid=self.grid, cells=self.rho_cells
-            )
+            masses = power_cell_measures(xi, self.rho_cells)
 
             def blocks():
-                rho_jac = measure_jacobian(
-                    xi, p.targets, p.domain, p.rho, grid=self.grid, cells=self.rho_cells
-                )
+                rho_jac = measure_jacobian(xi, self.rho_cells)
                 return -rho_jac / t, rho_jac @ psi / t**2
 
             return masses, blocks
@@ -143,10 +139,10 @@ class ResidualSystem:
             return InitialData(psi0=half + log_total)
         from .newton import solve_xi_star  # deferred: newton imports this module
 
-        # Grid-label masses in 2-D are quantized at roughly the boundary-node
-        # mass, so the equal-mass solve cannot go below ~1e-3 there.
-        tol = 1e-8 if p.dim == 1 else 1e-3
-        report = solve_xi_star(p.targets, p.rho, self.grid, tol=tol, cells=self.rho_cells)
+        # Grid-label masses are quantized at roughly the boundary-node mass,
+        # so the equal-mass solve cannot go below ~1e-3 on them.
+        tol = 1e-3 if isinstance(self.rho_cells, GridCells) else 1e-8
+        report = solve_xi_star(self.rho_cells, tol=tol)
         if not report.converged:
             raise NonFiniteValueError(
                 "equal-mass weight solve for the p4 start did not converge"

@@ -166,34 +166,38 @@ def test_main_verify_fast_criteria(capsys):
     assert main(["verify", "--criteria", "99"]) == 1
 
 
-# (argv, JSON config or None, expected exit code); "{tmp}" stands for the
-# test's scratch directory.
+# (argv, JSON config or None, expected exit code, text the message must
+# contain or None); "{tmp}" stands for the test's scratch directory.
 BAD_INPUTS = [
-    pytest.param(["run", "--quad-panels", "0"], None, 1, id="quad-panels-0"),
-    pytest.param(["run", "--quad-order", "0"], None, 1, id="quad-order-0"),
-    pytest.param(["run", "--quad-panels", "-2"], None, 1, id="quad-panels-negative"),
-    pytest.param(["run", "--dt", "0"], None, 1, id="dt-0"),
-    pytest.param(["run", "--n", "2,x"], None, 1, id="n-not-int"),  # bare ValueError
-    pytest.param(["run"], {"dim": 3}, 1, id="config-dim-3"),
-    pytest.param(["run"], {"quad_panels": 0}, 1, id="config-quad-panels-0"),
-    pytest.param(["run"], {"quad_order": 2.5}, 1, id="config-quad-order-float"),
-    pytest.param(["run"], {"n_list": ["x"]}, 1, id="config-n-not-int"),  # bare ValueError
-    pytest.param(["run"], "not json", 1, id="config-not-json"),
-    pytest.param(["run", "--config", "{tmp}/missing.json"], None, 1, id="config-missing"),
-    pytest.param(["verify", "--criteria", "1,x"], None, 1, id="criteria-not-int"),
-    pytest.param(["verify", "--criteria", "99"], None, 1, id="criteria-unknown"),
+    pytest.param(["run", "--quad-panels", "0"], None, 1, None, id="quad-panels-0"),
+    pytest.param(["run", "--quad-order", "0"], None, 1, None, id="quad-order-0"),
+    pytest.param(["run", "--quad-panels", "-2"], None, 1, None, id="quad-panels-negative"),
+    pytest.param(["run", "--dt", "0"], None, 1, None, id="dt-0"),
+    pytest.param(["run", "--n", "2,x"], None, 1, None, id="n-not-int"),  # bare ValueError
+    pytest.param(["run", "--n", ","], None, 1, "n_list", id="n-empty"),
+    pytest.param(["run", "--dt", ","], None, 1, "dt_list", id="dt-empty"),
+    pytest.param(["run", "--alpha", "nan"], None, 1, "tableau", id="alpha-nan"),
+    pytest.param(["run"], {"dim": 3}, 1, None, id="config-dim-3"),
+    pytest.param(["run"], {"quad_panels": 0}, 1, None, id="config-quad-panels-0"),
+    pytest.param(["run"], {"quad_order": 2.5}, 1, None, id="config-quad-order-float"),
+    pytest.param(["run"], {"n_list": ["x"]}, 1, None, id="config-n-not-int"),  # bare ValueError
+    pytest.param(["run"], {"n_list": []}, 1, "n_list", id="config-n-empty"),
+    pytest.param(["run"], "not json", 1, None, id="config-not-json"),
+    pytest.param(["run", "--config", "{tmp}/missing.json"], None, 1, None, id="config-missing"),
+    pytest.param(["verify", "--criteria", "1,x"], None, 1, None, id="criteria-not-int"),
+    pytest.param(["verify", "--criteria", "99"], None, 1, None, id="criteria-unknown"),
     # refused by the argument parser itself
-    pytest.param(["run", "--dim", "3"], None, 1, id="dim-3"),
-    pytest.param(["run", "--seed", "x"], None, 1, id="seed-not-int"),
-    pytest.param(["run", "--bogus"], None, 1, id="unknown-flag"),
-    pytest.param(["verify", "--bogus"], None, 1, id="verify-unknown-flag"),
-    pytest.param(["solve"], None, 1, id="unknown-command"),
-    pytest.param([], None, 1, id="no-command"),
+    pytest.param(["run", "--dim", "3"], None, 1, None, id="dim-3"),
+    pytest.param(["run", "--seed", "x"], None, 1, None, id="seed-not-int"),
+    pytest.param(["run", "--bogus"], None, 1, None, id="unknown-flag"),
+    pytest.param(["verify", "--bogus"], None, 1, None, id="verify-unknown-flag"),
+    pytest.param(["solve"], None, 1, None, id="unknown-command"),
+    pytest.param([], None, 1, None, id="no-command"),
 ]
 
 
-@pytest.mark.parametrize("argv, config, code", BAD_INPUTS)
-def test_bad_inputs_exit_with_documented_code(tmp_path, capsys, argv, config, code):
+@pytest.mark.parametrize("argv, config, code, needle", BAD_INPUTS)
+def test_bad_inputs_exit_with_documented_code(tmp_path, capsys, argv, config, code, needle):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     if config is not None:
         cfg_path = tmp_path / "exp.json"
@@ -204,6 +208,7 @@ def test_bad_inputs_exit_with_documented_code(tmp_path, capsys, argv, config, co
     assert main(argv) == code
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and err.startswith("configuration error: ")
+    assert needle is None or needle in err
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["verify", "--help"]])

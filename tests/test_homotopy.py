@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,9 +8,14 @@ from otpath import (
     ConfigError,
     NearSingularJacobianError,
     ResidualSystem,
+    RKTableau,
+    SolverError,
+    build_grid,
     build_problem,
     integrate_homotopy,
+    parabola_targets,
     rk3_tableau,
+    unit_domain,
 )
 from otpath.linsolve import solve_dual_system
 from otpath.model import cost_matrix
@@ -83,6 +89,18 @@ def test_tableau_parameter_constraints():
         rk3_tableau(0.125, 0.0)
     with pytest.raises(ConfigError):
         rk3_tableau(2 / 3, 0.25)
+
+
+def test_tableau_rejects_non_finite_parameters():
+    for alpha, beta in ((np.nan, 0.25), (0.125, np.nan), (np.inf, 0.25)):
+        with pytest.raises(ConfigError, match="tableau"):
+            rk3_tableau(alpha, beta)
+
+
+def test_order_guard_fails_on_nan_defects(monkeypatch):
+    monkeypatch.setattr(RKTableau, "order_defects", lambda self: np.full(4, np.nan))
+    with pytest.raises(SolverError):
+        rk3_tableau(0.125, 0.25)
 
 
 def test_rhs_single_target_stationary(grid1):
@@ -167,7 +185,7 @@ def test_uniform_boundedness_along_path(grid1):
         if variant == "p4":
             cfg["rho"] = {"kind": "gauss"}
         prob = build_problem(cfg)
-        cmax = cost_matrix(grid1.nodes, prob.targets.points, 2.0).max()
+        cmax = cost_matrix(prob.targets.points, grid1.nodes, 2.0).max()
         bound = 10.0 * (2.0 * np.log(prob.n) + cmax)
         traj = integrate_homotopy(prob, 1e-2, grid1)
         for state in traj.states:
@@ -229,6 +247,33 @@ def test_snapshot_capture(grid2):
             assert field.weights is None
     empty = integrate_homotopy(prob, 0.25, grid2)
     assert empty.snapshots == []
+
+
+@pytest.mark.parametrize(
+    "config, snapshot_times",
+    [
+        ({"variant": "p1", "dim": 2, "targets": parabola_targets(4).points.tolist()}, (0.5, 1.0)),
+        ({"variant": "p4", "dim": 2, "n_targets": 3, "seed": 4, "rho": {"kind": "gauss"}}, ()),
+    ],
+    ids=["p1-snapshots", "p4"],
+)
+def test_one_cost_matrix_per_grid(monkeypatch, config, snapshot_times):
+    # the stage grid, the boosted grid and the report grid: the snapshots, the
+    # p4 rho cells and the terminal residual reuse the matrices of the run
+    grid = build_grid(unit_domain(2), 12, 4)
+    prob = build_problem(config)
+    built = []
+
+    def counting(*args):
+        built.append(args[1].shape[0])
+        return cost_matrix(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("otpath") and getattr(module, "cost_matrix", None) is cost_matrix:
+            monkeypatch.setattr(module, "cost_matrix", counting)
+    traj = integrate_homotopy(prob, 0.25, grid, snapshot_times=snapshot_times)
+    assert len(traj.snapshots) == len(snapshot_times)
+    assert sorted(built) == [grid.n_nodes, 4 * grid.n_nodes, 4 * grid.n_nodes]
 
 
 def test_bad_steps_rejected(grid1, p1_1d):

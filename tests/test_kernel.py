@@ -166,12 +166,12 @@ def test_no_overflow_for_extreme_exponents(grid1, p1_1d):
 def _node_major_reference(ke, psi, t):
     """The three blocks by the node-major (M, N) formulas the fused sweep
     replaced: one softmax over all nodes, then per-block reductions."""
-    cost = ke.cost.T
+    cost = ke.cells.cost.T
     expo = (psi[None, :] - ke.offsets[None, :] - t * cost) / (1.0 - t)
     expo -= expo.max(axis=1, keepdims=True)
     pi = np.exp(expo)
     pi /= pi.sum(axis=1, keepdims=True)
-    piw = ke.mu_weights[:, None] * pi
+    piw = ke.cells.node_mass[:, None] * pi
     col = piw.sum(axis=0)
     hess = (piw.T @ pi - np.diag(col)) / (1.0 - t)
     depth = psi[None, :] - ke.offsets[None, :] - cost

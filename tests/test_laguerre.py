@@ -8,13 +8,12 @@ from otpath import (
     TargetSet,
     build_grid,
     build_problem,
-    cell_measures,
+    capture_snapshot,
+    cell_operands,
     cells_1d,
     gaussian_bump_density,
-    label_field,
     power_cell_measures,
     sample_targets,
-    smoothed_cell_field,
     triple_intersection_check,
     uniform_density,
     unit_domain,
@@ -22,7 +21,7 @@ from otpath import (
 )
 from otpath.laguerre import (
     GridCells,
-    _node_labels,
+    IntervalCells,
     grid_labels,
     measure_jacobian,
 )
@@ -80,6 +79,13 @@ def test_cells_1d_rejects_higher_dim():
         cells_1d(np.zeros(2), two_d, unit_domain(2))
 
 
+def cell_measures(psi, problem, grid):
+    """Source-density cell masses at dual weights psi, on the route the
+    problem's targets and cost pick."""
+    cells = cell_operands(problem.targets, problem.mu, grid, problem.cost.exponent)
+    return power_cell_measures(np.asarray(psi, dtype=float) - problem.offsets, cells)
+
+
 def _grid_measures(psi, problem, grid):
     """cell_measures on the grid-label route, which 1-D quadratic cost skips."""
     cells = GridCells.build(problem.targets, grid, problem.mu)
@@ -106,7 +112,7 @@ def test_modes_agree_on_random_instances(dom1, grid1):
         targets = sample_targets(n, 1, box, seed=1000 + trial)
         psi = rng.uniform(-1.0, 1.0, n)
         density = uniform_density(dom1) if trial % 2 else gaussian_bump_density(dom1)
-        exact = power_cell_measures(psi, targets, dom1, density)
+        exact = power_cell_measures(psi, cell_operands(targets, density, grid1))
         coarse = GridCells.build(targets, grid1, density).masses(psi)
         refined = GridCells.build(targets, fine, density).masses(psi)
         assert np.abs(exact - coarse).max() <= 5e-3
@@ -146,15 +152,15 @@ def test_measure_jacobian_matches_finite_differences(dom1):
     targets = sample_targets(5, 1, dom1, seed=21)
     density = gaussian_bump_density(dom1)
     xi = rng.uniform(-0.2, 0.2, 5)
-    jac = measure_jacobian(xi, targets, dom1, density)
+    cells = IntervalCells(targets, dom1, density)
+    jac = measure_jacobian(xi, cells)
     step = 1e-6
     fd = np.zeros((5, 5))
     for k in range(5):
         e = np.zeros(5)
         e[k] = step
         fd[:, k] = (
-            power_cell_measures(xi + e, targets, dom1, density)
-            - power_cell_measures(xi - e, targets, dom1, density)
+            power_cell_measures(xi + e, cells) - power_cell_measures(xi - e, cells)
         ) / (2 * step)
     assert np.abs(jac - fd).max() <= 1e-6
     assert np.abs(jac - jac.T).max() <= 1e-12
@@ -162,7 +168,7 @@ def test_measure_jacobian_matches_finite_differences(dom1):
 
 
 def test_smoothed_field_weights(grid1, p1_1d):
-    field = smoothed_cell_field(np.zeros(4), 0.5, p1_1d, grid1)
+    field = capture_snapshot(ResidualSystem(p1_1d, grid1), np.zeros(4), 0.5)
     assert field.weights.shape == (grid1.n_nodes, 4)
     assert np.abs(field.weights.sum(axis=1) - 1.0).max() <= 1e-12
     assert field.labels.min() >= 0 and field.labels.max() < 4
@@ -170,7 +176,7 @@ def test_smoothed_field_weights(grid1, p1_1d):
 
 def test_smoothed_field_sharpens_to_labels(grid1, p1_1d):
     psi = np.array([0.1, 0.0, -0.2, 0.3])
-    field = smoothed_cell_field(psi, 1.0 - 1e-4, p1_1d, grid1)
+    field = capture_snapshot(ResidualSystem(p1_1d, grid1), psi, 1.0 - 1e-4)
     adjusted = (
         np.stack(
             [
@@ -190,15 +196,20 @@ def test_smoothed_field_sharpens_to_labels(grid1, p1_1d):
 
 def test_smoothed_field_single_target(grid1):
     prob = build_problem({"variant": "p1", "dim": 1, "targets": [[0.5]]})
-    field = smoothed_cell_field(np.zeros(1), 0.7, prob, grid1)
+    system = ResidualSystem(prob, grid1)
+    field = capture_snapshot(system, np.zeros(1), 0.7)
     assert np.all(field.weights == 1.0)
+    assert np.all(field.labels == 0)
     with pytest.raises(ValueError):
-        smoothed_cell_field(np.zeros(1), 1.0, prob, grid1)
+        capture_snapshot(system, np.zeros(1), -0.1)  # no softmax before t = 0
 
 
 def test_label_field_has_no_weights(grid1, p1_1d):
-    field = label_field(np.zeros(4), p1_1d, grid1)
+    system = ResidualSystem(p1_1d, grid1)
+    field = capture_snapshot(system, np.zeros(4), 1.0)
     assert field.weights is None
+    # the t = 1 labels are the kernel cells' labels at psi - offsets
+    assert np.array_equal(field.labels, grid_labels(np.zeros(4), system.kernel.cells))
 
 
 def test_unregularized_residual_single_target(grid1):
@@ -242,50 +253,57 @@ def test_triple_intersection_detects_meeting_point(grid1):
     assert triple_intersection_check(np.zeros(3), prob, grid1, eps=1e-6) == 0
 
 
-def test_grid_mode_requires_grid(dom1, dom2):
-    # the analytic route covers 1-D quadratic cost only; cubic cost and 2-D
-    # targets take grid labels and need a grid
+def test_cell_operands_route(dom1, dom2, grid1, grid2):
+    # the interval route covers 1-D quadratic cost only; cubic cost and 2-D
+    # targets take grid labels
     targets = TargetSet(points=np.array([[0.2], [0.6]]))
-    with pytest.raises(ConfigError):
-        power_cell_measures(
-            np.zeros(2), targets, dom1, uniform_density(dom1), cost_exponent=3.0
-        )
+    interval = cell_operands(targets, uniform_density(dom1), grid1)
+    assert isinstance(interval, IntervalCells) and interval.domain == dom1
+    assert power_cell_measures(np.zeros(2), interval) == pytest.approx([0.4, 0.6], abs=1e-15)
+    cubic = cell_operands(targets, uniform_density(dom1), grid1, cost_exponent=3.0)
+    assert isinstance(cubic, GridCells) and cubic.cost.shape == (2, grid1.n_nodes)
     planar = TargetSet(points=np.array([[0.2, 0.5], [0.6, 0.5]]))
+    grid_cells = cell_operands(planar, uniform_density(dom2), grid2)
+    assert isinstance(grid_cells, GridCells) and grid_cells.n == 2
+    assert grid_cells.spacing == pytest.approx(1.0 / (48 * 6))
     with pytest.raises(ConfigError):
-        power_cell_measures(np.zeros(2), planar, dom2, uniform_density(dom2))
-    with pytest.raises(ConfigError):
-        measure_jacobian(np.zeros(2), planar, dom2, uniform_density(dom2))
+        IntervalCells(planar, dom2, uniform_density(dom2))
 
 
-def test_node_labels_match_argmin_on_exact_ties():
+def test_grid_labels_match_argmin_on_exact_ties():
     # small integers make exact ties between targets common
     rng = np.random.default_rng(5)
     for n in (1, 2, 3, 7):
         cost = rng.integers(0, 4, size=(n, 500)).astype(float)
         weights = rng.integers(0, 3, size=n).astype(float)
         expected = np.argmin((cost - weights[:, None]).T, axis=1)
-        assert np.array_equal(_node_labels(cost, weights), expected)
+        targets = TargetSet(points=np.arange(n, dtype=float)[:, None])
+        cells = GridCells(targets=targets, cost=cost, node_mass=np.ones(500), spacing=1.0)
+        assert np.array_equal(grid_labels(weights, cells), expected)
 
 
 @pytest.mark.parametrize("dim, exponent", [(1, 2.0), (2, 2.0), (2, 3.0)])
 def test_grid_labels_match_argmin(dim, exponent):
     grid = build_grid(unit_domain(dim), 16, 4)
+    density = uniform_density(unit_domain(dim))
     rng = np.random.default_rng(dim)
     for trial in range(5):
         targets = sample_targets(6, dim, unit_domain(dim), seed=trial)
         weights = rng.uniform(-0.2, 0.2, 6)
-        costs = cost_matrix(grid.nodes, targets.points, exponent)
+        costs = cost_matrix(targets.points, grid.nodes, exponent).T
         expected = np.argmin(costs - weights[None, :], axis=1)
-        assert np.array_equal(grid_labels(weights, targets, grid, exponent), expected)
+        cells = GridCells.build(targets, grid, density, exponent)
+        assert np.array_equal(grid_labels(weights, cells), expected)
     # a node equidistant from two equal-weight targets goes to the lower index
     pair = TargetSet(points=np.array([[0.75] * dim, [0.25] * dim]))
     mid = build_grid(unit_domain(dim), 1, 3)  # the node at the box center
-    assert grid_labels(np.zeros(2), pair, mid, exponent)[(mid.n_nodes - 1) // 2] == 0
+    labels = grid_labels(np.zeros(2), GridCells.build(pair, mid, density, exponent))
+    assert labels[(mid.n_nodes - 1) // 2] == 0
 
 
 def _bincount_masses(weights, targets, grid, density):
     """Node-major argmin labels and bincount: the pre-target-major route."""
-    costs = cost_matrix(grid.nodes, targets.points, 2.0)
+    costs = cost_matrix(targets.points, grid.nodes, 2.0).T
     labels = np.argmin(costs - weights[None, :], axis=1)
     node_mass = grid.weights * density_eval(density, grid.nodes)
     return np.bincount(labels, weights=node_mass, minlength=targets.n)
@@ -309,7 +327,7 @@ def test_p4_2d_grid_cells_bit_identical_to_bincount(dom2):
         {"variant": "p4", "dim": 2, "n_targets": 6, "seed": 4, "rho": {"kind": "gauss"}}
     )
     system = ResidualSystem(prob, grid)
-    assert system.rho_cells.cost is system.kernel.cost  # quadratic: one matrix
+    assert system.rho_cells.cost is system.kernel.cells.cost  # quadratic: one matrix
     pts = prob.targets.points
     gaps = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
     step = max(1e-5, 2.0 * (1.0 / (24 * 6)) * float(gaps.max()))
@@ -317,12 +335,10 @@ def test_p4_2d_grid_cells_bit_identical_to_bincount(dom2):
     for _ in range(3):
         xi = rng.uniform(-0.1, 0.1, 6)
         expected = _bincount_masses(xi, prob.targets, grid, prob.rho)
-        for cells in (None, system.rho_cells):
-            got = power_cell_measures(
-                xi, prob.targets, dom2, prob.rho, grid=grid, cells=cells
-            )
+        for cells in (cell_operands(prob.targets, prob.rho, grid), system.rho_cells):
+            got = power_cell_measures(xi, cells)
             assert np.array_equal(got, expected)
-            jac = measure_jacobian(xi, prob.targets, dom2, prob.rho, grid=grid, cells=cells)
+            jac = measure_jacobian(xi, cells)
             assert np.array_equal(
                 jac, _bincount_jacobian(xi, prob.targets, grid, prob.rho, step)
             )

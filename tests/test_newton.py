@@ -6,6 +6,7 @@ from otpath import (
     KernelEvaluator,
     ResidualSystem,
     build_problem,
+    cell_operands,
     fixed_t_oracle,
     newton_1d,
     power_cell_measures,
@@ -63,6 +64,12 @@ def test_newton_requires_quadratic_1d(grid1):
     )
     with pytest.raises(ConfigError):
         newton_1d(prob_cubic)
+    # its equation, exp(-psi) = mu-cells(psi), is the t = 1 system of p1/p2
+    # only; for these p3/p4 problems its answer leaves a true residual of 0.26
+    # and 0.59
+    for extra in ({"variant": "p3", "anchor": [0.5]}, {"variant": "p4", "rho": {"kind": "gauss"}}):
+        with pytest.raises(ConfigError):
+            newton_1d(build_problem({"dim": 1, "n_targets": 4, "seed": 4, **extra}))
 
 
 def test_oracle_limit_at_zero(grid1):
@@ -129,7 +136,7 @@ def test_xi_star_symmetric(grid1):
             "rho": {"kind": "gauss"},
         }
     )
-    report = solve_xi_star(prob.targets, prob.rho, grid1)
+    report = solve_xi_star(cell_operands(prob.targets, prob.rho, grid1))
     assert report.converged
     assert np.allclose(report.psi, 0.0, atol=1e-10)
 
@@ -138,7 +145,7 @@ def test_xi_star_single_target(grid1):
     prob = build_problem(
         {"variant": "p4", "dim": 1, "targets": [[0.4]], "rho": {"kind": "uniform"}}
     )
-    report = solve_xi_star(prob.targets, prob.rho, grid1)
+    report = solve_xi_star(cell_operands(prob.targets, prob.rho, grid1))
     assert report.converged
     assert report.psi == pytest.approx(0.0, abs=1e-15)
 
@@ -148,9 +155,10 @@ def test_xi_star_equalizes_masses(grid1, seed):
     dom = unit_domain(1)
     targets = sample_targets(5, 1, dom, seed=seed)
     rho = gaussian_bump_density(dom)
-    report = solve_xi_star(targets, rho, grid1)
+    cells = cell_operands(targets, rho, grid1)
+    report = solve_xi_star(cells)
     assert report.converged
-    masses = power_cell_measures(report.psi, targets, dom, rho, grid=grid1)
+    masses = power_cell_measures(report.psi, cells)
     assert np.abs(masses - 0.2).max() <= 1e-8
     assert report.psi.mean() == pytest.approx(0.0, abs=1e-12)
 
@@ -159,12 +167,12 @@ def test_xi_star_permutation_equivariance(grid1):
     dom = unit_domain(1)
     targets = sample_targets(4, 1, dom, seed=9)
     rho = gaussian_bump_density(dom)
-    base = solve_xi_star(targets, rho, grid1).psi
+    base = solve_xi_star(cell_operands(targets, rho, grid1)).psi
     perm = np.array([2, 0, 3, 1])
     from otpath import TargetSet
 
     shuffled = TargetSet(points=targets.points[perm])
-    permuted = solve_xi_star(shuffled, rho, grid1).psi
+    permuted = solve_xi_star(cell_operands(shuffled, rho, grid1)).psi
     assert np.abs(permuted - base[perm]).max() <= 1e-10
 
 

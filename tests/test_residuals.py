@@ -5,6 +5,7 @@ from otpath import (
     NonFiniteValueError,
     ResidualSystem,
     build_problem,
+    cell_operands,
     power_cell_measures,
     unit_domain,
 )
@@ -59,9 +60,7 @@ def test_initial_state_p4(grid1):
     prob = _problem("p4", n=3)
     init = ResidualSystem(prob, grid1).initial_state()
     assert np.all(init.psi0 == 0.0)
-    masses = power_cell_measures(
-        -init.dpsi0, prob.targets, prob.domain, prob.rho, grid=grid1
-    )
+    masses = power_cell_measures(-init.dpsi0, cell_operands(prob.targets, prob.rho, grid1))
     assert np.abs(masses - 1.0 / 3.0).max() <= 1e-8
     assert init.dpsi0.mean() == pytest.approx(0.0, abs=1e-12)
 

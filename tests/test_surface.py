@@ -17,6 +17,9 @@ REMOVED = (
     "softmax_weights",
     "integrate_vector",
     "ode_rhs",
+    "cell_measures",
+    "smoothed_cell_field",
+    "label_field",
 )
 
 
