@@ -19,9 +19,7 @@ from .homotopy import (
 from .kernel import DualState, KernelEval, KernelEvaluator
 from .laguerre import (
     CellField,
-    LaguerreDiagram1D,
     cell_operands,
-    cells_1d,
     power_cell_measures,
     triple_intersection_check,
     unregularized_residual,
@@ -56,7 +54,6 @@ __all__ = [
     "InitialData",
     "KernelEval",
     "KernelEvaluator",
-    "LaguerreDiagram1D",
     "NearSingularJacobianError",
     "NewtonReport",
     "NonFiniteValueError",
@@ -73,7 +70,6 @@ __all__ = [
     "build_problem",
     "capture_snapshot",
     "cell_operands",
-    "cells_1d",
     "density_eval",
     "fixed_t_oracle",
     "gaussian_bump_density",

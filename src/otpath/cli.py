@@ -35,6 +35,7 @@ from .newton import fixed_t_oracle, newton_1d
 from .quadrature import build_grid
 
 SURROGATE_T = 1.0 - 1e-4  # fixed-t stand-in for the baseline in 2-D
+SNAPSHOT_ROWS = 1024  # snapshot CSV rows per block; bounds the writer's temporaries
 
 
 @dataclass
@@ -53,7 +54,6 @@ class ExperimentConfig:
     beta: float = DEFAULT_BETA
     quad_panels: int = None
     quad_order: int = None
-    boost_after: float = 0.9
     snapshot_times: tuple = ()
     run_newton: bool = False
     out_dir: str = "results"
@@ -128,15 +128,17 @@ def write_snapshot_csv(path, cell_field):
         + ["label"]
         + [f"pi_{j + 1}" for j in range(n)]
     )
-    lines = [header]
+    labels = cell_field.labels
     eye = np.eye(n)
-    weights = cell_field.weights if cell_field.weights is not None else eye[cell_field.labels]
-    for i in range(nodes.shape[0]):
-        row = [_format_float(v) for v in nodes[i]]
-        row.append(str(int(cell_field.labels[i]) + 1))  # labels exported 1-based
-        row.extend(_format_float(v) for v in weights[i])
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    # labels exported 1-based; '%.17g' % x formats exactly as _format_float
+    fmt = ",".join(["%.17g"] * dim + ["%d"] + ["%.17g"] * n) + "\n"
+    with open(path, "w") as out:
+        out.write(header + "\n")
+        for start in range(0, labels.size, SNAPSHOT_ROWS):
+            part = slice(start, start + SNAPSHOT_ROWS)
+            weights = eye[labels[part]] if cell_field.weights is None else cell_field.weights[part]
+            rows = np.hstack([nodes[part], labels[part, None] + 1.0, weights]).tolist()
+            out.write("".join(fmt % tuple(row) for row in rows))
 
 
 def _newton_block(problem, grid):
@@ -161,14 +163,15 @@ def _newton_block(problem, grid):
 
 def run_experiment(config):
     """Execute the sweep and write all artifacts; returns the summary rows."""
+    # every refusal comes before the output directory is created
+    tableau = rk3_tableau(config.alpha, config.beta)
+    grid = config.grid()
+    problems = [(n, build_problem(config.problem_config(n))) for n in config.n_list]
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    grid = config.grid()
-    tableau = rk3_tableau(config.alpha, config.beta)
     summary = {dt: {} for dt in config.dt_list}
 
-    for n in config.n_list:
-        problem = build_problem(config.problem_config(n))
+    for n, problem in problems:
         newton_block = _newton_block(problem, grid) if config.run_newton else None
         for dt in config.dt_list:
             stem = f"{config.variant}_{config.dim}d_n{n}_dt{dt:g}"
@@ -179,7 +182,6 @@ def run_experiment(config):
                     grid,
                     tableau=tableau,
                     snapshot_times=config.snapshot_times,
-                    boost_after=config.boost_after,
                 )
             except SolverError as exc:
                 summary[dt][n] = "NAN"
@@ -248,7 +250,6 @@ def _build_config(args):
         "beta": args.beta,
         "quad_panels": args.quad_panels,
         "quad_order": args.quad_order,
-        "boost_after": args.boost_after,
         "snapshot_times": _parse_list(args.snapshots, float) if args.snapshots else None,
         "out_dir": args.out,
     }
@@ -277,7 +278,6 @@ def _add_run_flags(sub):
     sub.add_argument("--beta", type=float)
     sub.add_argument("--quad-panels", type=int, dest="quad_panels")
     sub.add_argument("--quad-order", type=int, dest="quad_order")
-    sub.add_argument("--boost-after", type=float, dest="boost_after")
     sub.add_argument("--snapshots", help="comma-separated snapshot times")
     sub.add_argument("--newton", action="store_true", help="add the baseline block")
     sub.add_argument("--out", help="output directory")

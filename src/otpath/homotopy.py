@@ -23,7 +23,8 @@ from .residuals import ResidualSystem
 DEFAULT_ALPHA = 0.125
 DEFAULT_BETA = 0.25
 ORDER_TOL = 1e-12
-BOOST_FACTOR = 2  # panels-per-axis refinement of the stage grid past boost_after
+BOOST_AFTER = 0.9  # stage time from which the stage systems use the boosted grid
+BOOST_FACTOR = 2  # panels-per-axis refinement of the stage grid past BOOST_AFTER
 
 
 @dataclass(frozen=True)
@@ -130,26 +131,21 @@ class Trajectory:
 
 
 class _Flow:
-    """Right-hand side evaluations with an optional high-resolution regime.
+    """Right-hand side evaluations with a high-resolution regime near t = 1.
 
-    Near t = 1 the kernel integrands concentrate on cell boundaries; past
-    `boost_after` the stage systems are assembled on a grid refined by
+    Near t = 1 the kernel integrands concentrate on cell boundaries; from
+    BOOST_AFTER on the stage systems are assembled on a grid refined by
     BOOST_FACTOR to keep quadrature error below the step error.
     """
 
-    def __init__(self, problem, grid, boost_after=None):
+    def __init__(self, problem, grid):
         self.problem = problem
         self.base = ResidualSystem(problem, grid)
-        self.boost_after = boost_after
-        self.boosted = None
-        if boost_after is not None:
-            self.boosted = ResidualSystem(problem, refine_grid(grid, BOOST_FACTOR))
+        self.boosted = ResidualSystem(problem, refine_grid(grid, BOOST_FACTOR))
         self.deflate = problem.variant == "p4"
 
     def rhs(self, psi, t):
-        system = self.base
-        if self.boosted is not None and t >= self.boost_after:
-            system = self.boosted
+        system = self.boosted if t >= BOOST_AFTER else self.base
         ev = system.full(psi, t)
         return solve_dual_system(ev.jac, -ev.dt, deflate=self.deflate, t=t)
 
@@ -189,7 +185,6 @@ def integrate_homotopy(
     grid,
     tableau=None,
     snapshot_times=(),
-    boost_after=0.9,
 ):
     """Integrate the dual trajectory from t=0 to t=1 on a uniform lattice.
 
@@ -199,8 +194,6 @@ def integrate_homotopy(
     dt : step size; 1/dt must be an integer of at least 4.
     tableau : RKTableau, defaults to the (1/8, 1/4) member.
     snapshot_times : lattice times at which to export cell fields.
-    boost_after : start of the quadrature refinement regime near t=1;
-        None disables it.
 
     Returns a Trajectory whose report holds the t=1 residual, its sup-norm,
     the grid it was evaluated on (`grid` with 4x panels in 1-D, 2x in 2-D, so
@@ -216,7 +209,7 @@ def integrate_homotopy(
     snap_set = snapshot_steps(snapshot_times, steps)
 
     start = time.perf_counter()
-    flow = _Flow(problem, grid, boost_after=boost_after)
+    flow = _Flow(problem, grid)
     init = flow.base.initial_state()
     psi = init.psi0.copy()
     states = [DualState(t=0.0, psi=psi.copy())]

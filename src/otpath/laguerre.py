@@ -26,7 +26,7 @@ system the rho cells (on the kernel's matrix when both costs are quadratic),
 and snapshots label with the kernel's.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,25 +38,9 @@ from .model import (
     cost_matrix,
     density_eval,
     interval_mass,
-    uniform_density,
 )
 
 FD_STEP = 1e-5  # least central-difference step of the grid measure Jacobian
-
-
-@dataclass(frozen=True)
-class LaguerreDiagram1D:
-    """Interval cells in 1-D: sorted-order permutation, the N-1 cut points
-    (clipped to the domain, nondecreasing; equal cuts flag empty cells), and
-    the per-target masses in original target order."""
-
-    order: np.ndarray
-    boundaries: np.ndarray
-    measures: np.ndarray
-
-    def __post_init__(self):
-        for name in ("order", "boundaries", "measures"):
-            getattr(self, name).setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -73,72 +57,61 @@ class CellField:
             self.weights.setflags(write=False)
 
 
-def _sorted_cells(y, w, lo, hi):
-    """Exact interval cells for coordinate-sorted targets y with weights w.
-
-    Cell boundaries solve (x - y_i)^2 - w_i = (x - y_j)^2 - w_j pairwise.
-    Returns (cells, cuts): `cells` lists (sorted_index, a, b) for every
-    nonempty cell, in increasing position; `cuts` are the N-1 partition
-    points.  Non-adjacent domination (a weight large enough to swallow
-    neighbors) is handled by the max/min over all pairs, not just neighbors.
-    """
-    n = y.size
-    if n == 1:
-        return [(0, lo, hi)], np.empty(0)
-    diff = y[None, :] - y[:, None]  # y_j - y_i
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bnd = 0.5 * (y[:, None] + y[None, :]) + (w[:, None] - w[None, :]) / (2.0 * diff)
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    right = np.where(upper, bnd, np.inf).min(axis=1)
-    left = np.where(upper.T, bnd.T, -np.inf).max(axis=1)
-    starts = np.clip(np.maximum(left, lo), lo, hi)
-    ends = np.clip(np.minimum(right, hi), lo, hi)
-    cells = [(k, starts[k], ends[k]) for k in range(n) if starts[k] < ends[k]]
-    cuts = np.empty(n - 1)
-    cur = lo
-    ends_by_idx = {k: b for k, _, b in cells}
-    for k in range(n - 1):
-        cur = ends_by_idx.get(k, cur)
-        cuts[k] = cur
-    return cells, cuts
-
-
-def cells_1d(psi, targets, domain, density=None):
-    """1-D Laguerre diagram for quadratic cost; masses under `density`
-    (uniform on the domain when omitted)."""
-    if targets.dim != 1:
-        raise ConfigError("cells_1d requires 1-D targets")
-    if density is None:
-        density = uniform_density(domain)
-    psi = np.asarray(psi, dtype=float)
-    coords = targets.points[:, 0]
-    order = np.argsort(coords)
-    y = coords[order]
-    if np.any(np.diff(y) <= 0.0):
-        raise ConfigError("duplicate target coordinates")
-    cells, cuts = _sorted_cells(y, psi[order], domain.lower[0], domain.upper[0])
-    measures = np.zeros(targets.n)
-    for k, a, b in cells:
-        measures[order[k]] = interval_mass(density, a, b)
-    return LaguerreDiagram1D(order=order, boundaries=cuts, measures=measures)
-
-
 @dataclass(frozen=True)
 class IntervalCells:
     """Operands of exact interval cell masses: 1-D targets (quadratic cost),
-    the domain interval and the density."""
+    the domain interval and the density.
+
+    The coordinate sort does not depend on the weights, so it is done once
+    here: `order` sorts the targets into the coordinates `y`, and `lo`, `hi`
+    are the domain ends.
+    """
 
     targets: TargetSet
     domain: Domain
     density: DensitySpec
+    order: np.ndarray = field(init=False, repr=False, compare=False)
+    y: np.ndarray = field(init=False, repr=False, compare=False)
+    lo: float = field(init=False, repr=False, compare=False)
+    hi: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.targets.dim != 1:
             raise ConfigError("interval cells need 1-D targets")
+        coords = self.targets.points[:, 0]
+        order = np.argsort(coords)
+        y = coords[order]
+        order.setflags(write=False)
+        y.setflags(write=False)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "lo", self.domain.lower[0])
+        object.__setattr__(self, "hi", self.domain.upper[0])
 
     @property
     def n(self):
         return self.targets.n
+
+    def diagram(self, weights):
+        """Clipped (starts, ends) of every cell in sorted order; start >= end
+        marks an empty cell.
+
+        Cell boundaries solve (x - y_i)^2 - w_i = (x - y_j)^2 - w_j pairwise.
+        Non-adjacent domination (a weight large enough to swallow neighbors)
+        is handled by the max/min over all pairs, not just neighbors.
+        """
+        y, lo, hi = self.y, self.lo, self.hi
+        w = np.asarray(weights, dtype=float)[self.order]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bnd = 0.5 * (y[:, None] + y[None, :]) + (w[:, None] - w[None, :]) / (
+                2.0 * (y[None, :] - y[:, None])
+            )
+        upper = y[:, None] < y[None, :]  # the pairs j > i, as y increases strictly
+        right = np.where(upper, bnd, np.inf).min(axis=1)
+        left = np.where(upper.T, bnd, -np.inf).max(axis=1)  # bnd[i, j] == bnd[j, i] exactly
+        starts = np.minimum(np.maximum(left, lo), hi)
+        ends = np.maximum(np.minimum(right, hi), lo)
+        return starts, ends
 
 
 @dataclass(frozen=True)
@@ -206,7 +179,10 @@ def power_cell_measures(weights, cells):
     """Masses of the power cells of `weights` under the density of `cells`."""
     weights = np.asarray(weights, dtype=float)
     if isinstance(cells, IntervalCells):
-        return cells_1d(weights, cells.targets, cells.domain, cells.density).measures
+        starts, ends = cells.diagram(weights)
+        masses = np.zeros(cells.n)
+        masses[cells.order] = interval_mass(cells.density, starts, ends)
+        return masses
     return cells.masses(weights)
 
 
@@ -223,22 +199,19 @@ def measure_jacobian(weights, cells):
     weights = np.asarray(weights, dtype=float)
     n = cells.n
     if isinstance(cells, IntervalCells):
-        coords = cells.targets.points[:, 0]
-        order = np.argsort(coords)
-        y = coords[order]
-        lo, hi = cells.domain.lower[0], cells.domain.upper[0]
-        intervals, _ = _sorted_cells(y, weights[order], lo, hi)
+        starts, ends = cells.diagram(weights)
+        alive = np.flatnonzero(starts < ends)
+        left, right = alive[:-1], alive[1:]
+        cut = ends[left]
+        inner = (cells.lo < cut) & (cut < cells.hi)
+        left, right, cut = left[inner], right[inner], cut[inner]
+        gain = density_eval(cells.density, cut[:, None]) / (2.0 * (cells.y[right] - cells.y[left]))
+        i, j = cells.order[left], cells.order[right]  # each index at most once
         jac = np.zeros((n, n))
-        for (ka, _, end_a), (kb, _, _) in zip(intervals[:-1], intervals[1:]):
-            cut = end_a
-            if not lo < cut < hi:
-                continue
-            i, j = order[ka], order[kb]
-            gain = density_eval(cells.density, np.array([cut])) / (2.0 * abs(y[kb] - y[ka]))
-            jac[i, i] += gain
-            jac[j, j] += gain
-            jac[i, j] -= gain
-            jac[j, i] -= gain
+        jac[i, i] += gain
+        jac[j, j] += gain
+        jac[i, j] -= gain
+        jac[j, i] -= gain
         return jac
     pts = cells.targets.points
     gaps = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))

@@ -175,14 +175,15 @@ def density_eval(spec, x):
 
 
 def interval_mass(spec, a, b):
-    """Closed-form mass of a 1-D density on [a, b] (a <= b)."""
-    if b <= a:
-        return 0.0
+    """Closed-form mass of a 1-D density on [a, b], elementwise over arrays
+    of interval ends; zero where b <= a."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     if spec.kind == DENSITY_UNIFORM:
-        return spec.normalization * (b - a)
-    c = spec.center[0]
-    s = spec.sharpness
-    return spec.normalization * _gauss_axis_integral(a, b, c, s)
+        mass = spec.normalization * (b - a)
+    else:
+        mass = spec.normalization * _gauss_axis_integral(a, b, spec.center[0], spec.sharpness)
+    return np.where(b > a, mass, 0.0)
 
 
 @dataclass(frozen=True)

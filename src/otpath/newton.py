@@ -16,6 +16,7 @@ from .laguerre import IntervalCells, measure_jacobian, power_cell_measures
 from .linsolve import solve_dual_system
 from .residuals import ResidualSystem
 
+MAX_ITER = 100  # Newton updates before a solver reports non-convergence
 MAX_HALVINGS = 30
 
 
@@ -27,14 +28,14 @@ class NewtonReport:
     converged: bool
 
 
-def newton_1d(problem, psi0=None, tol=1e-8, max_iter=100):
+def newton_1d(problem, psi0=None, tol=1e-8):
     """Plain Newton iteration on the unregularized 1-D dual.
 
     Residual: exp(-psi_j) - mu(cell_j(psi)).  The Jacobian is analytic:
     interface points between adjacent nonempty cells contribute
     mu(x_ij) / (2|y_i - y_j|) off-diagonal, and the diagonal collects
     -exp(-psi_i) minus the row's interface terms.  Stops at sup-norm below
-    `tol` or after `max_iter` updates; divergence is reported, not raised.
+    `tol` or after MAX_ITER updates; divergence is reported, not raised.
     That is the t = 1 system of p1 and p2 only, so other variants, cubic cost
     and 2-D targets are refused.
     """
@@ -49,7 +50,7 @@ def newton_1d(problem, psi0=None, tol=1e-8, max_iter=100):
             return np.exp(-p) - power_cell_measures(p, cells)
 
     g = res(psi)
-    for k in range(max_iter):
+    for k in range(MAX_ITER):
         if np.abs(g).max() < tol:
             return NewtonReport(psi=psi, iterations=k, residual_sup=float(np.abs(g).max()), converged=True)
         with np.errstate(over="ignore"):
@@ -65,7 +66,7 @@ def newton_1d(problem, psi0=None, tol=1e-8, max_iter=100):
         if not np.all(np.isfinite(g)):
             return NewtonReport(psi=psi, iterations=k + 1, residual_sup=np.inf, converged=False)
     sup = float(np.abs(g).max())
-    return NewtonReport(psi=psi, iterations=max_iter, residual_sup=sup, converged=sup < tol)
+    return NewtonReport(psi=psi, iterations=MAX_ITER, residual_sup=sup, converged=sup < tol)
 
 
 def _newton_direction(jac, g, deflate):
@@ -88,7 +89,7 @@ def _newton_direction(jac, g, deflate):
     raise SolverError("Jacobian is singular beyond repair")
 
 
-def _damped_newton(evaluate, psi0, tol, max_iter, deflate=False, admissible=None):
+def _damped_newton(evaluate, psi0, tol, deflate=False, admissible=None):
     """Shared damped iteration: accept the full step if the sup-norm drops
     (and `admissible(g_trial, g_start)` holds, when given), otherwise halve
     it up to MAX_HALVINGS times.  `evaluate(psi)` returns the residual and a
@@ -98,7 +99,7 @@ def _damped_newton(evaluate, psi0, tol, max_iter, deflate=False, admissible=None
     g, jacobian = evaluate(psi)
     g_start = g
     sup = float(np.abs(g).max())
-    for k in range(max_iter):
+    for k in range(MAX_ITER):
         if sup < tol:
             return NewtonReport(psi=psi, iterations=k, residual_sup=sup, converged=True)
         try:
@@ -120,18 +121,16 @@ def _damped_newton(evaluate, psi0, tol, max_iter, deflate=False, admissible=None
             scale *= 0.5
         else:
             return NewtonReport(psi=psi, iterations=k, residual_sup=sup, converged=False)
-    return NewtonReport(psi=psi, iterations=max_iter, residual_sup=sup, converged=sup < tol)
+    return NewtonReport(psi=psi, iterations=MAX_ITER, residual_sup=sup, converged=sup < tol)
 
 
-def fixed_t_oracle(problem, t, tol=1e-10, grid=None, psi0=None, max_iter=100):
+def fixed_t_oracle(problem, t, grid, tol=1e-10, psi0=None):
     """Damped Newton on the fixed-t residual; independent of the ODE path.
 
     Warm-startable through psi0; the default start extrapolates the
     closed-form initial data to time t.  Each trial point costs one
     `ResidualSystem.full`; its Jacobian is assembled only if it is accepted.
     """
-    if grid is None:
-        raise ConfigError("fixed_t_oracle needs a quadrature grid")
     system = ResidualSystem(problem, grid)
     if psi0 is None:
         init = system.initial_state()
@@ -141,10 +140,10 @@ def fixed_t_oracle(problem, t, tol=1e-10, grid=None, psi0=None, max_iter=100):
         ev = system.full(psi, t)
         return ev.g, lambda: ev.jac
 
-    return _damped_newton(evaluate, psi0, tol, max_iter, deflate=problem.variant == "p4")
+    return _damped_newton(evaluate, psi0, tol, deflate=problem.variant == "p4")
 
 
-def solve_xi_star(cells, tol=1e-8, max_iter=100):
+def solve_xi_star(cells, tol=1e-8):
     """Weights whose power cells split the density of `cells` (the operands
     from `laguerre.cell_operands`) into N equal masses.
 
@@ -167,6 +166,6 @@ def solve_xi_star(cells, tol=1e-8, max_iter=100):
         return g.min() >= 0.5 * min(float(g_start.min()), 0.0) - 0.5 / n
 
     report = _damped_newton(
-        evaluate, np.zeros(n), tol, max_iter, deflate=True, admissible=above_floor
+        evaluate, np.zeros(n), tol, deflate=True, admissible=above_floor
     )
     return replace(report, psi=report.psi - report.psi.mean())

@@ -3,8 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from otpath import ConfigError, build_grid, build_problem, unit_domain, unregularized_residual
-from otpath.cli import ExperimentConfig, main, run_experiment
+from otpath import (
+    ConfigError,
+    ResidualSystem,
+    build_grid,
+    build_problem,
+    capture_snapshot,
+    integrate_homotopy,
+    unit_domain,
+    unregularized_residual,
+)
+from otpath.cli import ExperimentConfig, main, run_experiment, write_snapshot_csv
 
 
 def _read(path):
@@ -85,6 +94,38 @@ def test_snapshots_written(tmp_path):
     assert header == "x1,label,pi_1,pi_2"
     labels = {int(line.split(",")[1]) for line in snaps[0].read_text().splitlines()[1:]}
     assert labels <= {1, 2}  # exported labels are 1-based
+    # the bytes match a one-field-at-a-time writer, for a softmax snapshot
+    # and for a t = 1 label snapshot
+    problem = build_problem(config.problem_config(2))
+    traj = integrate_homotopy(problem, 0.25, config.grid(), snapshot_times=(0.5, 1.0))
+    for t_snap, fld in traj.snapshots:
+        assert (fld.weights is None) == (t_snap == 1.0)
+        written = (tmp_path / f"p1_1d_n2_dt0.25_t{t_snap:g}_cells.csv").read_bytes()
+        assert written == _reference_snapshot_bytes(fld)
+
+
+def _reference_snapshot_bytes(cell_field):
+    """Snapshot CSV bytes built one formatted field at a time."""
+    nodes, labels, weights = cell_field.nodes, cell_field.labels, cell_field.weights
+    n = weights.shape[1] if weights is not None else int(labels.max()) + 1
+    if weights is None:
+        weights = np.eye(n)[labels]
+    header = [f"x{k + 1}" for k in range(nodes.shape[1])] + ["label"]
+    lines = [",".join(header + [f"pi_{j + 1}" for j in range(n)])]
+    for x, label, w in zip(nodes, labels, weights):
+        fields = [f"{v:.17g}" for v in x] + [str(int(label) + 1)] + [f"{v:.17g}" for v in w]
+        lines.append(",".join(fields))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_snapshot_bytes_in_2d(tmp_path):
+    problem = build_problem({"variant": "p1", "dim": 2, "n_targets": 3, "seed": 4})
+    system = ResidualSystem(problem, build_grid(unit_domain(2), 3, 2))
+    psi = np.array([0.1, -0.2, 0.05])
+    for t in (0.4, 1.0):
+        fld = capture_snapshot(system, psi, t)
+        write_snapshot_csv(tmp_path / "snap.csv", fld)
+        assert (tmp_path / "snap.csv").read_bytes() == _reference_snapshot_bytes(fld)
 
 
 def test_newton_block_recorded(tmp_path):
@@ -177,6 +218,10 @@ BAD_INPUTS = [
     pytest.param(["run", "--n", ","], None, 1, "n_list", id="n-empty"),
     pytest.param(["run", "--dt", ","], None, 1, "dt_list", id="dt-empty"),
     pytest.param(["run", "--alpha", "nan"], None, 1, "tableau", id="alpha-nan"),
+    pytest.param(["run", "--alpha", "0"], None, 1, "tableau", id="alpha-0"),
+    pytest.param(["run", "--boost-after", "0.5"], None, 1, None, id="boost-after-flag"),
+    pytest.param(["run"], {"boost_after": 0.9}, 1, "boost_after", id="config-boost-after"),
+    pytest.param(["run"], {"variant": "p7"}, 1, "variant", id="config-variant-unknown"),
     pytest.param(["run"], {"dim": 3}, 1, None, id="config-dim-3"),
     pytest.param(["run"], {"quad_panels": 0}, 1, None, id="config-quad-panels-0"),
     pytest.param(["run"], {"quad_order": 2.5}, 1, None, id="config-quad-order-float"),
@@ -209,6 +254,7 @@ def test_bad_inputs_exit_with_documented_code(tmp_path, capsys, argv, config, co
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and err.startswith("configuration error: ")
     assert needle is None or needle in err
+    assert not (tmp_path / "out").exists()  # a refused run writes nothing
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["verify", "--help"]])

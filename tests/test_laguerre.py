@@ -10,7 +10,6 @@ from otpath import (
     build_problem,
     capture_snapshot,
     cell_operands,
-    cells_1d,
     gaussian_bump_density,
     power_cell_measures,
     sample_targets,
@@ -29,27 +28,42 @@ from otpath.model import cost_matrix, density_eval
 from otpath.residuals import ResidualSystem
 
 
+def _interval_diagram(psi, targets, domain):
+    """Interval operands under the uniform density, the (starts, ends) of
+    their sorted cells at weights psi, and the per-target masses."""
+    cells = IntervalCells(targets, domain, uniform_density(domain))
+    starts, ends = cells.diagram(psi)
+    return cells, starts, ends, power_cell_measures(psi, cells)
+
+
+def _alive_ends(starts, ends):
+    """Right ends of the nonempty sorted cells: the interfaces, then the
+    domain end."""
+    return ends[starts < ends]
+
+
 def test_symmetric_boundary(dom1):
     targets = TargetSet(points=np.array([[0.0], [1.0]]))
-    diag = cells_1d(np.zeros(2), targets, dom1)
-    assert diag.boundaries == pytest.approx([0.5], abs=1e-15)
+    _, starts, ends, _ = _interval_diagram(np.zeros(2), targets, dom1)
+    assert _alive_ends(starts, ends) == pytest.approx([0.5, 1.0], abs=1e-15)
 
 
 def test_weighted_boundary_shift(dom1):
     # solving (x-0)^2 - d = (x-1)^2 by hand gives x = 1/2 + d/2
     targets = TargetSet(points=np.array([[0.0], [1.0]]))
     for delta in (0.1, -0.3, 0.42):
-        diag = cells_1d(np.array([delta, 0.0]), targets, dom1)
-        assert diag.boundaries == pytest.approx([0.5 + delta / 2], abs=1e-14)
+        _, starts, ends, _ = _interval_diagram(np.array([delta, 0.0]), targets, dom1)
+        assert _alive_ends(starts, ends) == pytest.approx([0.5 + delta / 2, 1.0], abs=1e-14)
 
 
 def test_dominant_middle_cell_absorbs_neighbors(dom1):
     targets = TargetSet(points=np.array([[0.1], [0.2], [0.9]]))
-    diag = cells_1d(np.array([0.0, 50.0, 0.0]), targets, dom1)
-    assert np.all(np.diff(diag.boundaries) >= 0.0)
-    assert diag.measures[1] == pytest.approx(1.0, abs=1e-12)
-    assert diag.measures[0] == 0.0 and diag.measures[2] == 0.0
-    assert diag.measures.sum() == pytest.approx(1.0, abs=1e-12)
+    _, starts, ends, measures = _interval_diagram(np.array([0.0, 50.0, 0.0]), targets, dom1)
+    assert np.all(np.diff(ends) >= 0.0)
+    assert list(starts < ends) == [False, True, False]
+    assert measures[1] == pytest.approx(1.0, abs=1e-12)
+    assert measures[0] == 0.0 and measures[2] == 0.0
+    assert measures.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_nonadjacent_domination(dom1):
@@ -57,26 +71,41 @@ def test_nonadjacent_domination(dom1):
     # above 0.05 does) while leaving the left cell alive; the surviving
     # interface is the 0-2 bisector at 0.35 + (0 - 0.2) / (2 * 0.5) = 0.15
     targets = TargetSet(points=np.array([[0.1], [0.5], [0.6]]))
-    diag = cells_1d(np.array([0.0, 0.0, 0.2]), targets, dom1)
-    assert diag.measures[1] == 0.0
-    assert diag.measures.sum() == pytest.approx(1.0, abs=1e-12)
-    assert diag.measures[0] == pytest.approx(0.15, abs=1e-12)
-    assert diag.measures[2] == pytest.approx(0.85, abs=1e-12)
+    _, starts, ends, measures = _interval_diagram(np.array([0.0, 0.0, 0.2]), targets, dom1)
+    assert _alive_ends(starts, ends) == pytest.approx([0.15, 1.0], abs=1e-12)
+    assert measures[1] == 0.0
+    assert measures.sum() == pytest.approx(1.0, abs=1e-12)
+    assert measures[0] == pytest.approx(0.15, abs=1e-12)
+    assert measures[2] == pytest.approx(0.85, abs=1e-12)
+    # the only interface joins targets 0 and 2; the emptied cell has none
+    cells = IntervalCells(targets, dom1, uniform_density(dom1))
+    jac = measure_jacobian(np.array([0.0, 0.0, 0.2]), cells)
+    assert np.all(jac[1] == 0.0) and np.all(jac[:, 1] == 0.0)
+    assert jac[0, 2] == pytest.approx(-1.0 / (2 * 0.5), abs=1e-15)
 
 
 def test_unsorted_targets_handled(dom1):
     # construction order differs from coordinate order; the permutation tracks it
     targets = TargetSet(points=np.array([[0.7], [0.3]]))
-    diag = cells_1d(np.array([0.0, 0.0]), targets, dom1)
-    assert list(diag.order) == [1, 0]
-    assert diag.boundaries == pytest.approx([0.5], abs=1e-15)
-    assert diag.measures == pytest.approx([0.5, 0.5], abs=1e-12)
+    cells, starts, ends, measures = _interval_diagram(np.array([0.0, 0.0]), targets, dom1)
+    assert list(cells.order) == [1, 0]
+    assert _alive_ends(starts, ends) == pytest.approx([0.5, 1.0], abs=1e-15)
+    assert measures == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
-def test_cells_1d_rejects_higher_dim():
+def test_single_target_diagram_is_the_domain():
+    box = Domain(lower=(-0.5,), upper=(2.0,))
+    single = TargetSet(points=[[0.4]])
+    cells, starts, ends, measures = _interval_diagram(np.array([3.0]), single, box)
+    assert (starts[0], ends[0]) == (-0.5, 2.0)
+    assert measures == pytest.approx([1.0], abs=1e-15)
+    assert np.array_equal(measure_jacobian(np.array([3.0]), cells), np.zeros((1, 1)))
+
+
+def test_interval_cells_reject_higher_dim():
     two_d = TargetSet(points=np.array([[0.3, 0.0], [0.3, 1.0]]))
     with pytest.raises(ConfigError):
-        cells_1d(np.zeros(2), two_d, unit_domain(2))
+        IntervalCells(two_d, unit_domain(2), uniform_density(unit_domain(2)))
 
 
 def cell_measures(psi, problem, grid):

@@ -173,6 +173,9 @@ def test_interval_mass_matches_quadrature(dom1, grid1):
     )
     assert direct == pytest.approx(masked, abs=1e-3)
     assert interval_mass(bump, 0.7, 0.2) == 0.0
+    # elementwise over arrays of ends, zero on empty and reversed intervals
+    masses = interval_mass(bump, np.array([0.2, 0.7, 0.3]), np.array([0.7, 0.2, 0.3]))
+    assert masses.tolist() == [direct, 0.0, 0.0]
     uni = uniform_density(dom1)
     assert interval_mass(uni, 0.25, 0.75) == pytest.approx(0.5, abs=1e-15)
 

@@ -16,6 +16,7 @@ from otpath import (
     unit_domain,
     unregularized_residual,
 )
+from otpath import newton
 
 
 def test_single_target_is_immediate(grid1):
@@ -38,7 +39,9 @@ def test_stopping_rule_defaults(grid1, mirror_pair):
 
     sig = inspect.signature(newton_1d)
     assert sig.parameters["tol"].default == 1e-8
-    assert sig.parameters["max_iter"].default == 100
+    assert newton.MAX_ITER == 100
+    for solver in (newton_1d, fixed_t_oracle, solve_xi_star):
+        assert "max_iter" not in inspect.signature(solver).parameters
 
 
 def test_divergence_reported_not_raised(grid1):

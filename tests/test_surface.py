@@ -20,6 +20,8 @@ REMOVED = (
     "cell_measures",
     "smoothed_cell_field",
     "label_field",
+    "cells_1d",
+    "LaguerreDiagram1D",
 )
 
 
