@@ -41,9 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteValueError
-from .laguerre import GridCells
-
-CHUNK_NODES = 4096  # nodes per sweep chunk: (N, CHUNK_NODES) temporaries stay in cache
+from .laguerre import CHUNK_NODES, GridCells
 
 
 @dataclass(frozen=True)

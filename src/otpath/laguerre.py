@@ -16,6 +16,9 @@ returns carry the choice:
 they are given; there is no option to choose.  The interval route is exact up
 to rounding; the grid route carries an O(node spacing) boundary error, which
 is why it is never used where the acceptance tolerances are tighter than that.
+Interval operands keep their last diagram, so the masses and the Jacobian at
+one weight vector cost one diagram.  The grid Jacobian is a central
+difference formed from the nodes that change owner, not from 2N label sweeps.
 
 `grid_labels` is the one label routine: a running minimum over the N rows of
 the target-major (N, M) cost matrix, each pass vectorized along the nodes.  A
@@ -41,6 +44,7 @@ from .model import (
 )
 
 FD_STEP = 1e-5  # least central-difference step of the grid measure Jacobian
+CHUNK_NODES = 4096  # nodes per sweep chunk: (N, CHUNK_NODES) temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -74,6 +78,7 @@ class IntervalCells:
     y: np.ndarray = field(init=False, repr=False, compare=False)
     lo: float = field(init=False, repr=False, compare=False)
     hi: float = field(init=False, repr=False, compare=False)
+    _last: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.targets.dim != 1:
@@ -113,6 +118,15 @@ class IntervalCells:
         ends = np.maximum(np.minimum(right, hi), lo)
         return starts, ends
 
+    def _last_diagram(self, weights):
+        """`diagram`, kept for the last weights: callers read the masses and
+        then the Jacobian at one point, and the pair should cost one diagram."""
+        last = self._last
+        if last is None or not np.array_equal(last[0], weights):
+            last = (weights.copy(), self.diagram(weights))
+            object.__setattr__(self, "_last", last)
+        return last[1]
+
 
 @dataclass(frozen=True)
 class GridCells:
@@ -124,10 +138,13 @@ class GridCells:
     cost: np.ndarray
     node_mass: np.ndarray
     spacing: float
+    _cost_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.cost.setflags(write=False)
         self.node_mass.setflags(write=False)
+        bound = max(self.cost.max(initial=0.0), -self.cost.min(initial=0.0))
+        object.__setattr__(self, "_cost_max", float(bound))
 
     @property
     def n(self):
@@ -179,7 +196,7 @@ def power_cell_measures(weights, cells):
     """Masses of the power cells of `weights` under the density of `cells`."""
     weights = np.asarray(weights, dtype=float)
     if isinstance(cells, IntervalCells):
-        starts, ends = cells.diagram(weights)
+        starts, ends = cells._last_diagram(weights)
         masses = np.zeros(cells.n)
         masses[cells.order] = interval_mass(cells.density, starts, ends)
         return masses
@@ -191,15 +208,18 @@ def measure_jacobian(weights, cells):
 
     Interval cells: each interface point between consecutive nonempty cells
     i, j contributes density(x_ij) / (2|y_i - y_j|) on the diagonal and its
-    negative off-diagonal.  Grid cells: central differences of grid-label
-    masses; the step is widened from FD_STEP so cell boundaries move by at
-    least one node spacing, because grid-label masses are piecewise constant
-    below that scale.
+    negative off-diagonal.  Grid cells: symmetrized central differences of
+    grid-label masses; the step is widened from FD_STEP so cell boundaries
+    move by at least one node spacing, because grid-label masses are
+    piecewise constant below that scale.  Column k is formed from the nodes
+    that change owner under +-step on weight k, found in one pass with the
+    float expressions and tie rule of the perturbed label sweeps: it sums
+    their masses instead of subtracting two full-cell totals.
     """
     weights = np.asarray(weights, dtype=float)
     n = cells.n
     if isinstance(cells, IntervalCells):
-        starts, ends = cells.diagram(weights)
+        starts, ends = cells._last_diagram(weights)
         alive = np.flatnonzero(starts < ends)
         left, right = alive[:-1], alive[1:]
         cut = ends[left]
@@ -216,14 +236,60 @@ def measure_jacobian(weights, cells):
     pts = cells.targets.points
     gaps = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
     step = max(FD_STEP, 2.0 * cells.spacing * float(gaps.max()))
-    jac = np.zeros((n, n))
-    for k in range(n):
-        bump = np.zeros(n)
-        bump[k] = step
-        plus = cells.masses(weights + bump)
-        minus = cells.masses(weights - bump)
-        jac[:, k] = (plus - minus) / (2.0 * step)
+    # A node can change owner only where a second row lies within step of
+    # its minimum.  Rounding moves a perturbed value off its exact shift by a
+    # few ulps of |cost| + |weights| + step; the slack is over 1e3 times that.
+    reach = step + 1e-12 * (cells._cost_max + np.abs(weights).max() + step)
+    nodes = _boundary_nodes(weights, cells, reach)
+    pos = np.arange(nodes.size)
+    cost = cells.cost[:, nodes]
+    cand = cost - weights[:, None]
+    owner = cand.argmin(axis=0)  # lowest index on ties, as in grid_labels
+    best = cand[owner, pos]
+    cand[owner, pos] = np.inf
+    runner = cand.argmin(axis=0)  # lowest index over the other rows
+    second = cand[runner, pos]
+    # +step on row k: k takes the node iff fl(cost_k - fl(w_k + step)) beats
+    # the owner's value, ties going to the lower index as in grid_labels.
+    raised = cost - (weights + step)[:, None]
+    ranks = np.arange(n)[:, None]
+    gain = (raised < best) | ((raised == best) & (ranks < owner))
+    gain[owner, pos] = False
+    # -step on the owner: it keeps the node iff it still beats the runner-up.
+    lowered = cost[owner, pos] - (weights[owner] - step)
+    lose = ~((lowered < second) | ((lowered == second) & (owner < runner)))
+    # Column k of plus - minus: each moved node's mass enters row k with +
+    # and the row it left (plus) or went to (minus) with -.  Every entry
+    # sums its +step moves, then its -step moves, each in node order.
+    k, at = np.nonzero(gain)
+    mass = cells.node_mass[nodes]
+    rows = np.concatenate([k, owner[at], owner[lose], runner[lose]])
+    cols = np.concatenate([k, k, owner[lose], owner[lose]])
+    moved = np.concatenate([mass[at], -mass[at], mass[lose], -mass[lose]])
+    diff = np.bincount(rows * n + cols, weights=moved, minlength=n * n).reshape(n, n)
+    jac = diff / (2.0 * step)
     return 0.5 * (jac + jac.T)
+
+
+def _boundary_nodes(weights, cells, reach):
+    """Indices, in node order, of the nodes where a second row of
+    cost - weights lies within `reach` of the minimum: the only nodes whose
+    owner can change when one weight moves by less than `reach`.
+
+    A running minimum and runner-up value over the rows, chunked along the
+    nodes so the temporaries stay in cache.
+    """
+    found = []
+    for lo in range(0, cells.cost.shape[1], CHUNK_NODES):
+        block = cells.cost[:, lo : lo + CHUNK_NODES]
+        best = block[0] - weights[0]
+        second = np.full(best.size, np.inf)
+        for j in range(1, block.shape[0]):
+            cand = block[j] - weights[j]
+            np.minimum(second, np.maximum(best, cand), out=second)
+            np.minimum(best, cand, out=best)
+        found.append(lo + np.flatnonzero(second <= best + reach))
+    return np.concatenate(found)
 
 
 def unregularized_residual(problem, psi, grid):

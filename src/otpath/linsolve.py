@@ -8,14 +8,15 @@ adds a rank-one term on that direction, which pins the mean of the solution
 to (essentially) zero without touching the orthogonal complement.
 """
 
-import warnings
-
 import numpy as np
-from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs
 
 from .errors import NearSingularJacobianError
 
 RCOND_FLOOR = 1e-14  # condition estimate beyond 1e14 is treated as singular
+# The LAPACK routines behind scipy's lu_factor / lu_solve, without their
+# per-call wrapper overhead: factor, condition estimate, solve.
+_GETRF, _GECON, _GETRS = get_lapack_funcs(("getrf", "gecon", "getrs"), (np.zeros((1, 1)),))
 
 
 def solve_dual_system(mat, rhs, deflate=False, t=None):
@@ -30,13 +31,10 @@ def solve_dual_system(mat, rhs, deflate=False, t=None):
     if not np.all(np.isfinite(mat)) or not np.all(np.isfinite(rhs)):
         raise NearSingularJacobianError(t if t is not None else np.nan, "non-finite system")
     anorm = np.abs(mat).sum(axis=0).max()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)  # rcond guard below reports it
-        lu, piv = lu_factor(mat)
-    (gecon,) = get_lapack_funcs(("gecon",), (mat,))
-    rcond, info = gecon(lu, anorm, norm="1")
-    if info != 0 or not np.isfinite(rcond) or rcond < RCOND_FLOOR:
+    lu, piv, info = _GETRF(mat)  # info > 0: an exactly zero pivot
+    rcond, info_con = _GECON(lu, anorm, norm="1")
+    if info != 0 or info_con != 0 or not np.isfinite(rcond) or rcond < RCOND_FLOOR:
         raise NearSingularJacobianError(
             t if t is not None else np.nan, f"rcond={rcond:.3g}"
         )
-    return lu_solve((lu, piv), rhs)
+    return _GETRS(lu, piv, rhs)[0]

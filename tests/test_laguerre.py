@@ -11,6 +11,7 @@ from otpath import (
     capture_snapshot,
     cell_operands,
     gaussian_bump_density,
+    integrate_homotopy,
     power_cell_measures,
     sample_targets,
     triple_intersection_check,
@@ -18,12 +19,15 @@ from otpath import (
     unit_domain,
     unregularized_residual,
 )
+from otpath import laguerre
 from otpath.laguerre import (
+    FD_STEP,
     GridCells,
     IntervalCells,
     grid_labels,
     measure_jacobian,
 )
+from otpath import residuals
 from otpath.model import cost_matrix, density_eval
 from otpath.residuals import ResidualSystem
 
@@ -100,6 +104,19 @@ def test_single_target_diagram_is_the_domain():
     assert (starts[0], ends[0]) == (-0.5, 2.0)
     assert measures == pytest.approx([1.0], abs=1e-15)
     assert np.array_equal(measure_jacobian(np.array([3.0]), cells), np.zeros((1, 1)))
+
+
+def test_interval_diagram_kept_only_for_equal_weights(dom1):
+    # the caller's array may change in place between calls
+    targets = TargetSet(points=np.array([[0.2], [0.5], [0.9]]))
+    cells = IntervalCells(targets, dom1, uniform_density(dom1))
+    weights = np.array([0.0, 0.05, -0.02])
+    before = power_cell_measures(weights, cells)
+    weights[1] = 0.2
+    fresh = IntervalCells(targets, dom1, uniform_density(dom1))
+    assert np.array_equal(power_cell_measures(weights, cells), power_cell_measures(weights, fresh))
+    assert np.array_equal(measure_jacobian(weights, cells), measure_jacobian(weights, fresh))
+    assert not np.array_equal(before, power_cell_measures(weights, cells))
 
 
 def test_interval_cells_reject_higher_dim():
@@ -339,6 +356,7 @@ def _bincount_masses(weights, targets, grid, density):
 
 
 def _bincount_jacobian(weights, targets, grid, density, step):
+    """Central differences of full-cell totals: the 2N-sweep route."""
     n = targets.n
     jac = np.zeros((n, n))
     for k in range(n):
@@ -350,6 +368,38 @@ def _bincount_jacobian(weights, targets, grid, density, step):
     return 0.5 * (jac + jac.T)
 
 
+def _fd_step(cells):
+    pts = cells.targets.points
+    gaps = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+    return max(FD_STEP, 2.0 * cells.spacing * float(gaps.max()))
+
+
+def _moved_node_jacobian(weights, cells):
+    """Naive 2N-sweep reference of the grid measure Jacobian.
+
+    Labels every node by argmin at weights and at weights +- step on each
+    coordinate; column k sums, in node order, the masses of the nodes whose
+    label changed under +step, then those under -step: + on row k, - on the
+    row the node left (+step) or went to (-step)."""
+    n = cells.n
+    step = _fd_step(cells)
+    mass = cells.node_mass
+    base = np.argmin(cells.cost - weights[:, None], axis=0)
+    jac = np.zeros((n, n))
+    for k in range(n):
+        bump = np.zeros(n)
+        bump[k] = step
+        plus = np.argmin(cells.cost - (weights + bump)[:, None], axis=0)
+        minus = np.argmin(cells.cost - (weights - bump)[:, None], axis=0)
+        up = np.flatnonzero(plus != base)
+        down = np.flatnonzero(minus != base)
+        assert np.all(plus[up] == k) and np.all(base[down] == k)
+        rows = np.concatenate([np.full(up.size, k), base[up], np.full(down.size, k), minus[down]])
+        moved = np.concatenate([mass[up], -mass[up], mass[down], -mass[down]])
+        jac[:, k] = np.bincount(rows, weights=moved, minlength=n) / (2.0 * step)
+    return 0.5 * (jac + jac.T)
+
+
 def test_p4_2d_grid_cells_bit_identical_to_bincount(dom2):
     grid = build_grid(dom2, 24, 6)
     prob = build_problem(
@@ -357,23 +407,122 @@ def test_p4_2d_grid_cells_bit_identical_to_bincount(dom2):
     )
     system = ResidualSystem(prob, grid)
     assert system.rho_cells.cost is system.kernel.cells.cost  # quadratic: one matrix
-    pts = prob.targets.points
-    gaps = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
-    step = max(1e-5, 2.0 * (1.0 / (24 * 6)) * float(gaps.max()))
+    step = _fd_step(system.rho_cells)
     rng = np.random.default_rng(8)
     for _ in range(3):
         xi = rng.uniform(-0.1, 0.1, 6)
         expected = _bincount_masses(xi, prob.targets, grid, prob.rho)
+        totals = _bincount_jacobian(xi, prob.targets, grid, prob.rho, step)
         for cells in (cell_operands(prob.targets, prob.rho, grid), system.rho_cells):
             got = power_cell_measures(xi, cells)
             assert np.array_equal(got, expected)
             jac = measure_jacobian(xi, cells)
-            assert np.array_equal(
-                jac, _bincount_jacobian(xi, prob.targets, grid, prob.rho, step)
-            )
+            assert np.array_equal(jac, _moved_node_jacobian(xi, cells))
+            # the moved-node sums agree with differences of full-cell totals
+            assert np.abs(jac - totals).max() <= 1e-12
     cubic = build_problem(
         {"variant": "p4", "dim": 2, "n_targets": 6, "seed": 4, "rho": {"kind": "gauss"},
          "cost_exponent": 3}
     )
     cubic_cells = ResidualSystem(cubic, grid).rho_cells
     assert np.array_equal(cubic_cells.cost, GridCells.build(cubic.targets, grid, cubic.rho).cost)
+
+
+def test_grid_jacobian_runs_at_most_one_label_sweep(dom2, monkeypatch):
+    sweeps = []
+    original = laguerre.grid_labels
+
+    def counting(weights, cells):
+        sweeps.append(1)
+        return original(weights, cells)
+
+    monkeypatch.setattr(laguerre, "grid_labels", counting)
+    targets = sample_targets(6, 2, dom2, seed=3)
+    cells = GridCells.build(targets, build_grid(dom2, 8, 4), gaussian_bump_density(dom2))
+    measure_jacobian(np.random.default_rng(0).uniform(-0.1, 0.1, 6), cells)
+    assert len(sweeps) <= 1
+
+
+def _assert_matches_moved_node_reference(weights, cells):
+    jac = measure_jacobian(weights, cells)
+    assert np.array_equal(jac, _moved_node_jacobian(weights, cells))
+    return jac
+
+
+def test_grid_jacobian_matches_moved_node_reference_on_random_weights(dom1, dom2):
+    # bit-identity needs the same moved nodes on both sides: one node more
+    # or less shifts an entry by a whole node mass
+    rng = np.random.default_rng(11)
+    operands = []
+    for dim, exponent, n in ((2, 2.0, 2), (2, 2.0, 6), (2, 3.0, 5), (1, 3.0, 4), (2, 2.0, 9)):
+        dom = unit_domain(dim)
+        targets = sample_targets(n, dim, dom, seed=n)
+        grid = build_grid(dom, 8 if dim == 2 else 32, 4)
+        operands.append(GridCells.build(targets, grid, gaussian_bump_density(dom), exponent))
+    for trial in range(1000):
+        cells = operands[trial % len(operands)]
+        scale = (0.02, 0.2, 1.0)[trial % 3]
+        _assert_matches_moved_node_reference(rng.uniform(-scale, scale, cells.n), cells)
+
+
+def test_grid_jacobian_matches_reference_along_the_p4_2d_trajectory(dom2, monkeypatch):
+    # every stage Jacobian of the p4_2d benchmark run, base and boosted grids
+    prob = build_problem(
+        {"variant": "p4", "dim": 2, "n_targets": 6, "seed": 4, "rho": {"kind": "gauss"}}
+    )
+    calls = []
+    original = residuals.measure_jacobian
+
+    def recording(weights, cells):
+        calls.append((np.array(weights), cells))
+        return original(weights, cells)
+
+    monkeypatch.setattr(residuals, "measure_jacobian", recording)
+    integrate_homotopy(prob, 0.1, build_grid(dom2, 24, 6))
+    sizes = {cells.cost.shape[1] for _, cells in calls}
+    assert sizes == {20736, 82944}
+    for weights, cells in calls:
+        _assert_matches_moved_node_reference(weights, cells)
+
+
+def test_grid_jacobian_single_target_is_zero(dom2):
+    single = TargetSet(points=np.array([[0.3, 0.6]]))
+    cells = GridCells.build(single, build_grid(dom2, 8, 4), uniform_density(dom2))
+    jac = _assert_matches_moved_node_reference(np.array([0.4]), cells)
+    assert np.array_equal(jac, np.zeros((1, 1)))
+
+
+def test_grid_jacobian_with_empty_cells(dom2):
+    targets = sample_targets(5, 2, dom2, seed=2)
+    cells = GridCells.build(targets, build_grid(dom2, 8, 4), gaussian_bump_density(dom2))
+    step = _fd_step(cells)
+    weights = np.zeros(5)
+    cand = cells.cost - weights[:, None]
+    # target 0 just out of reach: empty, but +step on it takes nodes
+    weights[0] += (cand[0] - cand[1:].min(axis=0)).min() - 0.5 * step
+    assert power_cell_measures(weights, cells)[0] == 0.0
+    jac = _assert_matches_moved_node_reference(weights, cells)
+    assert jac[0, 0] > 0.0
+    # target 0 far out of reach: its row and column vanish
+    weights[0] = -10.0
+    jac = _assert_matches_moved_node_reference(weights, cells)
+    assert np.all(jac[0] == 0.0) and np.all(jac[:, 0] == 0.0)
+
+
+def test_grid_jacobian_on_exact_ties():
+    # small integer costs and weights with a dyadic step make exact ties
+    # between rows common, before and after each perturbation
+    rng = np.random.default_rng(5)
+    tied = 0
+    for n in (1, 2, 3, 7):
+        targets = TargetSet(points=np.arange(n, dtype=float)[:, None])
+        for spacing in (0.25, 0.5):
+            for _ in range(20):
+                cost = rng.integers(0, 4, size=(n, 500)).astype(float)
+                weights = rng.integers(0, 3, size=n).astype(float)
+                mass = rng.uniform(0.5, 1.5, 500)
+                cells = GridCells(targets=targets, cost=cost, node_mass=mass, spacing=spacing)
+                raised = cost - (weights + _fd_step(cells))[:, None]
+                tied += np.count_nonzero(raised == (cost - weights[:, None]).min(axis=0))
+                _assert_matches_moved_node_reference(weights, cells)
+    assert tied > 0

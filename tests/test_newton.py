@@ -17,6 +17,7 @@ from otpath import (
     unregularized_residual,
 )
 from otpath import newton
+from otpath.laguerre import IntervalCells
 
 
 def test_single_target_is_immediate(grid1):
@@ -199,3 +200,43 @@ def test_initialization_sensitivity_diagnostic(grid1):
         (not wild.converged) or wild.iterations > zero.iterations
         for _, zero, wild in rows
     )
+
+
+def _count_diagrams(monkeypatch):
+    calls = []
+    original = IntervalCells.diagram
+
+    def counting(self, weights):
+        calls.append(np.array(weights))
+        return original(self, weights)
+
+    monkeypatch.setattr(IntervalCells, "diagram", counting)
+    return calls
+
+
+def test_one_interval_diagram_per_point(mirror_pair, grid1, monkeypatch):
+    # masses and the measure Jacobian at one point share one diagram
+    diagrams = _count_diagrams(monkeypatch)
+    report = newton_1d(mirror_pair)
+    assert report.converged and report.iterations > 0
+    assert len(diagrams) == report.iterations + 1  # every Newton point is accepted
+
+    diagrams.clear()
+    points = []
+    original = newton.power_cell_measures
+
+    def recording(weights, cells):
+        points.append(np.array(weights))
+        return original(weights, cells)
+
+    monkeypatch.setattr(newton, "power_cell_measures", recording)
+    prob = build_problem({"variant": "p4", "dim": 1, "n_targets": 5, "seed": 3, "rho": {"kind": "gauss"}})
+    report = solve_xi_star(cell_operands(prob.targets, prob.rho, grid1))
+    assert report.converged and report.iterations > 0
+    # one diagram per trial point; the Jacobians at accepted ones add none
+    assert len(diagrams) == len(points)
+
+    diagrams.clear()
+    ev = ResidualSystem(prob, grid1).full(np.array([0.05, -0.02, 0.01, 0.0, -0.04]), 0.5)
+    assert np.isfinite(ev.g).all() and np.isfinite(ev.jac).all() and np.isfinite(ev.dt).all()
+    assert len(diagrams) == 1
