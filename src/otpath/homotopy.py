@@ -196,7 +196,8 @@ def integrate_homotopy(
     snapshot_times : lattice times at which to export cell fields.
 
     Returns a Trajectory whose report holds the t=1 residual, its sup-norm,
-    the grid it was evaluated on (`grid` with 4x panels in 1-D, 2x in 2-D, so
+    the grid it was evaluated on (`grid` with 4x panels in 1-D; in 2-D the
+    boosted stage grid, 2x panels, whose cells the run already holds; so
     label-based cell masses do not dominate the reported error), and the wall
     time of the integration loop plus terminal evaluation.
     """
@@ -237,8 +238,15 @@ def integrate_homotopy(
         if k + 1 in snap_set:
             snapshots.append((t1, capture_snapshot(flow.base, psi, t1)))
 
-    report_grid = refine_grid(grid, 4 if problem.dim == 1 else 2)
-    residual = unregularized_residual(problem, psi, report_grid)
+    if problem.dim == 1:
+        report_grid = refine_grid(grid, 4)
+        residual = unregularized_residual(problem, psi, report_grid)
+    else:  # the boosted grid is the report grid: its cells are built already
+        boosted = flow.boosted
+        report_grid = boosted.grid
+        residual = unregularized_residual(
+            problem, psi, report_grid, boosted.kernel.cells, boosted.rho_cells
+        )
     report = TerminalReport(
         psi=psi,
         residual=residual,

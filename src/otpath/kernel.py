@@ -14,7 +14,7 @@ Layout: the cost matrix is stored once per (grid, targets) pair, target-major
 with shape (N, M), so every per-node reduction (the softmax max and sum) runs
 across the N rows and stays vectorized along the long node axis.  It and the
 node masses are the source density's `laguerre.GridCells`, which snapshots
-label with too.
+label with and the 2-D terminal residual sweeps too.
 
 One sweep: `evaluate` passes over the nodes in chunks of CHUNK_NODES columns,
 so the temporaries stay in cache, and accumulates with piw = pi*w
@@ -32,8 +32,12 @@ where the second form uses sum_k S_jk = col_j.  It is the one computed: the
 a-terms and the C-terms of the first form each nearly cancel for t near 1,
 and (1-t)^-2 would amplify their separate rounding errors.
 
-All exponentials are shifted by the per-node maximum exponent before
-exponentiating; the raw formulas overflow for t close to 1.
+Passes per chunk: the exponents are formed as a/(1-t) - (t/(1-t))*C (one
+scale and one row shift), shifted by their per-node maximum, exponentiated,
+and normalized by multiplying with the reciprocal of the per-node sum.  Then
+piw, S (one matrix product), col (the row sums of piw), pi.C and spread (two
+`einsum` contractions, which form no product array) follow.  Shifting by the
+maximum is required: the raw exponentials overflow for t close to 1.
 """
 
 from dataclasses import dataclass
@@ -78,13 +82,13 @@ def _check_time(t):
 def _softmax(a, t, cost, out=None, peak=None):
     """Target-major softmax weights for the (N, m) cost block `cost`; `out`
     (N, m) and `peak` (m,) are optional scratch buffers."""
-    out = np.multiply(cost, -t, out=out)
-    out += a[:, None]
-    out /= 1.0 - t
+    out = np.multiply(cost, -t / (1.0 - t), out=out)
+    out += (a / (1.0 - t))[:, None]
     peak = np.max(out, axis=0, out=peak)
     out -= peak
     np.exp(out, out=out)
-    out /= np.sum(out, axis=0, out=peak)
+    total = np.sum(out, axis=0, out=peak)
+    out *= np.reciprocal(total, out=total)
     return out
 
 
@@ -145,15 +149,14 @@ class KernelEvaluator:
             pi = _softmax(a, t, cost, out=pi_buf[:, :k], peak=peak_buf[:k])
             piw = np.multiply(pi, w, out=piw_buf[:, :k])
             outer += piw @ pi.T
-            col += pi @ w
+            col += piw.sum(axis=1)
+            mean_cost = np.einsum("jm,jm->m", pi, cost)
             # pi is not needed past here: its buffer takes C_j - pi.C
-            mean_cost = np.multiply(pi, cost, out=pi).sum(axis=0)
             dev = np.subtract(cost, mean_cost, out=pi)
-            spread += np.multiply(dev, piw, out=dev).sum(axis=1)
+            spread += np.einsum("jm,jm->j", dev, piw)
         pull = (outer * (a[None, :] - a[:, None])).sum(axis=1)
         return KernelEval(
             grad=-col,
             hess=(outer - np.diag(col)) / (1.0 - t),
             dt_grad=(pull + spread) / (1.0 - t) ** 2,
         )
-

@@ -16,17 +16,24 @@ returns carry the choice:
 they are given; there is no option to choose.  The interval route is exact up
 to rounding; the grid route carries an O(node spacing) boundary error, which
 is why it is never used where the acceptance tolerances are tighter than that.
-Interval operands keep their last diagram, so the masses and the Jacobian at
-one weight vector cost one diagram.  The grid Jacobian is a central
-difference formed from the nodes that change owner, not from 2N label sweeps.
+Both kinds of operands keep their last evaluation, so the masses and the
+Jacobian at one weight vector cost one interval diagram or one pass over the
+cost matrix.  The grid Jacobian is a central difference formed from the
+nodes that change owner, not from 2N label sweeps.
 
-`grid_labels` is the one label routine: a running minimum over the N rows of
-the target-major (N, M) cost matrix, each pass vectorized along the nodes.  A
-row takes over a node only when strictly smaller, so ties go to the lowest
-index exactly as `np.argmin` resolves them.  A `GridCells` is built once per
-grid and then shared: the kernel holds the source-density cells, the residual
-system the rho cells (on the kernel's matrix when both costs are quadratic),
-and snapshots label with the kernel's.
+Grid passes: a `GridCells` holds the target-major (N, M) cost matrix and
+sweeps it in chunks of nodes, one row at a time, each pass vectorized along
+the nodes.  Per node it keeps the running minimum of cost - weights with its
+label, and the runner-up value.  A row takes over a node only when strictly
+smaller, so ties go to the lowest index exactly as `np.argmin` resolves them,
+and the masses are the bincount of those labels.  The nodes whose runner-up
+lies within the Jacobian's step of the minimum are the only ones that can
+change owner; the Jacobian gathers just their columns.  `grid_labels` is the
+same label rule for callers that want the labels themselves (snapshots).
+A `GridCells` is built once per grid and then shared: the kernel holds the
+source-density cells, the residual system the rho cells (on the kernel's
+matrix when both costs are quadratic), snapshots label with the kernel's,
+and the 2-D terminal residual reads both on the boosted grid.
 """
 
 from dataclasses import dataclass, field
@@ -44,7 +51,7 @@ from .model import (
 )
 
 FD_STEP = 1e-5  # least central-difference step of the grid measure Jacobian
-CHUNK_NODES = 4096  # nodes per sweep chunk: (N, CHUNK_NODES) temporaries stay in cache
+CHUNK_NODES = 8192  # nodes per sweep chunk: (N, CHUNK_NODES) temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -132,19 +139,22 @@ class IntervalCells:
 class GridCells:
     """Operands of grid-label cell masses for one (grid, targets, density,
     cost): the targets, the target-major (N, M) cost matrix, the
-    density-weighted node masses, and the largest node spacing of the grid."""
+    density-weighted node masses, and the largest node spacing of the grid.
+
+    Like `IntervalCells`, grid cells keep their last sweep, so the masses and
+    the Jacobian at one weight vector cost one pass over the matrix.
+    """
 
     targets: TargetSet
     cost: np.ndarray
     node_mass: np.ndarray
     spacing: float
-    _cost_max: float = field(init=False, repr=False, compare=False)
+    _cost_max: float = field(default=None, init=False, repr=False, compare=False)
+    _last: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.cost.setflags(write=False)
         self.node_mass.setflags(write=False)
-        bound = max(self.cost.max(initial=0.0), -self.cost.min(initial=0.0))
-        object.__setattr__(self, "_cost_max", float(bound))
 
     @property
     def n(self):
@@ -162,8 +172,64 @@ class GridCells:
         return cls(targets=targets, cost=cost, node_mass=node_mass, spacing=spacing)
 
     def masses(self, weights):
-        labels = grid_labels(weights, self)
-        return np.bincount(labels, weights=self.node_mass, minlength=self.n)
+        return self._last_sweep(weights)[0].copy()
+
+    def boundary_nodes(self, weights, step):
+        """Indices, in node order, of the nodes where a second row of
+        cost - weights lies within `step` of the minimum, widened by a
+        rounding slack: the only nodes whose owner can change when one weight
+        moves by `step`."""
+        _, best, second = self._last_sweep(weights)
+        # Rounding moves a perturbed value off its exact shift by a few ulps
+        # of |cost| + |weights| + step; the slack is over 1e3 times that.
+        reach = step + 1e-12 * (self._cost_max + np.abs(weights).max() + step)
+        return np.flatnonzero(second <= best + reach)
+
+    def _last_sweep(self, weights):
+        """`_sweep`, kept for the last weights: callers read the masses and
+        then the Jacobian at one point, and the pair should cost one pass."""
+        weights = np.asarray(weights, dtype=float)
+        last = self._last
+        if last is None or not np.array_equal(last[0], weights):
+            last = (weights.copy(), self._sweep(weights))
+            object.__setattr__(self, "_last", last)
+        return last[1]
+
+    def _sweep(self, weights):
+        """(masses, best, second) at `weights` from one chunked pass over the
+        rows: per node the running minimum of cost - weights with its argmin
+        label, and the runner-up value (+inf for one row).
+
+        Labels follow `grid_labels` exactly (a row takes a node only when
+        strictly smaller), so the masses are its bincount bit for bit.  The
+        first sweep also finds the largest |cost|, which the boundary slack
+        needs, while each chunk is in cache.
+        """
+        cost = self.cost
+        n, m = cost.shape
+        labels = np.zeros(m, dtype=np.intp)
+        best = np.empty(m)
+        second = np.full(m, np.inf)
+        cand = np.empty(min(m, CHUNK_NODES))
+        upper = np.empty_like(cand)
+        bound = 0.0
+        for lo in range(0, m, CHUNK_NODES):
+            block = cost[:, lo : lo + CHUNK_NODES]
+            if self._cost_max is None:
+                bound = max(bound, block.max(), -block.min())
+            span = slice(lo, lo + block.shape[1])
+            lab, low, run = labels[span], best[span], second[span]
+            c, hi = cand[: low.size], upper[: low.size]
+            np.subtract(block[0], weights[0], out=low)
+            for j in range(1, n):
+                np.subtract(block[j], weights[j], out=c)
+                lab[c < low] = j
+                np.minimum(run, np.maximum(low, c, out=hi), out=run)
+                np.minimum(low, c, out=low)
+        if self._cost_max is None:
+            object.__setattr__(self, "_cost_max", float(bound))
+        masses = np.bincount(labels, weights=self.node_mass, minlength=n)
+        return masses, best, second
 
 
 def grid_labels(weights, cells):
@@ -236,11 +302,7 @@ def measure_jacobian(weights, cells):
     pts = cells.targets.points
     gaps = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
     step = max(FD_STEP, 2.0 * cells.spacing * float(gaps.max()))
-    # A node can change owner only where a second row lies within step of
-    # its minimum.  Rounding moves a perturbed value off its exact shift by a
-    # few ulps of |cost| + |weights| + step; the slack is over 1e3 times that.
-    reach = step + 1e-12 * (cells._cost_max + np.abs(weights).max() + step)
-    nodes = _boundary_nodes(weights, cells, reach)
+    nodes = cells.boundary_nodes(weights, step)
     pos = np.arange(nodes.size)
     cost = cells.cost[:, nodes]
     cand = cost - weights[:, None]
@@ -271,28 +333,7 @@ def measure_jacobian(weights, cells):
     return 0.5 * (jac + jac.T)
 
 
-def _boundary_nodes(weights, cells, reach):
-    """Indices, in node order, of the nodes where a second row of
-    cost - weights lies within `reach` of the minimum: the only nodes whose
-    owner can change when one weight moves by less than `reach`.
-
-    A running minimum and runner-up value over the rows, chunked along the
-    nodes so the temporaries stay in cache.
-    """
-    found = []
-    for lo in range(0, cells.cost.shape[1], CHUNK_NODES):
-        block = cells.cost[:, lo : lo + CHUNK_NODES]
-        best = block[0] - weights[0]
-        second = np.full(best.size, np.inf)
-        for j in range(1, block.shape[0]):
-            cand = block[j] - weights[j]
-            np.minimum(second, np.maximum(best, cand), out=second)
-            np.minimum(best, cand, out=best)
-        found.append(lo + np.flatnonzero(second <= best + reach))
-    return np.concatenate(found)
-
-
-def unregularized_residual(problem, psi, grid):
+def unregularized_residual(problem, psi, grid, mu_cells=None, rho_cells=None):
     """Residual of the t = 1 optimality system; its sup-norm is the reported
     terminal error.
 
@@ -301,14 +342,18 @@ def unregularized_residual(problem, psi, grid):
     used everywhere).  For p4 the penalty term is also a cell mass: rho-cells
     of -psi under the quadratic inner cost, against mu-cells of psi under the
     outer cost; when the outer cost is quadratic too, both share one matrix.
+    `mu_cells` and `rho_cells` pass operands already built on `grid` (a
+    residual system's); the missing ones are built here.
     """
     psi = np.asarray(psi, dtype=float)
     exponent = problem.cost.exponent
-    mu_cells = cell_operands(problem.targets, problem.mu, grid, exponent)
+    if mu_cells is None:
+        mu_cells = cell_operands(problem.targets, problem.mu, grid, exponent)
     mu_mass = power_cell_measures(psi - problem.offsets, mu_cells)
     if problem.variant == "p4":
-        shared = mu_cells.cost if isinstance(mu_cells, GridCells) and exponent == 2.0 else None
-        rho_cells = cell_operands(problem.targets, problem.rho, grid, cost=shared)
+        if rho_cells is None:
+            shared = mu_cells.cost if isinstance(mu_cells, GridCells) and exponent == 2.0 else None
+            rho_cells = cell_operands(problem.targets, problem.rho, grid, cost=shared)
         penalty = power_cell_measures(-psi, rho_cells)
     else:
         penalty = np.exp(-psi)

@@ -1,11 +1,13 @@
 """Dense linear solves for the stage systems, with a condition guard.
 
-Systems are N x N with N <= 64, so LU with partial pivoting plus a LAPACK
-reciprocal-condition estimate costs nothing next to quadrature.  The
-Wasserstein-penalty variant's Jacobian is exactly singular along the all-ones
-direction (constant shifts of the dual weights change nothing); `deflate=True`
-adds a rank-one term on that direction, which pins the mean of the solution
-to (essentially) zero without touching the orthogonal complement.
+Systems are N x N for N targets.  LU with partial pivoting plus a LAPACK
+reciprocal-condition estimate costs O(N^3), small next to a stage's
+O(N x nodes) quadrature while N^2 stays below the node count; no limit on N
+is enforced.  The Wasserstein-penalty variant's Jacobian is exactly singular
+along the all-ones direction (constant shifts of the dual weights change
+nothing); `deflate=True` adds a rank-one term on that direction, which pins
+the mean of the solution to (essentially) zero without touching the
+orthogonal complement.
 """
 
 import numpy as np

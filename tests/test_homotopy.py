@@ -14,8 +14,10 @@ from otpath import (
     build_problem,
     integrate_homotopy,
     parabola_targets,
+    refine_grid,
     rk3_tableau,
     unit_domain,
+    unregularized_residual,
 )
 from otpath.linsolve import solve_dual_system
 from otpath.model import cost_matrix
@@ -258,8 +260,8 @@ def test_snapshot_capture(grid2):
     ids=["p1-snapshots", "p4"],
 )
 def test_one_cost_matrix_per_grid(monkeypatch, config, snapshot_times):
-    # the stage grid, the boosted grid and the report grid: the snapshots, the
-    # p4 rho cells and the terminal residual reuse the matrices of the run
+    # the stage grid and the boosted grid: the snapshots, the p4 rho cells and
+    # the terminal residual (on the boosted grid) reuse the matrices of the run
     grid = build_grid(unit_domain(2), 12, 4)
     prob = build_problem(config)
     built = []
@@ -273,7 +275,28 @@ def test_one_cost_matrix_per_grid(monkeypatch, config, snapshot_times):
             monkeypatch.setattr(module, "cost_matrix", counting)
     traj = integrate_homotopy(prob, 0.25, grid, snapshot_times=snapshot_times)
     assert len(traj.snapshots) == len(snapshot_times)
-    assert sorted(built) == [grid.n_nodes, 4 * grid.n_nodes, 4 * grid.n_nodes]
+    assert sorted(built) == [grid.n_nodes, 4 * grid.n_nodes]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"variant": "p1", "dim": 2, "targets": parabola_targets(4).points.tolist()},
+        {"variant": "p4", "dim": 2, "n_targets": 3, "seed": 4, "rho": {"kind": "gauss"}},
+    ],
+    ids=["p1", "p4"],
+)
+def test_2d_terminal_residual_equals_a_fresh_one_on_the_refined_grid(config):
+    # the run reads the boosted system's cells; from scratch on the same grid
+    # every operand is rebuilt, and the residual must not change by one bit
+    grid = build_grid(unit_domain(2), 12, 4)
+    prob = build_problem(config)
+    report = integrate_homotopy(prob, 0.25, grid).report
+    refined = refine_grid(grid, 2)
+    fresh = unregularized_residual(prob, report.psi, refined)
+    assert report.grid.n_nodes == refined.n_nodes
+    assert np.array_equal(report.residual, fresh)
+    assert report.error_sup == float(np.abs(fresh).max())
 
 
 def test_bad_steps_rejected(grid1, p1_1d):

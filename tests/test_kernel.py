@@ -190,8 +190,8 @@ def _rel_gap(got, ref):
     "dim, panels, order",
     [
         (1, 64, 8),  # 512 nodes: one partial chunk
-        (2, 12, 6),  # 5,184 nodes: a full chunk and a partial one
-        (2, 24, 6),  # 20,736 nodes
+        (2, 12, 6),  # 5,184 nodes: one partial chunk
+        (2, 24, 6),  # 20,736 nodes: full chunks and a partial one
     ],
 )
 def test_evaluate_matches_node_major_reference(dim, panels, order, variant, t):
@@ -222,3 +222,53 @@ def test_dual_state_validation():
     state = DualState(t=0.5, psi=np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         state.psi[0] = 3.0
+
+
+def _docstring_reference(ke, psi, t):
+    """The module docstring's formulas, unchunked and target-major: softmax
+    of the exponents a/(1-t) - (t/(1-t))*C per node, then S, col and spread
+    over all nodes.  Also returns, per block, the size of the terms its
+    formula adds up, the scale its rounding error is relative to."""
+    a = psi - ke.offsets
+    cost, w = ke.cells.cost, ke.cells.node_mass
+    expo = (a / (1.0 - t))[:, None] - (t / (1.0 - t)) * cost
+    pi = np.exp(expo - expo.max(axis=0))
+    pi /= pi.sum(axis=0)
+    piw = pi * w
+    outer = piw @ pi.T
+    col = piw.sum(axis=1)
+    dev = cost - (pi * cost).sum(axis=0)
+    spread = (piw * dev).sum(axis=1)
+    gaps = a[None, :] - a[:, None]
+    pull = (outer * gaps).sum(axis=1)
+    blocks = (-col, (outer - np.diag(col)) / (1.0 - t), (pull + spread) / (1.0 - t) ** 2)
+    terms = (
+        col.max(),
+        outer.max() / (1.0 - t),
+        ((outer * np.abs(gaps)).sum(axis=1) + (piw * np.abs(dev)).sum(axis=1)).max() / (1.0 - t) ** 2,
+    )
+    return blocks, terms
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 0.9, 0.99, 0.999])
+@pytest.mark.parametrize("variant", ["p1", "p3"])
+@pytest.mark.parametrize(
+    "dim, panels, order",
+    [
+        (1, 64, 8),  # 512 nodes: one partial chunk
+        (2, 12, 6),  # 5,184 nodes: one partial chunk
+        (2, 24, 6),  # 20,736 nodes: full chunks and a partial one
+    ],
+)
+def test_evaluate_matches_unchunked_docstring_formulas(dim, panels, order, variant, t):
+    # near t = 1 the Hessian diagonal and dt_grad are small differences of
+    # large terms, so the error is measured against the terms, not the result
+    grid = build_grid(unit_domain(dim), panels, order)
+    prob = _random_problem(6, dim=dim, seed=13, variant=variant)
+    ke = KernelEvaluator(prob, grid)
+    for seed in range(3):
+        psi = prob.offsets + np.random.default_rng(seed).uniform(-0.2, 0.2, 6)
+        ev = ke.evaluate(psi, t)
+        blocks, terms = _docstring_reference(ke, psi, t)
+        for got, ref, scale in zip((ev.grad, ev.hess, ev.dt_grad), blocks, terms):
+            assert np.abs(got - ref).max() <= 1e-13 * scale

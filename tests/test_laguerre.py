@@ -449,20 +449,51 @@ def _assert_matches_moved_node_reference(weights, cells):
     return jac
 
 
+def _check_kept_sweep(weights, cells):
+    """Masses, then the Jacobian, at `weights` from the cells' kept sweep,
+    against grid_labels + bincount and the moved-node reference."""
+    labels = grid_labels(weights, cells)
+    expected = np.bincount(labels, weights=cells.node_mass, minlength=cells.n)
+    masses = power_cell_measures(weights, cells)
+    assert np.array_equal(masses, expected)
+    assert np.array_equal(measure_jacobian(weights, cells), _moved_node_jacobian(weights, cells))
+    return masses
+
+
 def test_grid_jacobian_matches_moved_node_reference_on_random_weights(dom1, dom2):
     # bit-identity needs the same moved nodes on both sides: one node more
-    # or less shifts an entry by a whole node mass
+    # or less shifts an entry by a whole node mass.  Masses come first, so
+    # the Jacobian reads the kept sweep, as in a stage.
     rng = np.random.default_rng(11)
     operands = []
-    for dim, exponent, n in ((2, 2.0, 2), (2, 2.0, 6), (2, 3.0, 5), (1, 3.0, 4), (2, 2.0, 9)):
+    for dim, exponent, n in ((2, 2.0, 1), (2, 2.0, 2), (2, 2.0, 6), (2, 3.0, 5), (1, 3.0, 4), (2, 2.0, 9)):
         dom = unit_domain(dim)
         targets = sample_targets(n, dim, dom, seed=n)
         grid = build_grid(dom, 8 if dim == 2 else 32, 4)
         operands.append(GridCells.build(targets, grid, gaussian_bump_density(dom), exponent))
+    # small integer costs and weights with a dyadic step: exact ties
+    tied = GridCells(
+        targets=TargetSet(points=np.arange(4.0)[:, None]),
+        cost=rng.integers(0, 4, size=(4, 700)).astype(float),
+        node_mass=rng.uniform(0.5, 1.5, 700),
+        spacing=0.25,
+    )
+    operands.append(tied)
+    emptied = 0
     for trial in range(1000):
         cells = operands[trial % len(operands)]
-        scale = (0.02, 0.2, 1.0)[trial % 3]
-        _assert_matches_moved_node_reference(rng.uniform(-scale, scale, cells.n), cells)
+        if cells is tied:
+            weights = rng.integers(0, 3, size=cells.n).astype(float)
+        else:
+            scale = (0.02, 0.2, 1.0)[trial % 3]
+            weights = rng.uniform(-scale, scale, cells.n)
+        if trial % 5 == 0 and cells.n > 1:
+            weights[0] = -10.0  # far out of reach: cell 0 is empty
+        emptied += _check_kept_sweep(weights, cells)[0] == 0.0 and cells.n > 1
+        # the caller changes its array in place: the kept sweep is stale
+        weights[trial % cells.n] += 1.0 if cells is tied else 0.05
+        _check_kept_sweep(weights, cells)
+    assert emptied >= 150
 
 
 def test_grid_jacobian_matches_reference_along_the_p4_2d_trajectory(dom2, monkeypatch):
@@ -483,6 +514,40 @@ def test_grid_jacobian_matches_reference_along_the_p4_2d_trajectory(dom2, monkey
     assert sizes == {20736, 82944}
     for weights, cells in calls:
         _assert_matches_moved_node_reference(weights, cells)
+
+
+class _ReadCounter(np.ndarray):
+    """A cost matrix that logs the entries each indexing reads.  The views it
+    hands out are plain arrays, so a chunk is counted once, when taken."""
+
+    def __getitem__(self, key):
+        part = np.ndarray.__getitem__(self, key).view(np.ndarray)
+        gather = any(isinstance(k, np.ndarray) for k in (key if isinstance(key, tuple) else (key,)))
+        self.reads.append((gather, part.size))
+        return part
+
+
+def test_p4_stage_jacobian_sweeps_the_rho_matrix_once(dom2):
+    # masses then Jacobian at one point: one pass over the (N, M) matrix,
+    # plus one gather of the columns of the boundary nodes
+    prob = build_problem(
+        {"variant": "p4", "dim": 2, "n_targets": 6, "seed": 4, "rho": {"kind": "gauss"}}
+    )
+    system = ResidualSystem(prob, build_grid(dom2, 24, 6))
+    rho = system.rho_cells
+    counted = rho.cost.view(_ReadCounter)
+    counted.reads = []
+    system.rho_cells = GridCells(
+        targets=rho.targets, cost=counted, node_mass=rho.node_mass, spacing=rho.spacing
+    )
+    psi = np.random.default_rng(2).uniform(-0.05, 0.05, 6)
+    jac = system.full(psi, 0.5).jac
+    n, m = rho.cost.shape
+    swept = sum(size for gather, size in counted.reads if not gather)
+    gathers = [size for gather, size in counted.reads if gather]
+    assert swept == n * m
+    assert len(gathers) == 1 and gathers[0] < n * m // 2
+    assert np.array_equal(jac, ResidualSystem(prob, build_grid(dom2, 24, 6)).full(psi, 0.5).jac)
 
 
 def test_grid_jacobian_single_target_is_zero(dom2):
