@@ -116,29 +116,40 @@ def write_trajectory_csv(path, trajectory):
 
 
 def write_snapshot_csv(path, cell_field):
-    nodes = cell_field.nodes
+    nodes, labels, weights = cell_field.nodes, cell_field.labels, cell_field.weights
     dim = nodes.shape[1]
-    n = (
-        cell_field.weights.shape[1]
-        if cell_field.weights is not None
-        else int(cell_field.labels.max()) + 1
-    )
+    n = weights.shape[1] if weights is not None else int(labels.max()) + 1
     header = ",".join(
         [f"x{k + 1}" for k in range(dim)]
         + ["label"]
         + [f"pi_{j + 1}" for j in range(n)]
     )
-    labels = cell_field.labels
-    eye = np.eye(n)
-    # labels exported 1-based; '%.17g' % x formats exactly as _format_float
-    fmt = ",".join(["%.17g"] * dim + ["%d"] + ["%.17g"] * n) + "\n"
+    # '%.17g' % x formats exactly as _format_float; labels are exported
+    # 1-based.  A grid has few distinct coordinates per axis, so each is
+    # formatted once (keyed by its bits: 0.0 and -0.0 stay apart), and at
+    # t = 1 the label and its one-hot weights are formatted once per label.
+    coords = []
+    for k in range(dim):
+        column = np.ascontiguousarray(nodes[:, k]).view(np.int64)
+        bits, index = np.unique(column, return_inverse=True)
+        text = np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)
+        coords.append(text[index])
+    tail = ",".join(["%d"] + ["%.17g"] * n)
+    one_hot = None
+    if weights is None:
+        rows = np.column_stack([np.arange(1.0, n + 1.0), np.eye(n)]).tolist()
+        one_hot = np.array([tail % tuple(row) for row in rows], dtype=object)
     with open(path, "w") as out:
         out.write(header + "\n")
         for start in range(0, labels.size, SNAPSHOT_ROWS):
             part = slice(start, start + SNAPSHOT_ROWS)
-            weights = eye[labels[part]] if cell_field.weights is None else cell_field.weights[part]
-            rows = np.hstack([nodes[part], labels[part, None] + 1.0, weights]).tolist()
-            out.write("".join(fmt % tuple(row) for row in rows))
+            if one_hot is None:
+                rows = np.column_stack([labels[part] + 1.0, weights[part]]).tolist()
+                tails = [tail % tuple(row) for row in rows]
+            else:
+                tails = one_hot[labels[part]]
+            fields = zip(*(axis[part] for axis in coords), tails)
+            out.write("".join(",".join(row) + "\n" for row in fields))
 
 
 def _newton_block(problem, grid):

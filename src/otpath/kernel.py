@@ -19,10 +19,13 @@ label with and the 2-D terminal residual sweeps too.
 One sweep: `evaluate` passes over the nodes in chunks of CHUNK_NODES columns,
 so the temporaries stay in cache, and accumulates with piw = pi*w
 
-  S = sum piw pi^T,   col = sum piw,   spread = sum piw*(C - pi.C)
+  S = sum piw pi^T,   spread = sum piw*(C - pi.C)
 
-(sums over nodes), from which grad = -col and hess = (S - diag(col))/(1-t).
-The time derivative needs no second pass.  Expanding the mean-depth form
+(sums over nodes).  Since sum_k pi_k = 1, the row sums of S are
+col = sum piw, so col is read off S instead of summed over the nodes again,
+and grad = -col and hess = (S - diag(col))/(1-t); each Hessian row then
+sums to zero up to the rounding of one N-term sum.  The time derivative
+needs no second pass.  Expanding the mean-depth form
 sum piw_j (pi.(a - C) - (a_j - C_j)) gives the identity
 
   dt_grad = (S a - sum piw (pi.C) - col*a + sum piw*C) / (1-t)^2
@@ -35,9 +38,13 @@ and (1-t)^-2 would amplify their separate rounding errors.
 Passes per chunk: the exponents are formed as a/(1-t) - (t/(1-t))*C (one
 scale and one row shift), shifted by their per-node maximum, exponentiated,
 and normalized by multiplying with the reciprocal of the per-node sum.  Then
-piw, S (one matrix product), col (the row sums of piw), pi.C and spread (two
-`einsum` contractions, which form no product array) follow.  Shifting by the
-maximum is required: the raw exponentials overflow for t close to 1.
+piw, S, pi.C and spread (two `einsum` contractions, which form no product
+array) follow.  Shifting by the maximum is required: the raw exponentials
+overflow for t close to 1.  S is summed over column blocks of the chunk
+(`_gram_block`): OpenBLAS takes an (N, k) @ (k, N) product with
+N*N*k <= GEMM_SMALL on its small-matrix kernel and a larger one on a path
+that costs about twice as much per column, so from N = 12 to 22 a whole
+chunk is split into blocks that stay under that bound.
 """
 
 from dataclasses import dataclass
@@ -46,6 +53,13 @@ import numpy as np
 
 from .errors import NonFiniteValueError
 from .laguerre import CHUNK_NODES, GridCells
+
+# GEMM_SMALL bounds m*n*k for OpenBLAS's small-matrix dgemm kernel (see the
+# module docstring).  N = 12, k = 8192 on a 2-core Xeon: 196 us in one
+# product, 100 us in 6944-column blocks.  Blocks narrower than MIN_GRAM_BLOCK
+# lose that gain to per-call cost: past N = 22 one product is as fast.
+GEMM_SMALL = 100**3
+MIN_GRAM_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -77,6 +91,14 @@ class KernelEval:
 def _check_time(t):
     if not 0.0 <= t < 1.0:
         raise ValueError(f"kernel derivatives require t in [0, 1), got {t}")
+
+
+def _gram_block(n, width):
+    """Columns per Gram product for N = `n` targets and chunks of `width`
+    nodes: the widest block that keeps n*n*block within GEMM_SMALL, or the
+    whole chunk when that block would be narrower than MIN_GRAM_BLOCK."""
+    block = GEMM_SMALL // (n * n)
+    return block if MIN_GRAM_BLOCK <= block < width else width
 
 
 def _softmax(a, t, cost, out=None, peak=None):
@@ -136,11 +158,11 @@ class KernelEvaluator:
         a = self._depth(psi, t)
         n, m = self.cells.cost.shape
         width = min(m, CHUNK_NODES)
+        block = _gram_block(n, width)
         # scratch reused by every chunk: fresh large temporaries per chunk
         # cost more in page faults than the arithmetic on them
         pi_buf, piw_buf, peak_buf = np.empty((n, width)), np.empty((n, width)), np.empty(width)
         outer = np.zeros((n, n))
-        col = np.zeros(n)
         spread = np.zeros(n)
         for lo in range(0, m, CHUNK_NODES):
             cost = self.cells.cost[:, lo : lo + CHUNK_NODES]
@@ -148,12 +170,13 @@ class KernelEvaluator:
             k = w.size
             pi = _softmax(a, t, cost, out=pi_buf[:, :k], peak=peak_buf[:k])
             piw = np.multiply(pi, w, out=piw_buf[:, :k])
-            outer += piw @ pi.T
-            col += piw.sum(axis=1)
+            for b in range(0, k, block):
+                outer += piw[:, b : b + block] @ pi[:, b : b + block].T
             mean_cost = np.einsum("jm,jm->m", pi, cost)
             # pi is not needed past here: its buffer takes C_j - pi.C
             dev = np.subtract(cost, mean_cost, out=pi)
             spread += np.einsum("jm,jm->j", dev, piw)
+        col = outer.sum(axis=1)
         pull = (outer * (a[None, :] - a[:, None])).sum(axis=1)
         return KernelEval(
             grad=-col,

@@ -174,16 +174,18 @@ class GridCells:
     def masses(self, weights):
         return self._last_sweep(weights)[0].copy()
 
-    def boundary_nodes(self, weights, step):
-        """Indices, in node order, of the nodes where a second row of
-        cost - weights lies within `step` of the minimum, widened by a
-        rounding slack: the only nodes whose owner can change when one weight
-        moves by `step`."""
-        _, best, second = self._last_sweep(weights)
+    def boundary(self, weights, step):
+        """The nodes where a second row of cost - weights lies within `step`
+        of the minimum, widened by a rounding slack: the only nodes whose
+        owner can change when one weight moves by `step`.  Returns their
+        indices in node order with, from the kept sweep, their owner, the
+        minimum and the runner-up value."""
+        _, labels, best, second = self._last_sweep(weights)
         # Rounding moves a perturbed value off its exact shift by a few ulps
         # of |cost| + |weights| + step; the slack is over 1e3 times that.
         reach = step + 1e-12 * (self._cost_max + np.abs(weights).max() + step)
-        return np.flatnonzero(second <= best + reach)
+        nodes = np.flatnonzero(second <= best + reach)
+        return nodes, labels[nodes], best[nodes], second[nodes]
 
     def _last_sweep(self, weights):
         """`_sweep`, kept for the last weights: callers read the masses and
@@ -196,9 +198,9 @@ class GridCells:
         return last[1]
 
     def _sweep(self, weights):
-        """(masses, best, second) at `weights` from one chunked pass over the
-        rows: per node the running minimum of cost - weights with its argmin
-        label, and the runner-up value (+inf for one row).
+        """(masses, labels, best, second) at `weights` from one chunked pass
+        over the rows: per node the running minimum of cost - weights with its
+        argmin label, and the runner-up value (+inf for one row).
 
         Labels follow `grid_labels` exactly (a row takes a node only when
         strictly smaller), so the masses are its bincount bit for bit.  The
@@ -229,7 +231,7 @@ class GridCells:
         if self._cost_max is None:
             object.__setattr__(self, "_cost_max", float(bound))
         masses = np.bincount(labels, weights=self.node_mass, minlength=n)
-        return masses, best, second
+        return masses, labels, best, second
 
 
 def grid_labels(weights, cells):
@@ -302,15 +304,13 @@ def measure_jacobian(weights, cells):
     pts = cells.targets.points
     gaps = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
     step = max(FD_STEP, 2.0 * cells.spacing * float(gaps.max()))
-    nodes = cells.boundary_nodes(weights, step)
+    # owner, best and second are the kept sweep's, which follows grid_labels
+    nodes, owner, best, second = cells.boundary(weights, step)
     pos = np.arange(nodes.size)
     cost = cells.cost[:, nodes]
     cand = cost - weights[:, None]
-    owner = cand.argmin(axis=0)  # lowest index on ties, as in grid_labels
-    best = cand[owner, pos]
     cand[owner, pos] = np.inf
     runner = cand.argmin(axis=0)  # lowest index over the other rows
-    second = cand[runner, pos]
     # +step on row k: k takes the node iff fl(cost_k - fl(w_k + step)) beats
     # the owner's value, ties going to the lower index as in grid_labels.
     raised = cost - (weights + step)[:, None]

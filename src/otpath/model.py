@@ -331,16 +331,19 @@ def _density_from_config(cfg, domain):
     raise ConfigError(f"unknown density kind {kind!r}")
 
 
-def _validate_density(spec, domain, label):
-    grid = quadrature.build_grid(domain, DEFAULT_PANELS[domain.dim], DEFAULT_ORDER[domain.dim])
-    total = quadrature.integrate(grid, lambda x: density_eval(spec, x))
+def _validate_density(spec, grid, label):
+    """Check `spec` on `grid` (the default rule on the domain): finite, of
+    mass 1 within 1e-3 (a warning otherwise) and strictly positive, from one
+    evaluation at the nodes."""
+    values = density_eval(spec, grid.nodes)
+    total = quadrature.integrate(grid, lambda x: values)
     if abs(total - 1.0) > 1e-3:
         warnings.warn(
             f"{label} density integrates to {total:.6f}, not 1; "
             "check the normalization constant",
             stacklevel=3,
         )
-    if density_eval(spec, grid.nodes).min() <= 0.0:
+    if values.min() <= 0.0:
         raise ConfigError(f"{label} density must be strictly positive on the domain")
 
 
@@ -384,7 +387,11 @@ def build_problem(config):
         )
 
     mu = _density_from_config(config.get("density", {}), domain)
-    _validate_density(mu, domain, "source")
+    # one rule on the domain checks both densities
+    check_grid = quadrature.build_grid(
+        domain, DEFAULT_PANELS[domain.dim], DEFAULT_ORDER[domain.dim]
+    )
+    _validate_density(mu, check_grid, "source")
 
     cost = CostSpec(exponent=float(config.get("cost_exponent", 2)))
 
@@ -394,7 +401,7 @@ def build_problem(config):
     rho = None
     if config.get("rho") is not None:
         rho = _density_from_config(config["rho"], domain)
-        _validate_density(rho, domain, "rho")
+        _validate_density(rho, check_grid, "rho")
 
     return ProblemSpec(
         variant=variant,

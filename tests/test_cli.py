@@ -13,6 +13,7 @@ from otpath import (
     unit_domain,
     unregularized_residual,
 )
+from otpath.laguerre import CellField
 from otpath.cli import ExperimentConfig, main, run_experiment, write_snapshot_csv
 
 
@@ -124,6 +125,24 @@ def test_snapshot_bytes_in_2d(tmp_path):
     psi = np.array([0.1, -0.2, 0.05])
     for t in (0.4, 1.0):
         fld = capture_snapshot(system, psi, t)
+        write_snapshot_csv(tmp_path / "snap.csv", fld)
+        assert (tmp_path / "snap.csv").read_bytes() == _reference_snapshot_bytes(fld)
+
+
+def test_snapshot_bytes_in_1d_and_with_two_digit_labels(tmp_path):
+    fields = [CellField(nodes=np.array([[0.0], [-0.0], [0.25]]), labels=np.array([0, 1, 0]))]
+    p3_1d = build_problem({"variant": "p3", "dim": 1, "n_targets": 4, "seed": 4, "anchor": [0.5]})
+    system = ResidualSystem(p3_1d, build_grid(unit_domain(1), 5, 3))
+    fields += [capture_snapshot(system, np.array([0.1, -0.2, 0.05, 0.0]), t) for t in (0.4, 1.0)]
+    # 12 targets in the box over 2,304 nodes, more than two writer blocks
+    p3_2d = build_problem(
+        {"variant": "p3", "dim": 2, "n_targets": 12, "seed": 4, "anchor": [0.5, 0.5]}
+    )
+    system = ResidualSystem(p3_2d, build_grid(unit_domain(2), 12, 4))
+    psi = p3_2d.offsets
+    fields += [capture_snapshot(system, psi, t) for t in (0.4, 1.0)]
+    assert fields[-1].labels.max() >= 9  # two-digit exported labels
+    for fld in fields:
         write_snapshot_csv(tmp_path / "snap.csv", fld)
         assert (tmp_path / "snap.csv").read_bytes() == _reference_snapshot_bytes(fld)
 

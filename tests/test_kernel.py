@@ -9,7 +9,7 @@ from otpath import (
     build_grid,
     unit_domain,
 )
-from otpath.kernel import CHUNK_NODES
+from otpath.kernel import CHUNK_NODES, _gram_block
 from conftest import central_diff, central_diff_scalar_arg
 
 
@@ -250,25 +250,50 @@ def _docstring_reference(ke, psi, t):
     return blocks, terms
 
 
+_DOCSTRING_GRIDS = (
+    (1, 64, 8),  # 512 nodes: one partial chunk
+    (2, 12, 6),  # 5,184 nodes: one partial chunk
+    (2, 24, 6),  # 20,736 nodes: full chunks and a partial one
+)
+
+
 @pytest.mark.parametrize("t", [0.0, 0.5, 0.9, 0.99, 0.999])
 @pytest.mark.parametrize("variant", ["p1", "p3"])
 @pytest.mark.parametrize(
-    "dim, panels, order",
-    [
-        (1, 64, 8),  # 512 nodes: one partial chunk
-        (2, 12, 6),  # 5,184 nodes: one partial chunk
-        (2, 24, 6),  # 20,736 nodes: full chunks and a partial one
+    "dim, panels, order, n",
+    # N = 6 takes one Gram product per chunk; N = 12 and 16 take blocks
+    # narrower than a chunk, N = 24 and 1 one product again
+    [pytest.param(*g, 6, id="-".join(map(str, g))) for g in _DOCSTRING_GRIDS]
+    + [
+        pytest.param(*g, n, id="-".join(map(str, g)) + f"-n{n}")
+        for n in (1, 12, 16, 24)
+        for g in _DOCSTRING_GRIDS
     ],
 )
-def test_evaluate_matches_unchunked_docstring_formulas(dim, panels, order, variant, t):
+def test_evaluate_matches_unchunked_docstring_formulas(dim, panels, order, n, variant, t):
     # near t = 1 the Hessian diagonal and dt_grad are small differences of
     # large terms, so the error is measured against the terms, not the result
     grid = build_grid(unit_domain(dim), panels, order)
-    prob = _random_problem(6, dim=dim, seed=13, variant=variant)
+    prob = _random_problem(n, dim=dim, seed=13, variant=variant)
     ke = KernelEvaluator(prob, grid)
     for seed in range(3):
-        psi = prob.offsets + np.random.default_rng(seed).uniform(-0.2, 0.2, 6)
+        psi = prob.offsets + np.random.default_rng(seed).uniform(-0.2, 0.2, n)
         ev = ke.evaluate(psi, t)
         blocks, terms = _docstring_reference(ke, psi, t)
         for got, ref, scale in zip((ev.grad, ev.hess, ev.dt_grad), blocks, terms):
             assert np.abs(got - ref).max() <= 1e-13 * scale
+        # col is the row sums of S, so each Hessian row cancels up to the
+        # rounding of one n-term sum of entries no larger than col / (1-t)
+        row_scale = terms[0] / (1.0 - t)
+        assert np.abs(ev.hess.sum(axis=1)).max() <= n * np.finfo(float).eps * row_scale
+
+
+@pytest.mark.parametrize(
+    "n, block",
+    [(1, 8192), (11, 8192), (12, 6944), (16, 3906), (22, 2066), (23, 8192), (32, 8192)],
+)
+def test_gram_block_splits_only_past_the_small_gemm_bound(n, block):
+    # 11 * 11 * 8192 fits the small path; for 23 the block, 1,890 columns,
+    # would be narrower than MIN_GRAM_BLOCK
+    assert _gram_block(n, CHUNK_NODES) == block
+    assert _gram_block(n, 512) == 512

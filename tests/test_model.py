@@ -16,6 +16,7 @@ from otpath import (
     uniform_density,
     unit_domain,
 )
+from otpath import model
 from otpath.model import default_target_box, interval_mass
 
 
@@ -127,6 +128,39 @@ def test_bad_normalization_warns():
                 "density": {"kind": "gauss", "normalization": 1.5},
             }
         )
+
+
+def test_density_checks_keep_their_order():
+    # a steep bump underflows to zero at the domain ends: its mass warns
+    # first, then it is refused as not strictly positive
+    config = {
+        "variant": "p1",
+        "dim": 1,
+        "targets": [[0.2], [0.6]],
+        "density": {"kind": "gauss", "sharpness": 1e5, "normalization": 1.0},
+    }
+    with pytest.warns(UserWarning, match="integrates"):
+        with pytest.raises(ConfigError, match="strictly positive"):
+            build_problem(config)
+
+
+def test_build_problem_validates_on_one_grid(monkeypatch):
+    # mu and rho are each evaluated once, on one shared validation grid
+    calls = {"density_eval": 0, "build_grid": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(model, "density_eval")
+    counted(model.quadrature, "build_grid")
+    build_problem({"variant": "p4", "dim": 2, "n_targets": 6, "seed": 4, "rho": {"kind": "gauss"}})
+    assert calls == {"density_eval": 2, "build_grid": 1}
 
 
 def test_parabola_targets():
