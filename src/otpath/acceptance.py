@@ -12,7 +12,8 @@ never of the block they judge.
 
 import filecmp
 import tempfile
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,7 @@ class CriterionResult:
     measured: str
     threshold: str
     passed: bool
+    seconds: float = 0.0  # wall time of the check, set by `run_acceptance`
 
 
 def _grid(dim, panels=None, order=None):
@@ -377,5 +379,7 @@ def run_acceptance(ids=None):
             from .errors import ConfigError
 
             raise ConfigError(f"unknown acceptance criterion {cid}")
-        results.append(CRITERIA[cid]())
+        start = time.perf_counter()
+        result = CRITERIA[cid]()
+        results.append(replace(result, seconds=time.perf_counter() - start))
     return results

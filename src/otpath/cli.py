@@ -5,7 +5,7 @@ writes, per cell, a trajectory CSV (`t,psi_1,...,psi_N`), a JSON report, and
 optional cell-field snapshots, plus one summary CSV laid out like the
 error/runtime tables (rows dt, columns N, cells "error (runtime)"; failed
 cells read NAN).  `otpath verify` executes the acceptance criteria and prints
-one pass/fail line each.
+one pass/fail line each, ending in the criterion's wall time as " (<s> s)".
 
 Exit codes: 0 success, 1 configuration error (any invalid input, including a
 bare ValueError raised on it and anything the argument parser refuses),
@@ -329,7 +329,10 @@ def main(argv=None):
     failed = 0
     for res in results:
         mark = "PASS" if res.passed else "FAIL"
-        print(f"[{mark}] criterion {res.cid}: {res.label} - {res.measured} vs {res.threshold}")
+        print(
+            f"[{mark}] criterion {res.cid}: {res.label} - {res.measured} vs {res.threshold}"
+            f" ({res.seconds:.2f} s)"
+        )
         failed += not res.passed
     return 3 if failed else 0
 

@@ -165,7 +165,7 @@ class GridCells:
         """`cost` passes in an existing target-major matrix of the same
         targets, grid and exponent instead of building another."""
         if cost is None:
-            cost = cost_matrix(targets.points, grid.nodes, cost_exponent)
+            cost = cost_matrix(targets.points, grid.nodes, cost_exponent, grid.axes)
         counts = grid.panels_per_axis * grid.order
         spacing = max((hi - lo) / counts for lo, hi in zip(grid.lower, grid.upper))
         node_mass = grid.weights * density_eval(density, grid.nodes)
@@ -371,7 +371,7 @@ def triple_intersection_check(psi, problem, grid, eps=None):
     n = problem.n
     if n < 3:
         return 0
-    costs = cost_matrix(problem.targets.points, grid.nodes, problem.cost.exponent)
+    costs = cost_matrix(problem.targets.points, grid.nodes, problem.cost.exponent, grid.axes)
     if eps is None:
         eps = 1e-3 * float(costs.max() - costs.min())
     adjusted = costs - (psi - problem.offsets)[:, None]

@@ -197,21 +197,41 @@ class CostSpec:
             raise ConfigError(f"cost exponent must be 2 or 3, got {self.exponent}")
 
 
-def cost_matrix(targets, nodes, exponent):
+def axis_sq_dists(targets, axes):
+    """Per-axis squared distances: for each axis d, the (N, n_d) table
+    (y_jd - x_d)^2 over the N target rows and that axis's node coordinates."""
+    tables = []
+    for d, x in enumerate(axes):
+        diff = np.subtract.outer(targets[:, d], x)
+        tables.append(np.multiply(diff, diff, out=diff))
+    return tables
+
+
+def cost_matrix(targets, nodes, exponent, axes=None):
     """Target-major (N, M) matrix of ||y_j - x_i||^p for N target rows and
     M node rows, the layout every caller reduces over.
 
-    Summed one axis at a time, so no (N, M, dim) temporary is held.
+    With `axes`, the per-axis coordinates of a tensor grid (`nodes` is then
+    their product, first axis slowest, as `QuadratureGrid.axes`), the
+    squared distance is summed from the per-axis tables in one broadcast
+    add.  Without, it is summed one axis at a time over the node rows.  Both
+    add the same two squares, so they agree bit for bit, and neither holds
+    an (N, M, dim) temporary.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    nodes = np.asarray(nodes, dtype=float)
-    sq = np.zeros((targets.shape[0], nodes.shape[0]))
-    for axis in range(targets.shape[1]):
-        diff = np.subtract.outer(targets[:, axis], nodes[:, axis])
-        sq += np.multiply(diff, diff, out=diff)
+    if axes is not None:
+        tables = axis_sq_dists(targets, axes)
+        sq = tables[0] if len(tables) == 1 else np.add(tables[0][:, :, None], tables[1][:, None, :])
+        sq = sq.reshape(targets.shape[0], -1)
+    else:
+        nodes = np.asarray(nodes, dtype=float)
+        sq = np.zeros((targets.shape[0], nodes.shape[0]))
+        for axis in range(targets.shape[1]):
+            diff = np.subtract.outer(targets[:, axis], nodes[:, axis])
+            sq += np.multiply(diff, diff, out=diff)
     if exponent == 2.0:
         return sq
-    return sq ** (exponent / 2.0)
+    return np.power(sq, exponent / 2.0, out=sq)
 
 
 @dataclass(frozen=True)

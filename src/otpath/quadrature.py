@@ -21,7 +21,9 @@ class QuadratureGrid:
     """Tensor-product composite Gauss-Legendre rule.
 
     nodes has shape (M, dim) with M = (panels_per_axis * order) ** dim;
-    weights are strictly positive and sum to the box volume.
+    weights are strictly positive and sum to the box volume.  `axes` holds
+    the per-axis node coordinates: nodes[p * n2 + q] = (axes[0][p],
+    axes[1][q]) in 2-D, so the first axis varies slowest.
     """
 
     nodes: np.ndarray
@@ -30,10 +32,13 @@ class QuadratureGrid:
     order: int
     lower: tuple
     upper: tuple
+    axes: tuple
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
+        for x in self.axes:
+            x.setflags(write=False)
 
     @property
     def dim(self):
@@ -89,6 +94,7 @@ def build_grid(domain, panels_per_axis, order):
         order=int(order),
         lower=lower,
         upper=upper,
+        axes=tuple(x for x, _ in axes),
     )
 
 

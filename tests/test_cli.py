@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from otpath import (
     unit_domain,
     unregularized_residual,
 )
+from otpath.acceptance import run_acceptance
 from otpath.laguerre import CellField
 from otpath.cli import ExperimentConfig, main, run_experiment, write_snapshot_csv
 
@@ -224,6 +226,18 @@ def test_main_verify_fast_criteria(capsys):
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 2
     assert main(["verify", "--criteria", "99"]) == 1
+
+
+def test_verify_lines_end_in_wall_seconds(capsys):
+    # the timing suffix is appended; the rest of each line is unchanged
+    assert main(["verify", "--criteria", "1,6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    results = run_acceptance([1, 6])
+    assert len(lines) == len(results)
+    for line, res in zip(lines, results):
+        head, sep, seconds = line.rpartition(" (")
+        assert sep and re.fullmatch(r"\d+\.\d\d s\)", seconds)
+        assert head == f"[PASS] criterion {res.cid}: {res.label} - {res.measured} vs {res.threshold}"
 
 
 # (argv, JSON config or None, expected exit code, text the message must

@@ -9,7 +9,7 @@ from otpath import (
     build_grid,
     unit_domain,
 )
-from otpath.kernel import CHUNK_NODES, _gram_block
+from otpath.kernel import CHUNK_NODES, MAX_AXIS_GAP, _gap_bound, _gram_block
 from conftest import central_diff, central_diff_scalar_arg
 
 
@@ -297,3 +297,121 @@ def test_gram_block_splits_only_past_the_small_gemm_bound(n, block):
     # would be narrower than MIN_GRAM_BLOCK
     assert _gram_block(n, CHUNK_NODES) == block
     assert _gram_block(n, 512) == 512
+
+
+def _routes(ke, psi, t):
+    """Both routes' blocks at one point, and the guard's bound there."""
+    a = psi - ke.offsets
+    alpha, beta = ke._axis_exponents(a, t)
+    return ke._separable(a, t, alpha, beta), ke._chunked(a, t), _gap_bound(alpha, beta)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 0.9, 0.99, 0.9925])
+@pytest.mark.parametrize("variant", ["p1", "p3"])
+@pytest.mark.parametrize("n", [1, 2, 6, 12, 24])
+@pytest.mark.parametrize("panels", [12, 24, 48])
+def test_separable_route_matches_chunked_route(panels, n, variant, t):
+    # the same bound as the docstring-formula test, relative to the terms
+    grid = build_grid(unit_domain(2), panels, 6)
+    prob = _random_problem(n, dim=2, seed=17, variant=variant)
+    ke = KernelEvaluator(prob, grid)
+    psi = prob.offsets + np.random.default_rng(n).uniform(-0.2, 0.2, n)
+    sep, chunk, bound = _routes(ke, psi, t)
+    assert bound <= MAX_AXIS_GAP
+    _, terms = _docstring_reference(ke, psi, t)
+    for got, ref, scale in zip(
+        (sep.grad, sep.hess, sep.dt_grad), (chunk.grad, chunk.hess, chunk.dt_grad), terms
+    ):
+        assert np.abs(got - ref).max() <= 1e-13 * scale
+    assert np.array_equal(sep.hess, sep.hess.T)
+
+
+def _long_double_reference(ke, psi, t):
+    """The docstring formulas in long double, with the terms' sizes as in
+    `_docstring_reference`: rounded like neither route."""
+    ld = np.longdouble
+    a = (psi - ke.offsets).astype(ld)
+    cost, w = ke.cells.cost.astype(ld), ke.cells.node_mass.astype(ld)
+    t = ld(t)
+    expo = (a / (1 - t))[:, None] - (t / (1 - t)) * cost
+    pi = np.exp(expo - expo.max(axis=0))
+    pi /= pi.sum(axis=0)
+    piw = pi * w
+    outer = piw @ pi.T
+    col = piw.sum(axis=1)
+    dev = cost - (pi * cost).sum(axis=0)
+    spread = (piw * dev).sum(axis=1)
+    gaps = a[None, :] - a[:, None]
+    pull = (outer * gaps).sum(axis=1)
+    blocks = (-col, (outer - np.diag(col)) / (1 - t), (pull + spread) / (1 - t) ** 2)
+    terms = (
+        col.max(),
+        outer.max() / (1 - t),
+        ((outer * np.abs(gaps)).sum(axis=1) + (piw * np.abs(dev)).sum(axis=1)).max() / (1 - t) ** 2,
+    )
+    return blocks, terms
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is double here"
+)
+@pytest.mark.parametrize("t", [0.0, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("variant", ["p1", "p3"])
+@pytest.mark.parametrize("n", [2, 5])
+def test_both_routes_match_a_long_double_reference(n, variant, t):
+    grid = build_grid(unit_domain(2), 3, 4)  # 144 nodes
+    prob = _random_problem(n, dim=2, seed=19, variant=variant)
+    ke = KernelEvaluator(prob, grid)
+    for seed in range(3):
+        psi = prob.offsets + np.random.default_rng(seed).uniform(-0.2, 0.2, n)
+        sep, chunk, _ = _routes(ke, psi, t)
+        blocks, terms = _long_double_reference(ke, psi, t)
+        for k, (ref, scale) in enumerate(zip(blocks, terms)):
+            for ev in (sep, chunk):
+                got = (ev.grad, ev.hess, ev.dt_grad)[k]
+                assert np.abs(got - ref).max() <= 1e-14 * float(scale)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 0.9, 0.999])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_gap_bound_covers_the_exact_gap(n, t):
+    # the per-axis maxima overshoot the per-node maximum by g(p, q)
+    grid = build_grid(unit_domain(2), 2, 3)
+    prob = _random_problem(n, dim=2, seed=23, variant="p1")
+    ke = KernelEvaluator(prob, grid)
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        a = rng.uniform(-1.0, 1.0, n)
+        alpha, beta = ke._axis_exponents(a, t)
+        node = alpha[:, :, None] + beta[:, None, :]
+        gap = alpha.max(axis=0)[:, None] + beta.max(axis=0)[None, :] - node.max(axis=0)
+        slack = 1e-12 * np.abs(node).max()
+        assert gap.min() >= -slack
+        assert _gap_bound(alpha, beta) + slack >= gap.max()
+
+
+def test_the_data_picks_the_route(monkeypatch):
+    ran = []
+    for name in ("_separable", "_chunked"):
+        original = getattr(KernelEvaluator, name)
+        monkeypatch.setattr(
+            KernelEvaluator,
+            name,
+            lambda self, *args, _f=original, _n=name: ran.append(_n) or _f(self, *args),
+        )
+    grid = build_grid(unit_domain(2), 4, 3)
+    inside = _random_problem(4, dim=2, seed=3)
+    far = build_problem({"variant": "p1", "dim": 2, "targets": [[-2.0, -2.0], [3.0, 3.0]]})
+    cubic = build_problem({"variant": "p1", "dim": 2, "n_targets": 4, "seed": 3, "cost_exponent": 3})
+    cases = [
+        (inside, grid, 0.5, "_separable"),
+        (far, grid, 0.5, "_separable"),
+        (far, grid, 0.999, "_chunked"),  # the range guard refuses
+        (cubic, grid, 0.5, "_chunked"),
+        (_random_problem(4, dim=1, seed=3), build_grid(unit_domain(1), 8, 4), 0.5, "_chunked"),
+    ]
+    for prob, g, t, route in cases:
+        ran.clear()
+        ev = KernelEvaluator(prob, g).evaluate(np.zeros(prob.n), t)
+        assert ran == [route]
+        assert np.isfinite(ev.dt_grad).all()

@@ -17,7 +17,7 @@ from otpath import (
     unit_domain,
 )
 from otpath import model
-from otpath.model import default_target_box, interval_mass
+from otpath.model import cost_matrix, default_target_box, interval_mass
 
 
 def test_domain_validation():
@@ -224,3 +224,15 @@ def test_cost_spec_restricted():
 def test_unit_domain_shapes():
     assert unit_domain(1).dim == 1
     assert unit_domain(2).volume == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("exponent", [2.0, 3.0])
+@pytest.mark.parametrize("dim, panels", [(1, 64), (2, 12), (2, 24), (2, 48)])
+def test_tensor_cost_matrix_equals_the_per_node_sum(dim, panels, exponent):
+    # summed from the per-axis tables, or one axis at a time over the nodes:
+    # the same two squares are added, so the bits agree
+    grid = build_grid(unit_domain(dim), panels, 6)
+    points = sample_targets(7, dim, default_target_box("p1", unit_domain(dim)), 5).points
+    tensor = cost_matrix(points, grid.nodes, exponent, grid.axes)
+    assert tensor.shape == (7, grid.n_nodes)
+    assert np.array_equal(tensor, cost_matrix(points, grid.nodes, exponent))

@@ -27,6 +27,17 @@ def test_tensor_product_counts(dom2):
     assert abs(grid.weights.sum() - 1.0) < 1e-12
 
 
+def test_axes_span_the_nodes(dom1, dom2):
+    # first axis slowest, as the tensor cost matrix and the kernel read them
+    grid = build_grid(dom2, 3, 4)
+    x1, x2 = grid.axes
+    assert np.array_equal(grid.nodes[:, 0], np.repeat(x1, x2.size))
+    assert np.array_equal(grid.nodes[:, 1], np.tile(x2, x1.size))
+    assert not x1.flags.writeable
+    line = build_grid(dom1, 3, 4)
+    assert np.array_equal(line.nodes[:, 0], line.axes[0])
+
+
 def test_weights_positive_and_sum_to_volume():
     dom = Domain(lower=(-2.0,), upper=(3.0,))
     grid = build_grid(dom, 5, 3)
