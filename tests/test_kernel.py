@@ -224,13 +224,14 @@ def test_dual_state_validation():
         state.psi[0] = 3.0
 
 
-def _docstring_reference(ke, psi, t):
+def _docstring_reference(ke, psi, t, dtype=float):
     """The module docstring's formulas, unchunked and target-major: softmax
     of the exponents a/(1-t) - (t/(1-t))*C per node, then S, col and spread
-    over all nodes.  Also returns, per block, the size of the terms its
-    formula adds up, the scale its rounding error is relative to."""
-    a = psi - ke.offsets
-    cost, w = ke.cells.cost, ke.cells.node_mass
+    over all nodes, in `dtype`.  Also returns, per block, the size of the
+    terms its formula adds up, the scale its rounding error is relative to."""
+    a = (psi - ke.offsets).astype(dtype)
+    cost, w = ke.cells.cost.astype(dtype), ke.cells.node_mass.astype(dtype)
+    t = dtype(t)
     expo = (a / (1.0 - t))[:, None] - (t / (1.0 - t)) * cost
     pi = np.exp(expo - expo.max(axis=0))
     pi /= pi.sum(axis=0)
@@ -326,32 +327,6 @@ def test_separable_route_matches_chunked_route(panels, n, variant, t):
     assert np.array_equal(sep.hess, sep.hess.T)
 
 
-def _long_double_reference(ke, psi, t):
-    """The docstring formulas in long double, with the terms' sizes as in
-    `_docstring_reference`: rounded like neither route."""
-    ld = np.longdouble
-    a = (psi - ke.offsets).astype(ld)
-    cost, w = ke.cells.cost.astype(ld), ke.cells.node_mass.astype(ld)
-    t = ld(t)
-    expo = (a / (1 - t))[:, None] - (t / (1 - t)) * cost
-    pi = np.exp(expo - expo.max(axis=0))
-    pi /= pi.sum(axis=0)
-    piw = pi * w
-    outer = piw @ pi.T
-    col = piw.sum(axis=1)
-    dev = cost - (pi * cost).sum(axis=0)
-    spread = (piw * dev).sum(axis=1)
-    gaps = a[None, :] - a[:, None]
-    pull = (outer * gaps).sum(axis=1)
-    blocks = (-col, (outer - np.diag(col)) / (1 - t), (pull + spread) / (1 - t) ** 2)
-    terms = (
-        col.max(),
-        outer.max() / (1 - t),
-        ((outer * np.abs(gaps)).sum(axis=1) + (piw * np.abs(dev)).sum(axis=1)).max() / (1 - t) ** 2,
-    )
-    return blocks, terms
-
-
 @pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is double here"
 )
@@ -359,13 +334,14 @@ def _long_double_reference(ke, psi, t):
 @pytest.mark.parametrize("variant", ["p1", "p3"])
 @pytest.mark.parametrize("n", [2, 5])
 def test_both_routes_match_a_long_double_reference(n, variant, t):
+    # the docstring formulas in long double are rounded like neither route
     grid = build_grid(unit_domain(2), 3, 4)  # 144 nodes
     prob = _random_problem(n, dim=2, seed=19, variant=variant)
     ke = KernelEvaluator(prob, grid)
     for seed in range(3):
         psi = prob.offsets + np.random.default_rng(seed).uniform(-0.2, 0.2, n)
         sep, chunk, _ = _routes(ke, psi, t)
-        blocks, terms = _long_double_reference(ke, psi, t)
+        blocks, terms = _docstring_reference(ke, psi, t, np.longdouble)
         for k, (ref, scale) in enumerate(zip(blocks, terms)):
             for ev in (sep, chunk):
                 got = (ev.grad, ev.hess, ev.dt_grad)[k]
