@@ -87,8 +87,8 @@ And the unchunked reference formulas that the tests hold the kernel to
 share the chunked form's rounding, which the pairwise form does not: where
 one target holds nearly every node, C - pi.C is a difference of nearly
 equal numbers and dt_grad, then of order 1e-15, can come out wrong by its
-own size from the chunked form, while the pairwise form stays within a few
-ulps of a long-double evaluation.
+own size from the chunked form, while the pairwise form stays within
+3e-15 relative of a long-double evaluation.
 """
 
 from dataclasses import dataclass
