@@ -14,6 +14,7 @@ stderr.
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field, fields
@@ -115,6 +116,131 @@ def write_trajectory_csv(path, trajectory):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+# '%.17g' prints |x| in [1e-4, 1e14) in fixed notation from its 17
+# correctly rounded significant digits q = round-half-even(x * 10**s), with
+# s = 16 - floor(log10 |x|).  Writing x = m * 2**k (m a 53-bit integer),
+# q = m * 5**s * 2**(k + s): the 128-bit product m * 5**s is formed exactly
+# in 32-bit limbs held in uint64, and in that range the right shift -(k + s)
+# is between 1 and 63 and q < 2**60.  An estimate of s off by one shows as
+# q outside [10**16, 10**17) and is corrected once; rounding up to 10**17
+# lands there too, and the retry then yields 10**16 one decade up, as '%g'
+# does.  Every other value (zeros, subnormals, exponent notation, inf, nan)
+# is formatted by '%.17g' itself.
+#
+# Each value gets a NUL-padded slot of G17_SLOT bytes; deleting the NULs
+# leaves its text.  Bytes 0-5 hold the sign and, below 1, "0." with the
+# leading zeros of the fraction.  Bytes 8-27 are five uint32 words from
+# digit tables: the first digit (in byte 11), then four 4-digit groups with
+# the trailing zeros of the fraction as NULs.  At 1 and above, the fraction
+# digits move one byte on (at most into byte 28) for the decimal point.  The
+# last byte is left free for the writer's separator.
+G17_SLOT = 32
+_POW5 = np.array([5**s for s in range(24)], dtype=np.uint64)
+_LEAD = np.array([b"\0\0\0%d" % d for d in range(10)], dtype="S4").view(np.uint32)
+# by min(-exponent, 4) for a negative decimal exponent, else 0, plus 5 for a
+# negative value: the sign and "0." with the leading zeros of the fraction
+_PREFIX = np.array(
+    [sign + lead for sign in (b"", b"-") for lead in (b"", b"0.", b"0.0", b"0.00", b"0.000")],
+    dtype="S8",
+).view(np.uint64)
+_U32 = np.uint64(0xFFFFFFFF)
+_ONE, _N32, _N64 = np.uint64(1), np.uint64(32), np.uint64(64)
+_E8 = np.uint64(10**8)
+
+
+@functools.cache
+def _group_words():
+    """uint32 words whose bytes spell "%04d" % g at g, and the same with the
+    trailing zeros as NULs (all four for g = 0) at 10000 + g.  Built on first
+    use, so a run that writes no snapshot never holds it; the small dtypes
+    keep the heap that the temporaries leave behind small."""
+    place = np.array([1000, 100, 10, 1], dtype=np.int16)
+    digits = (np.arange(10000, dtype=np.int16)[:, None] // place % 10).astype(np.uint8)
+    kept = np.logical_or.accumulate(digits[:, ::-1] > 0, axis=1)[:, ::-1]  # a nonzero follows
+    text = digits + np.uint8(ord("0"))
+    words = np.concatenate([text, text * kept]).view(np.uint32).ravel()
+    words.setflags(write=False)
+    return words
+
+
+def _scaled_digits(m, k, s):
+    """round-half-even(m * 5**s * 2**(k + s)) for 53-bit m, when the shift
+    -(k + s) is between 1 and 63 and the result fits in 64 bits."""
+    f = _POW5[s]
+    m1, m0 = m >> _N32, m & _U32
+    f1, f0 = f >> _N32, f & _U32
+    low = m0 * f0
+    mid = m1 * f0 + m0 * f1  # < 2**54
+    lo = low + (mid << _N32)  # the low 64 bits, wrapping
+    hi = m1 * f1 + (mid >> _N32) + (lo < low)
+    shift = (-(k + s)).astype(np.uint64)
+    q = (hi << (_N64 - shift)) | (lo >> shift)
+    rest = lo & ((_ONE << shift) - _ONE)
+    half = _ONE << (shift - _ONE)
+    q += (rest > half) | ((rest == half) & (q & _ONE).astype(bool))
+    return q
+
+
+def _g17_slots(values):
+    """'%.17g' % v of every float in `values`, as (values.size, G17_SLOT)
+    NUL-padded uint8 slots (see G17_SLOT)."""
+    flat = np.ravel(values).astype(float, copy=False)
+    slots = np.empty((flat.size, G17_SLOT), np.uint8)
+    v, a = flat, np.abs(flat)
+    fixed = (a >= 1e-4) & (a < 1e14)
+    other = None if fixed.all() else np.flatnonzero(~fixed)
+    if other is not None:
+        v, a = v[fixed], a[fixed]
+    mant, exp2 = np.frexp(a)
+    m = (mant * 2.0**53).astype(np.uint64)
+    k = exp2 - 53
+    s = 16 - np.floor(np.log10(a)).astype(np.int64)
+    q = _scaled_digits(m, k, s)
+    off = (q < 10**16).astype(np.int64) - (q >= 10**17)
+    redo = np.flatnonzero(off)
+    if redo.size:
+        s[redo] += off[redo]
+        q[redo] = _scaled_digits(m[redo], k[redo], s[redo])
+    x = 16 - s  # decimal exponent of the rounded value, -4 to 13
+    # q = d0 * 10**16 + g1 * 10**12 + g2 * 10**8 + g3 * 10**4 + g4; group j
+    # loses its trailing zeros when every later group is zero
+    top, low = np.divmod(q, _E8)
+    d0, mid = np.divmod(top, _E8)
+    g1, g2 = np.divmod(mid.astype(np.uint32), 10000)
+    g3, g4 = np.divmod(low.astype(np.uint32), 10000)
+    out = slots if other is None else np.empty((q.size, G17_SLOT), np.uint8)
+    words, groups = out.view(np.uint32), _group_words()
+    out.view(np.uint64)[:, 0] = _PREFIX[np.clip(-x, 0, 4) + 5 * np.signbit(v)]
+    words[:, 2] = _LEAD[d0]
+    tail = low == 0
+    words[:, 3] = groups[g1 + 10000 * (tail & (g2 == 0))]
+    words[:, 4] = groups[g2 + 10000 * tail]
+    words[:, 5] = groups[g3 + 10000 * (g4 == 0)]
+    words[:, 6] = groups[g4 + 10000]
+    words[:, 7] = 0
+    # at 1 and above: integer digits are kept, a fraction follows a point
+    big = np.flatnonzero(x >= 0)
+    for e in np.unique(x[big]):
+        rows = big[x[big] == e]
+        text = out[rows]
+        np.maximum(text[:, 11 : 12 + e], ord("0"), out=text[:, 11 : 12 + e])
+        frac = text[:, 12 + e : 28].any(axis=1)
+        text[frac, 13 + e : 29] = text[frac, 12 + e : 28]
+        text[frac, 12 + e] = ord(".")
+        out[rows] = text
+    if other is not None:
+        slots[fixed] = out
+        strings = [b"%.17g" % u for u in flat[other].tolist()]
+        slots[other] = np.array(strings, dtype=f"S{G17_SLOT}").view(np.uint8).reshape(-1, G17_SLOT)
+    return slots
+
+
+def _text_table(texts):
+    """NUL-padded uint8 rows, row i holding texts[i] in ASCII."""
+    table = np.array([t.encode() for t in texts])
+    return table.view(np.uint8).reshape(len(texts), -1)
+
+
 def write_snapshot_csv(path, cell_field):
     nodes, labels, weights = cell_field.nodes, cell_field.labels, cell_field.weights
     dim = nodes.shape[1]
@@ -124,7 +250,9 @@ def write_snapshot_csv(path, cell_field):
         + ["label"]
         + [f"pi_{j + 1}" for j in range(n)]
     )
-    # '%.17g' % x formats exactly as _format_float; labels are exported
+    # Every field is formatted as '%.17g' (like _format_float) into a
+    # NUL-padded table row that ends in its separator; a block of rows is one
+    # uint8 array written with its NULs deleted.  Labels are exported
     # 1-based.  A grid has few distinct coordinates per axis, so each is
     # formatted once (keyed by its bits: 0.0 and -0.0 stay apart), and at
     # t = 1 the label and its one-hot weights are formatted once per label.
@@ -132,24 +260,26 @@ def write_snapshot_csv(path, cell_field):
     for k in range(dim):
         column = np.ascontiguousarray(nodes[:, k]).view(np.int64)
         bits, index = np.unique(column, return_inverse=True)
-        text = np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)
-        coords.append(text[index])
-    tail = ",".join(["%d"] + ["%.17g"] * n)
-    one_hot = None
+        coords.append((_text_table(["%.17g," % v for v in bits.view(float).tolist()]), index))
     if weights is None:
+        one_hot = ",".join(["%d"] + ["%.17g"] * n) + "\n"
         rows = np.column_stack([np.arange(1.0, n + 1.0), np.eye(n)]).tolist()
-        one_hot = np.array([tail % tuple(row) for row in rows], dtype=object)
-    with open(path, "w") as out:
-        out.write(header + "\n")
+        tails = _text_table([one_hot % tuple(row) for row in rows])
+    else:
+        tails = _text_table([f"{j + 1}," for j in range(n)])
+    with open(path, "wb") as out:
+        out.write(header.encode() + b"\n")
         for start in range(0, labels.size, SNAPSHOT_ROWS):
             part = slice(start, start + SNAPSHOT_ROWS)
-            if one_hot is None:
-                rows = np.column_stack([labels[part] + 1.0, weights[part]]).tolist()
-                tails = [tail % tuple(row) for row in rows]
-            else:
-                tails = one_hot[labels[part]]
-            fields = zip(*(axis[part] for axis in coords), tails)
-            out.write("".join(",".join(row) + "\n" for row in fields))
+            columns = [table[index[part]] for table, index in coords]
+            columns.append(tails[labels[part]])
+            if weights is not None:
+                text = _g17_slots(weights[part])
+                text[:, -1] = ord(",")
+                text = text.reshape(-1, n * G17_SLOT)  # one row of slots per node
+                text[:, -1] = ord("\n")
+                columns.append(text)
+            out.write(np.concatenate(columns, axis=1).tobytes().translate(None, b"\0"))
 
 
 def _newton_block(problem, grid):
@@ -179,7 +309,10 @@ def run_experiment(config):
     grid = config.grid()
     problems = [(n, build_problem(config.problem_config(n))) for n in config.n_list]
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at, or on the way to, the output path
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from None
     summary = {dt: {} for dt in config.dt_list}
 
     for n, problem in problems:

@@ -171,11 +171,12 @@ def lattice_steps(dt):
 def snapshot_steps(snapshot_times, steps):
     """Map lattice index -> snapshot time; every time must be a lattice time."""
     snap_set = {}
-    for t_snap in snapshot_times:
-        k = round(float(t_snap) * steps)
-        if abs(k / steps - float(t_snap)) > 1e-9 or not 0 <= k <= steps:
+    for t_snap in map(float, snapshot_times):
+        # round() refuses inf and nan, which are on no lattice either
+        k = round(t_snap * steps) if np.isfinite(t_snap) else -1
+        if not 0 <= k <= steps or abs(k / steps - t_snap) > 1e-9:
             raise ConfigError(f"snapshot time {t_snap} is not on the step lattice")
-        snap_set[k] = float(t_snap)
+        snap_set[k] = t_snap
     return snap_set
 
 

@@ -48,8 +48,13 @@ mean to cancel against.  No (N, M) array is formed.  Every BLAS product is
 split into row blocks that keep m*n*k within GEMM_SMALL (see below); R is
 the untransposed right operand, which OpenBLAS takes on that small-matrix
 kernel (with R transposed it took the blocked path, which holds about
-0.7 MB more resident memory).  The tables that depend only on the grid and
-the targets (D, dD, the pairs) are built on the route's first call.
+0.7 MB more resident memory).  Here the split saves memory, not time: for
+[W1; W1*dD1] @ R at N = 12, one product took 111 us against 192 us split
+on 20,736 nodes and 422 us against 889 us on 82,944 (2-core Xeon), but on
+the 2-D p1 parabola benchmark it cut the solve by only about 3%, within
+run-to-run spread, and raised the peak RSS from 85.3 to 86.3 MB (three
+alternating pairs).  The tables that depend only on the grid and the
+targets (D, dD, the pairs) are built on the route's first call.
 
 Range guard.  The per-axis shifts can undershoot the per-node maximum: the
 gap g(p, q) = max_j alpha(p) + max_j beta(q) - max_j (alpha + beta)(p, q)
@@ -100,9 +105,11 @@ from .laguerre import CHUNK_NODES, GridCells
 from .model import axis_sq_dists
 
 # GEMM_SMALL bounds m*n*k for OpenBLAS's small-matrix dgemm kernel (see the
-# module docstring).  N = 12, k = 8192 on a 2-core Xeon: 196 us in one
-# product, 100 us in 6944-column blocks.  Blocks narrower than MIN_GRAM_BLOCK
-# lose that gain to per-call cost: past N = 22 one product is as fast.
+# module docstring).  For the chunked Gram product it is a speed bound: N = 12,
+# k = 8192 on a 2-core Xeon: 196 us in one product, 100 us in 6944-column
+# blocks.  Blocks narrower than MIN_GRAM_BLOCK lose that gain to per-call
+# cost: past N = 22 one product is as fast.  For the separable route's pair
+# product it bounds memory instead (one product is faster there).
 GEMM_SMALL = 100**3
 MIN_GRAM_BLOCK = 2048
 # MAX_AXIS_GAP bounds how far the per-axis shifts of the separable route may

@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import otpath
 from otpath import (
     ConfigError,
     ResidualSystem,
@@ -16,7 +21,15 @@ from otpath import (
 )
 from otpath.acceptance import run_acceptance
 from otpath.laguerre import CellField
-from otpath.cli import ExperimentConfig, main, run_experiment, write_snapshot_csv
+from otpath.cli import (
+    G17_SLOT,
+    ExperimentConfig,
+    _g17_slots,
+    _scaled_digits,
+    main,
+    run_experiment,
+    write_snapshot_csv,
+)
 
 
 def _read(path):
@@ -125,8 +138,11 @@ def test_snapshot_bytes_in_2d(tmp_path):
     problem = build_problem({"variant": "p1", "dim": 2, "n_targets": 3, "seed": 4})
     system = ResidualSystem(problem, build_grid(unit_domain(2), 3, 2))
     psi = np.array([0.1, -0.2, 0.05])
-    for t in (0.4, 1.0):
+    for t in (0.4, 0.99, 0.9999, 1.0):
         fld = capture_snapshot(system, psi, t)
+        if t in (0.99, 0.9999):  # weights below 1e-4, and at 0.9999 zeros
+            assert ((fld.weights > 0) & (fld.weights < 1e-4)).any()
+            assert (fld.weights == 0).any() == (t == 0.9999)
         write_snapshot_csv(tmp_path / "snap.csv", fld)
         assert (tmp_path / "snap.csv").read_bytes() == _reference_snapshot_bytes(fld)
 
@@ -147,6 +163,85 @@ def test_snapshot_bytes_in_1d_and_with_two_digit_labels(tmp_path):
     for fld in fields:
         write_snapshot_csv(tmp_path / "snap.csv", fld)
         assert (tmp_path / "snap.csv").read_bytes() == _reference_snapshot_bytes(fld)
+
+
+def _g17_text(values):
+    slots = _g17_slots(values)
+    assert slots.shape == (np.size(values), G17_SLOT)
+    slots[:, -1] = ord(",")
+    return slots.tobytes().translate(None, b"\0")
+
+
+def _assert_g17(values):
+    values = np.asarray(values, dtype=float).ravel()
+    got = _g17_text(values).decode().split(",")[:-1]
+    bad = [(g, "%.17g" % v) for g, v in zip(got, values.tolist()) if g != "%.17g" % v]
+    assert len(got) == values.size and not bad, f"{len(bad)} differ from '%.17g': {bad[:5]}"
+
+
+def _decimal_ties(rng, per_scale):
+    """Floats odd / 2**j whose exact decimal expansions have 18 significant
+    digits, so '%.17g' meets an exact tie at its last digit."""
+    out = []
+    for j in range(2, 26):
+        lo, hi = -(-(10**17) // 5**j), min(10**18 // 5**j, 2**53)
+        odd = rng.integers(lo // 2, hi // 2, size=per_scale) * 2 + 1
+        out.append(odd.astype(float) / 2.0**j)
+    return np.concatenate(out)
+
+
+def test_g17_matches_percent_format():
+    rng = np.random.default_rng(2)
+    signs = rng.choice([-1.0, 1.0], size=400_000)
+    edges = np.array([1e-4, 1e14, 1.0, 0.1, 0.5])
+    tens = np.array([10.0**e for e in range(-8, 19)] + [float(f"1e{e}") for e in range(-8, 19)])
+    near = np.concatenate(
+        [edges, tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+         np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)]
+    )
+    special = np.array(
+        [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, np.inf, np.nan, 1.7976931348623157e308]
+    )
+    ties = _decimal_ties(rng, 2_500)
+    groups = {
+        "random bit patterns": rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(float),
+        "log-uniform 1e-8 to 1e18": signs * np.exp(rng.uniform(np.log(1e-8), np.log(1e18), 400_000)),
+        "uniform weights": rng.random(250_000),
+        "dyadic rationals": rng.integers(-(10**7), 10**7, 150_000) / 2.0 ** rng.integers(0, 64, 150_000),
+        "integers": rng.integers(-(2**53), 2**53, 100_000).astype(float),
+        "powers of ten and neighbours": np.concatenate([near, -near]),
+        "ties at the 17th digit": np.concatenate([ties, -ties]),
+        "zeros, subnormals, inf, nan": np.concatenate([special, -special]),
+    }
+    assert sum(v.size for v in groups.values()) >= 1_000_000
+    # the ties lie in the fixed-notation range, where the limb path rounds them
+    assert ((ties >= 1e-4) & (ties < 1e14)).mean() > 0.5
+    for name, values in groups.items():
+        _assert_g17(values)
+    _assert_g17(np.array([], dtype=float))
+    _assert_g17(rng.random((7, 3)))  # any shape, flattened in C order
+
+
+def test_scaled_digits_round_half_even():
+    # round(m * 5**s * 2**(k + s)) against exact integer arithmetic, over
+    # the shifts the fixed-notation range reaches
+    rng = np.random.default_rng(5)
+    x = np.concatenate([np.exp(rng.uniform(np.log(1e-4), np.log(1e14), 4_000)),
+                        _decimal_ties(rng, 50)])
+    x = x[(x >= 1e-4) & (x < 1e14)]
+    mant, exp2 = np.frexp(x)
+    m = (mant * 2.0**53).astype(np.uint64)
+    k = exp2.astype(np.int64) - 53
+    s = 16 - np.floor(np.log10(x)).astype(np.int64)
+    shifts = -(k + s)
+    assert shifts.min() >= 1 and shifts.max() <= 63
+    got = _scaled_digits(m, k, s)
+    for mi, ki, si, qi in zip(m.tolist(), k.tolist(), s.tolist(), got.tolist()):
+        num, shift = mi * 5**si, -(ki + si)
+        q, rest = divmod(num, 2**shift)
+        if 2 * rest > 2**shift or (2 * rest == 2**shift and q % 2):
+            q += 1
+        assert qi == q
 
 
 def test_newton_block_recorded(tmp_path):
@@ -251,6 +346,10 @@ BAD_INPUTS = [
     pytest.param(["run", "--n", ","], None, 1, "n_list", id="n-empty"),
     pytest.param(["run", "--dt", ","], None, 1, "dt_list", id="dt-empty"),
     pytest.param(["run", "--alpha", "nan"], None, 1, "tableau", id="alpha-nan"),
+    pytest.param(["run", "--snapshots", "inf"], None, 1,
+                 "snapshot time inf is not on the step lattice", id="snapshots-inf"),
+    pytest.param(["run", "--snapshots", "nan"], None, 1,
+                 "snapshot time nan is not on the step lattice", id="snapshots-nan"),
     pytest.param(["run", "--alpha", "0"], None, 1, "tableau", id="alpha-0"),
     pytest.param(["run", "--boost-after", "0.5"], None, 1, None, id="boost-after-flag"),
     pytest.param(["run"], {"boost_after": 0.9}, 1, "boost_after", id="config-boost-after"),
@@ -290,9 +389,32 @@ def test_bad_inputs_exit_with_documented_code(tmp_path, capsys, argv, config, co
     assert not (tmp_path / "out").exists()  # a refused run writes nothing
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["existing-file", "below-a-file"])
+def test_out_naming_a_file_exits_with_one_line(tmp_path, capsys, below):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "sub" if below else taken
+    assert main(["run", "--n", "2", "--dt", "0.25", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("configuration error: ")
+    reason = "Not a directory" if below else "File exists"
+    assert err.endswith(f"cannot create output directory {out}: {reason}")
+    assert taken.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["verify", "--help"]])
 def test_help_exits_zero(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 0
     assert "usage: otpath" in capsys.readouterr().out
+
+
+def test_python_m_otpath_runs_the_cli():
+    src = str(Path(otpath.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "otpath", "--help"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0
+    assert "usage: otpath" in done.stdout

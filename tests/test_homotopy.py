@@ -251,6 +251,13 @@ def test_snapshot_capture(grid2):
     assert empty.snapshots == []
 
 
+@pytest.mark.parametrize("t_snap", [np.inf, -np.inf, np.nan])
+def test_non_finite_snapshot_time_refused(grid2, t_snap):
+    prob = build_problem({"variant": "p1", "dim": 2, "n_targets": 3, "seed": 2})
+    with pytest.raises(ConfigError, match=f"snapshot time {t_snap} is not on the step lattice"):
+        integrate_homotopy(prob, 0.25, grid2, snapshot_times=(t_snap,))
+
+
 @pytest.mark.parametrize(
     "config, snapshot_times",
     [

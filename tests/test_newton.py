@@ -3,7 +3,9 @@ import pytest
 
 from otpath import (
     ConfigError,
+    DensitySpec,
     KernelEvaluator,
+    NearSingularJacobianError,
     ResidualSystem,
     build_problem,
     cell_operands,
@@ -12,6 +14,7 @@ from otpath import (
     power_cell_measures,
     sample_targets,
     solve_xi_star,
+    TargetSet,
     gaussian_bump_density,
     unit_domain,
     unregularized_residual,
@@ -173,11 +176,39 @@ def test_xi_star_permutation_equivariance(grid1):
     rho = gaussian_bump_density(dom)
     base = solve_xi_star(cell_operands(targets, rho, grid1)).psi
     perm = np.array([2, 0, 3, 1])
-    from otpath import TargetSet
-
     shuffled = TargetSet(points=targets.points[perm])
     permuted = solve_xi_star(cell_operands(shuffled, rho, grid1)).psi
     assert np.abs(permuted - base[perm]).max() <= 1e-10
+
+
+def test_xi_star_regularizes_a_singular_start(monkeypatch):
+    # at xi = 0 the target at 3.0 has an empty cell on [0, 1], so its
+    # Jacobian row is zero and the plain solve refuses; the regularized
+    # step of `_newton_direction` carries the iteration to equal masses
+    outcomes = []
+    original = newton.solve_dual_system
+
+    def recording(mat, rhs, deflate=False):
+        try:
+            step = original(mat, rhs, deflate=deflate)
+        except NearSingularJacobianError:
+            outcomes.append("singular")
+            raise
+        outcomes.append("solved")
+        return step
+
+    monkeypatch.setattr(newton, "solve_dual_system", recording)
+    cells = IntervalCells(
+        TargetSet(points=np.array([[0.5], [2.0], [3.0]])),
+        unit_domain(1),
+        DensitySpec(kind="uniform", normalization=1.0),
+    )
+    assert power_cell_measures(np.zeros(3), cells)[2] == 0.0
+    report = solve_xi_star(cells)
+    assert outcomes[:2] == ["singular", "solved"]  # the fallback's first shift
+    assert report.converged and report.residual_sup < 1e-8
+    masses = power_cell_measures(report.psi, cells)
+    assert np.abs(masses - 1.0 / 3.0).max() <= 1e-8
 
 
 def test_initialization_sensitivity_diagnostic(grid1):
