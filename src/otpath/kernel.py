@@ -53,33 +53,37 @@ kernel (with R transposed it took the blocked path, which holds about
 on 20,736 nodes and 422 us against 889 us on 82,944 (2-core Xeon), but on
 the 2-D p1 parabola benchmark it cut the solve by only about 3%, within
 run-to-run spread, and raised the peak RSS from 85.3 to 86.3 MB (three
-alternating pairs).  The tables that depend only on the grid and the
-targets (D, dD, the pairs) are built on the route's first call.
+alternating pairs).  D1 and D2 are the per-axis tables that the source
+density's `laguerre.GridCells` holds as its cost; the tables built from
+them (dD, the pairs) are built on the route's first call.
 
 Range guard.  The per-axis shifts can undershoot the per-node maximum: the
 gap g(p, q) = max_j alpha(p) + max_j beta(q) - max_j (alpha + beta)(p, q)
 is at most the range over j of beta(q) (take j the argmax of alpha(p)), and
 likewise of alpha(p).  So g <= min(max_p range_j alpha, max_q range_j beta)
-(`_gap_bound`), and then total >= exp(-g).  The route runs only when that
+(`_gap_bound`, from the maxima the shifts take), and then total >= exp(-g).  The route runs only when that
 bound is at most MAX_AXIS_GAP = 300: total^2 >= exp(-600) ~ 3e-261 stays
 far above the smallest normal double, and R <= w*exp(600) far below the
 largest.  A weight U_j that underflows belongs to a pi_j below
 exp(-745 + 300), which no sum can see.  Stages that the guard refuses (t
 near 1 with targets far outside the box) take the chunked route.
 
-Chunked route (1-D, cubic cost, and refused stages).  The cost matrix is
-stored once per (grid, targets) pair, target-major with shape (N, M), so
-every per-node reduction (the softmax max and sum) runs across the N rows
-and stays vectorized along the long node axis.  It and the node masses are
-the source density's `laguerre.GridCells`, which snapshots label with and
-the 2-D terminal residual sweeps too.  `evaluate` passes over the nodes in
-chunks of CHUNK_NODES columns, so the temporaries stay in cache, and
-accumulates S and spread with piw = pi*w.  Passes per chunk: the exponents
-are formed as a/(1-t) - (t/(1-t))*C (one scale and one row shift), shifted
-by their per-node maximum, exponentiated, and normalized by multiplying
-with the reciprocal of the per-node sum.  Then piw, S, pi.C and spread (two
-`einsum` contractions, which form no product array) follow.  Shifting by
-the maximum is required: the raw exponentials overflow for t close to 1.
+Chunked route (1-D, cubic cost, and refused stages).  It sweeps the
+target-major (N, M) cost matrix, so every per-node reduction (the softmax
+max and sum) runs across the N rows and stays vectorized along the long
+node axis.  The matrix belongs to the source density's `laguerre.GridCells`;
+a 2-D quadratic cost, which the cells hold as per-axis tables, gets its
+matrix built on the first refused stage and kept.  The one-off passes
+(`node_weights` for snapshots, the labels, the 2-D terminal residual) read
+the cells chunk by chunk and need no matrix.  `evaluate` passes over the
+nodes in chunks of CHUNK_NODES columns, so the temporaries stay in cache,
+and accumulates S and spread with piw = pi*w.  Passes per chunk: the
+exponents are formed as a/(1-t) - (t/(1-t))*C (one scale and one row
+shift), shifted by their per-node maximum, exponentiated, and normalized by
+multiplying with the reciprocal of the per-node sum.  Then piw, S, pi.C and
+spread (two `einsum` contractions, which form no product array) follow.
+Shifting by the maximum is required: the raw exponentials overflow for t
+close to 1.
 S is summed over column blocks of the chunk (`_gram_block`): OpenBLAS takes
 an (N, k) @ (k, N) product with N*N*k <= GEMM_SMALL on its small-matrix
 kernel and a larger one on a path that costs about twice as much per
@@ -102,7 +106,6 @@ import numpy as np
 
 from .errors import NonFiniteValueError
 from .laguerre import CHUNK_NODES, GridCells
-from .model import axis_sq_dists
 
 # GEMM_SMALL bounds m*n*k for OpenBLAS's small-matrix dgemm kernel (see the
 # module docstring).  For the chunked Gram product it is a speed bound: N = 12,
@@ -158,10 +161,11 @@ def _gram_block(n, width):
     return block if MIN_GRAM_BLOCK <= block < width else width
 
 
-def _gap_bound(alpha, beta):
-    """Upper bound on how far the sum of the per-axis maxima of `alpha`
-    (N, n1) and `beta` (N, n2) exceeds the per-node maximum of alpha + beta."""
-    return min(np.ptp(alpha, axis=0).max(), np.ptp(beta, axis=0).max())
+def _gap_bound(alpha, beta, peaks):
+    """Upper bound on how far the sum of the per-axis maxima `peaks` of
+    `alpha` (N, n1) and `beta` (N, n2) over the targets exceeds the per-node
+    maximum of alpha + beta."""
+    return min((peaks[0] - alpha.min(axis=0)).max(), (peaks[1] - beta.min(axis=0)).max())
 
 
 def _small_products(x, y):
@@ -177,10 +181,11 @@ def _small_products(x, y):
 
 @dataclass(frozen=True)
 class _PairTables:
-    """Operands of the separable route on a 2-D tensor grid: the per-axis
-    squared distances d1 (N, n1) and d2 (N, n2), the target pairs j <= k,
-    their per-axis cost differences dd1 = d1[j] - d1[k] and dd2, and the
-    node masses w as an (n1, n2) view."""
+    """Operands of the separable route on a 2-D tensor grid: the grid cells'
+    per-axis squared distances d1 (N, n1) and d2 (N, n2), the target pairs
+    j <= k in `triu_indices` order, their per-axis cost differences
+    dd1 = d1[j] - d1[k] and dd2, the flat indices of (j, k) and (k, j) in an
+    (N, N) array, and the node masses w as an (n1, n2) view."""
 
     d1: np.ndarray
     d2: np.ndarray
@@ -188,14 +193,20 @@ class _PairTables:
     k: np.ndarray
     dd1: np.ndarray
     dd2: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
     w: np.ndarray
 
     @classmethod
-    def build(cls, targets, grid, node_mass):
-        d1, d2 = axis_sq_dists(targets.points, grid.axes)
-        j, k = np.triu_indices(targets.n)
-        w = node_mass.reshape(d1.shape[1], d2.shape[1])
-        return cls(d1=d1, d2=d2, j=j, k=k, dd1=d1[j] - d1[k], dd2=d2[j] - d2[k], w=w)
+    def build(cls, cells):
+        d1, d2 = cells.tables
+        n = cells.n
+        j, k = np.triu_indices(n)
+        w = cells.node_mass.reshape(d1.shape[1], d2.shape[1])
+        return cls(
+            d1=d1, d2=d2, j=j, k=k, dd1=d1[j] - d1[k], dd2=d2[j] - d2[k],
+            upper=j * n + k, lower=k * n + j, w=w,
+        )
 
 
 def _softmax(a, t, cost, out=None, peak=None):
@@ -214,9 +225,9 @@ def _softmax(a, t, cost, out=None, peak=None):
 class KernelEvaluator:
     """Kernel derivatives for one (problem, grid) pair.
 
-    Builds the source density's grid cells (the target-major (N, M) cost
-    matrix and the density-weighted quadrature weights) once; repeated
-    evaluations (ODE stages, Newton iterations) should share one instance.
+    Builds the source density's grid cells (the target-major cost and the
+    density-weighted quadrature weights) once; repeated evaluations (ODE
+    stages, Newton iterations) should share one instance.
     """
 
     def __init__(self, problem, grid):
@@ -225,9 +236,10 @@ class KernelEvaluator:
         self.cells = GridCells.build(problem.targets, grid, problem.mu, problem.cost.exponent)
         self.offsets = np.asarray(problem.offsets, dtype=float)
         self.n = problem.n
-        # quadratic cost on a 2-D tensor grid splits per axis; the separable
-        # route's tables are built when it first runs
-        self._splits = grid.dim == 2 and problem.cost.exponent == 2.0
+        # quadratic cost on a 2-D tensor grid splits per axis (the cells keep
+        # its tables); the separable route's pair tables are built when it
+        # first runs
+        self._splits = self.cells.tables is not None
         self._pairs = None
 
     def _depth(self, psi, t):
@@ -239,8 +251,12 @@ class KernelEvaluator:
         return psi - self.offsets
 
     def node_weights(self, psi, t):
-        """(M, N) softmax weights at every quadrature node."""
-        return _softmax(self._depth(psi, t), t, self.cells.cost).T
+        """(M, N) softmax weights at every quadrature node, chunk by chunk."""
+        a = self._depth(psi, t)
+        out = np.empty((self.n, self.cells.node_mass.size))
+        for lo, cost in self.cells.grid_cost.blocks():
+            _softmax(a, t, cost, out=out[:, lo : lo + cost.shape[1]])
+        return out.T
 
     def value(self, psi, t):
         """Dual transport value -(1-t) * integral of log-sum-exp.
@@ -261,8 +277,9 @@ class KernelEvaluator:
         a = self._depth(psi, t)
         if self._splits:
             alpha, beta = self._axis_exponents(a, t)
-            if _gap_bound(alpha, beta) <= MAX_AXIS_GAP:
-                return self._separable(a, t, alpha, beta)
+            peaks = alpha.max(axis=0), beta.max(axis=0)
+            if _gap_bound(alpha, beta, peaks) <= MAX_AXIS_GAP:
+                return self._separable(a, t, alpha, beta, peaks)
         return self._chunked(a, t)
 
     def _axis_exponents(self, a, t):
@@ -270,45 +287,40 @@ class KernelEvaluator:
         and beta = -(t/(1-t))*D2, (N, n2), whose sum over a node (p, q) is
         its exponent a/(1-t) - (t/(1-t))*C."""
         if self._pairs is None:
-            self._pairs = _PairTables.build(self.problem.targets, self.grid, self.cells.node_mass)
+            self._pairs = _PairTables.build(self.cells)
         scale = -t / (1.0 - t)
         alpha = self._pairs.d1 * scale
         alpha += (a / (1.0 - t))[:, None]
         return alpha, self._pairs.d2 * scale
 
-    def _separable(self, a, t, alpha, beta):
+    def _separable(self, a, t, alpha, beta, peaks):
         """The three blocks from the per-axis exponents `alpha` (N, n1) and
-        `beta` (N, n2) of a 2-D quadratic cost (see the module docstring)."""
+        `beta` (N, n2) of a 2-D quadratic cost and their maxima `peaks` over
+        the targets (see the module docstring).  Overwrites alpha and beta."""
         pairs = self._pairs
         n, p = self.n, pairs.j.size
-        u = np.exp(alpha - alpha.max(axis=0))
-        v = np.exp(beta - beta.max(axis=0))
+        u = np.exp(np.subtract(alpha, peaks[0], out=alpha), out=alpha)
+        v = np.exp(np.subtract(beta, peaks[1], out=beta), out=beta)
         # R = w / total**2 with the node sums total = U^T V, (n1, n2)
         r = _small_products(u.T, v)
         np.divide(pairs.w, np.multiply(r, r, out=r), out=r)
-        # pair rows (j, k >= j) in `triu_indices` order: W1 = U_j U_k then
-        # W1 * dD1, and W2 = V_j V_k
+        # pair rows (j, k >= j): W1 = U_j U_k then W1 * dD1, and W2 = V_j V_k
         stack = np.empty((2 * p, u.shape[1]))
-        w2 = np.empty((p, v.shape[1]))
-        lo = 0
-        for j in range(n):
-            hi = lo + n - j
-            np.multiply(u[j], u[j:], out=stack[lo:hi])
-            np.multiply(v[j], v[j:], out=w2[lo:hi])
-            lo = hi
+        np.multiply(u[pairs.j], u[pairs.k], out=stack[:p])
         np.multiply(stack[:p], pairs.dd1, out=stack[p:])
+        w2 = np.multiply(v[pairs.j], v[pairs.k])
         t12 = _small_products(stack, r)
         t1, t2 = t12[:p], t12[p:]
         s_pairs = np.einsum("pi,pi->p", w2, t1)
         t2 += np.multiply(t1, pairs.dd2, out=t1)
         z_pairs = np.einsum("pi,pi->p", w2, t2)
-        outer = np.empty((n, n))
-        outer[pairs.j, pairs.k] = s_pairs
-        outer[pairs.k, pairs.j] = s_pairs
-        z = np.empty((n, n))
-        z[pairs.j, pairs.k] = z_pairs
-        z[pairs.k, pairs.j] = -z_pairs
-        return _blocks(outer, z.sum(axis=1), a, t)
+        outer = np.empty(n * n)
+        outer[pairs.upper] = s_pairs
+        outer[pairs.lower] = s_pairs
+        z = np.empty(n * n)
+        z[pairs.upper] = z_pairs
+        z[pairs.lower] = -z_pairs
+        return _blocks(outer.reshape(n, n), z.reshape(n, n).sum(axis=1), a, t)
 
     def _chunked(self, a, t):
         """The three blocks from one chunked sweep over the (N, M) cost."""

@@ -18,22 +18,31 @@ to rounding; the grid route carries an O(node spacing) boundary error, which
 is why it is never used where the acceptance tolerances are tighter than that.
 Both kinds of operands keep their last evaluation, so the masses and the
 Jacobian at one weight vector cost one interval diagram or one pass over the
-cost matrix.  The grid Jacobian is a central difference formed from the
-nodes that change owner, not from 2N label sweeps.
+cost.  The grid Jacobian is a central difference formed from the nodes that
+change owner, not from 2N label sweeps.
 
-Grid passes: a `GridCells` holds the target-major (N, M) cost matrix and
-sweeps it in chunks of nodes, one row at a time, each pass vectorized along
-the nodes.  Per node it keeps the running minimum of cost - weights with its
-label, and the runner-up value.  A row takes over a node only when strictly
-smaller, so ties go to the lowest index exactly as `np.argmin` resolves them,
-and the masses are the bincount of those labels.  The nodes whose runner-up
-lies within the Jacobian's step of the minimum are the only ones that can
-change owner; the Jacobian gathers just their columns.  `grid_labels` is the
-same label rule for callers that want the labels themselves (snapshots).
-A `GridCells` is built once per grid and then shared: the kernel holds the
-source-density cells, the residual system the rho cells (on the kernel's
-matrix when both costs are quadratic), snapshots label with the kernel's,
-and the 2-D terminal residual reads both on the boosted grid.
+Grid cost: a `GridCost` is the target-major cost of the targets at the
+nodes.  For quadratic cost on a 2-D tensor grid it holds only the per-axis
+tables (y_jd - x_d)^2, N*(n1 + n2) numbers; the (N, M) matrix is built on
+first request and kept, by the callers that sweep at every stage (the p4 rho
+cells, the kernel's chunked route).  The once-per-run passes (snapshot
+labels and weights, the mu cells of the 2-D terminal residual) form each
+chunk of nodes from the tables instead, the same float sum as the matrix.
+Every other cost is the matrix from the start.
+
+Grid passes: a `GridCells` sweeps its cost in chunks of nodes, one row at a
+time, each pass vectorized along the nodes.  Per node it keeps the running
+minimum of cost - weights with its label, and the runner-up value.  A row
+takes over a node only when strictly smaller, so ties go to the lowest index
+exactly as `np.argmin` resolves them, and the masses are the bincount of
+those labels.  The nodes whose runner-up lies within the Jacobian's step of
+the minimum are the only ones that can change owner; the Jacobian gathers
+just their columns.  `grid_labels` is the same label rule for callers that
+want the labels themselves (snapshots).  A `GridCells` is built once per
+grid and then shared: the kernel holds the source-density cells, the
+residual system the rho cells (on the kernel's `GridCost` when both costs
+are quadratic), snapshots label with the kernel's, and the 2-D terminal
+residual reads both on the boosted grid.
 """
 
 from dataclasses import dataclass, field
@@ -45,6 +54,7 @@ from .model import (
     DensitySpec,
     Domain,
     TargetSet,
+    axis_sq_dists,
     cost_matrix,
     density_eval,
     interval_mass,
@@ -135,37 +145,98 @@ class IntervalCells:
         return last[1]
 
 
-@dataclass(frozen=True)
-class GridCells:
-    """Operands of grid-label cell masses for one (grid, targets, density,
-    cost): the targets, the target-major (N, M) cost matrix, the
-    density-weighted node masses, and the largest node spacing of the grid.
+class GridCost:
+    """Target-major cost of N targets at the M nodes of one grid.
 
-    Like `IntervalCells`, grid cells keep their last sweep, so the masses and
-    the Jacobian at one weight vector cost one pass over the matrix.
+    Quadratic cost on a 2-D tensor grid is held as its per-axis tables
+    `tables` = (d1, d2), the (N, n1) and (N, n2) squared distances
+    (y_jd - x_d)^2: node p*n2 + q costs d1[:, p] + d2[:, q].  `matrix()`
+    builds the (N, M) matrix on its first call and keeps it, for callers that
+    sweep it at every stage; until then `blocks` forms each chunk of nodes
+    from the tables, the float sum `cost_matrix` forms.  Any other cost is
+    held as the matrix alone.
     """
 
-    targets: TargetSet
-    cost: np.ndarray
-    node_mass: np.ndarray
-    spacing: float
-    _cost_max: float = field(default=None, init=False, repr=False, compare=False)
-    _last: tuple = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, matrix=None, tables=None, source=None):
+        self.tables = tables
+        self._matrix = matrix
+        self._source = source  # the `cost_matrix` arguments of the matrix
+        if matrix is not None:
+            matrix.setflags(write=False)
 
-    def __post_init__(self):
-        self.cost.setflags(write=False)
-        self.node_mass.setflags(write=False)
+    @classmethod
+    def build(cls, targets, grid, exponent):
+        source = (targets.points, grid.nodes, exponent, grid.axes)
+        if grid.dim == 2 and exponent == 2.0:
+            return cls(tables=tuple(axis_sq_dists(targets.points, grid.axes)), source=source)
+        return cls(matrix=cost_matrix(*source))
+
+    def matrix(self):
+        if self._matrix is None:
+            self._matrix = cost_matrix(*self._source)
+            self._matrix.setflags(write=False)
+        return self._matrix
+
+    def blocks(self):
+        """(lo, block) per chunk of CHUNK_NODES nodes: the (N, k) cost of
+        nodes lo to lo + k, a view of the matrix when it is built, else formed
+        from the tables in one scratch buffer that the next block reuses."""
+        if self._matrix is not None:
+            m = self._matrix.shape[1]
+            for lo in range(0, m, CHUNK_NODES):
+                yield lo, self._matrix[:, lo : lo + CHUNK_NODES]
+            return
+        d1, d2 = self.tables
+        n, n2 = d2.shape
+        m = d1.shape[1] * n2
+        # the axis rows p0 to p1 that hold one chunk's nodes
+        scratch = np.empty((n, -(-min(m, CHUNK_NODES) // n2) + 1, n2))
+        for lo in range(0, m, CHUNK_NODES):
+            hi = min(lo + CHUNK_NODES, m)
+            p0, p1 = lo // n2, -(-hi // n2)
+            rows = np.add(d1[:, p0:p1, None], d2[:, None, :], out=scratch[:, : p1 - p0])
+            yield lo, rows.reshape(n, -1)[:, lo - p0 * n2 : hi - p0 * n2]
+
+
+class GridCells:
+    """Operands of grid-label cell masses for one (grid, targets, density,
+    cost): the targets, the target-major cost (a `GridCost`, or an (N, M)
+    matrix), the density-weighted node masses, and the largest node spacing
+    of the grid.
+
+    `cost` is the (N, M) matrix, built on first request and kept; the label
+    sweeps read it when it exists and stream chunks of the cost otherwise.
+    Like `IntervalCells`, grid cells keep their last sweep, so the masses and
+    the Jacobian at one weight vector cost one pass over the cost.
+    """
+
+    def __init__(self, targets, cost, node_mass, spacing):
+        self.targets = targets
+        self.grid_cost = cost if isinstance(cost, GridCost) else GridCost(matrix=cost)
+        self.node_mass = node_mass
+        self.spacing = spacing
+        self._cost_max = None
+        self._last = None
+        node_mass.setflags(write=False)
 
     @property
     def n(self):
         return self.targets.n
 
+    @property
+    def tables(self):
+        return self.grid_cost.tables
+
+    @property
+    def cost(self):
+        return self.grid_cost.matrix()
+
     @classmethod
     def build(cls, targets, grid, density, cost_exponent=2.0, cost=None):
-        """`cost` passes in an existing target-major matrix of the same
-        targets, grid and exponent instead of building another."""
+        """`cost` passes in the `GridCost` of the same targets, grid and
+        exponent, to share, instead of building another."""
         if cost is None:
-            cost = cost_matrix(targets.points, grid.nodes, cost_exponent, grid.axes)
+            cost = GridCost.build(targets, grid, cost_exponent)
         counts = grid.panels_per_axis * grid.order
         spacing = max((hi - lo) / counts for lo, hi in zip(grid.lower, grid.upper))
         node_mass = grid.weights * density_eval(density, grid.nodes)
@@ -194,7 +265,7 @@ class GridCells:
         last = self._last
         if last is None or not np.array_equal(last[0], weights):
             last = (weights.copy(), self._sweep(weights))
-            object.__setattr__(self, "_last", last)
+            self._last = last
         return last[1]
 
     def _sweep(self, weights):
@@ -207,16 +278,14 @@ class GridCells:
         first sweep also finds the largest |cost|, which the boundary slack
         needs, while each chunk is in cache.
         """
-        cost = self.cost
-        n, m = cost.shape
+        n, m = self.n, self.node_mass.size
         labels = np.zeros(m, dtype=np.intp)
         best = np.empty(m)
         second = np.full(m, np.inf)
         cand = np.empty(min(m, CHUNK_NODES))
         upper = np.empty_like(cand)
         bound = 0.0
-        for lo in range(0, m, CHUNK_NODES):
-            block = cost[:, lo : lo + CHUNK_NODES]
+        for lo, block in self.grid_cost.blocks():
             if self._cost_max is None:
                 bound = max(bound, block.max(), -block.min())
             span = slice(lo, lo + block.shape[1])
@@ -229,22 +298,24 @@ class GridCells:
                 np.minimum(run, np.maximum(low, c, out=hi), out=run)
                 np.minimum(low, c, out=low)
         if self._cost_max is None:
-            object.__setattr__(self, "_cost_max", float(bound))
+            self._cost_max = float(bound)
         masses = np.bincount(labels, weights=self.node_mass, minlength=n)
         return masses, labels, best, second
 
 
 def grid_labels(weights, cells):
     """Per-node argmin of cost(x, y_j) - weights_j over the rows of the
-    GridCells' target-major matrix; ties go to the lowest index."""
-    cost = cells.cost
+    GridCells' target-major cost, chunk by chunk; ties go to the lowest
+    index."""
     weights = np.asarray(weights, dtype=float)
-    best = cost[0] - weights[0]
-    labels = np.zeros(cost.shape[1], dtype=np.intp)
-    for j in range(1, cost.shape[0]):
-        cand = cost[j] - weights[j]
-        labels[cand < best] = j
-        np.minimum(best, cand, out=best)
+    labels = np.zeros(cells.node_mass.size, dtype=np.intp)
+    for lo, cost in cells.grid_cost.blocks():
+        lab = labels[lo : lo + cost.shape[1]]
+        best = cost[0] - weights[0]
+        for j in range(1, cells.n):
+            cand = cost[j] - weights[j]
+            lab[cand < best] = j
+            np.minimum(best, cand, out=best)
     return labels
 
 
@@ -253,7 +324,7 @@ def cell_operands(targets, density, grid, cost_exponent=2.0, cost=None):
 
     The only place the route is decided: IntervalCells for 1-D targets with
     quadratic cost, GridCells otherwise.  `cost` passes an existing
-    target-major matrix to the grid route instead of building another.
+    `GridCost` to the grid route instead of building another.
     """
     if targets.dim == 1 and cost_exponent == 2.0:
         return IntervalCells(targets, Domain(lower=grid.lower, upper=grid.upper), density)
@@ -341,7 +412,7 @@ def unregularized_residual(problem, psi, grid, mu_cells=None, rho_cells=None):
     weights psi - offsets (the argmin convention cost_j(x) - psi_j - offset_j
     used everywhere).  For p4 the penalty term is also a cell mass: rho-cells
     of -psi under the quadratic inner cost, against mu-cells of psi under the
-    outer cost; when the outer cost is quadratic too, both share one matrix.
+    outer cost; when the outer cost is quadratic too, both share one cost.
     `mu_cells` and `rho_cells` pass operands already built on `grid` (a
     residual system's); the missing ones are built here.
     """
@@ -352,7 +423,7 @@ def unregularized_residual(problem, psi, grid, mu_cells=None, rho_cells=None):
     mu_mass = power_cell_measures(psi - problem.offsets, mu_cells)
     if problem.variant == "p4":
         if rho_cells is None:
-            shared = mu_cells.cost if isinstance(mu_cells, GridCells) and exponent == 2.0 else None
+            shared = mu_cells.grid_cost if isinstance(mu_cells, GridCells) and exponent == 2.0 else None
             rho_cells = cell_operands(problem.targets, problem.rho, grid, cost=shared)
         penalty = power_cell_measures(-psi, rho_cells)
     else:

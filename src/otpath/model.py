@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import erf
 
 from . import quadrature
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteValueError
 
 VARIANTS = ("p1", "p2", "p3", "p4")
 
@@ -351,19 +351,37 @@ def _density_from_config(cfg, domain):
     raise ConfigError(f"unknown density kind {kind!r}")
 
 
-def _validate_density(spec, grid, label):
-    """Check `spec` on `grid` (the default rule on the domain): finite, of
-    mass 1 within 1e-3 (a warning otherwise) and strictly positive, from one
-    evaluation at the nodes."""
-    values = density_eval(spec, grid.nodes)
-    total = quadrature.integrate(grid, lambda x: values)
-    if abs(total - 1.0) > 1e-3:
+def _validate_density(spec, rules, label):
+    """Check `spec` on the tensor rule whose per-axis (nodes, weights) are
+    `rules` (the default rule on the domain) without forming its nodes.
+
+    Both density kinds are the normalization times a product of per-axis
+    factors (1, or exp(-sharpness * (x_d - c_d)^2)), so the rule's mass is
+    the normalization times the product of the per-axis rule sums, and the
+    density is least at the node farthest from the center.  That node's
+    value must be finite and strictly positive; the mass must be 1 within
+    1e-3 (a warning otherwise).
+    """
+    mass = spec.normalization
+    far = []
+    for d, (x, w) in enumerate(rules):
+        if spec.kind == DENSITY_GAUSS:
+            gap = x - spec.center[d]
+            mass *= float(np.sum(w * np.exp(-spec.sharpness * gap * gap)))
+            far.append(float(x[np.argmax(np.abs(gap))]))
+        else:
+            mass *= float(np.sum(w))
+            far.append(float(x[0]))
+    least = density_eval(spec, np.array(far))
+    if not np.isfinite(least):
+        raise NonFiniteValueError(f"{label} density is non-finite at x={tuple(far)}")
+    if abs(mass - 1.0) > 1e-3:
         warnings.warn(
-            f"{label} density integrates to {total:.6f}, not 1; "
+            f"{label} density integrates to {mass:.6f}, not 1; "
             "check the normalization constant",
             stacklevel=3,
         )
-    if values.min() <= 0.0:
+    if least <= 0.0:
         raise ConfigError(f"{label} density must be strictly positive on the domain")
 
 
@@ -408,10 +426,11 @@ def build_problem(config):
 
     mu = _density_from_config(config.get("density", {}), domain)
     # one rule on the domain checks both densities
-    check_grid = quadrature.build_grid(
-        domain, DEFAULT_PANELS[domain.dim], DEFAULT_ORDER[domain.dim]
-    )
-    _validate_density(mu, check_grid, "source")
+    rules = [
+        quadrature.axis_rule(lo, hi, DEFAULT_PANELS[domain.dim], DEFAULT_ORDER[domain.dim])
+        for lo, hi in zip(domain.lower, domain.upper)
+    ]
+    _validate_density(mu, rules, "source")
 
     cost = CostSpec(exponent=float(config.get("cost_exponent", 2)))
 
@@ -421,7 +440,7 @@ def build_problem(config):
     rho = None
     if config.get("rho") is not None:
         rho = _density_from_config(config["rho"], domain)
-        _validate_density(rho, check_grid, "rho")
+        _validate_density(rho, rules, "rho")
 
     return ProblemSpec(
         variant=variant,

@@ -49,7 +49,7 @@ class QuadratureGrid:
         return self.nodes.shape[0]
 
 
-def _axis_rule(lo, hi, panels, order):
+def axis_rule(lo, hi, panels, order):
     """Nodes/weights of the composite rule on [lo, hi] for one axis."""
     x, w = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(lo, hi, panels + 1)
@@ -75,7 +75,7 @@ def build_grid(domain, panels_per_axis, order):
     lower = tuple(float(v) for v in domain.lower)
     upper = tuple(float(v) for v in domain.upper)
     axes = [
-        _axis_rule(lo, hi, panels_per_axis, order) for lo, hi in zip(lower, upper)
+        axis_rule(lo, hi, panels_per_axis, order) for lo, hi in zip(lower, upper)
     ]
     if len(axes) == 1:
         nodes = axes[0][0][:, None].copy()

@@ -64,8 +64,9 @@ class ResidualSystem:
     Shares one kernel evaluator across calls; `full` shares the softmax
     sweep (and, for p4, the measure Jacobian) between the residual,
     Jacobian, and time derivative.  For p4 the rho cells' operands are built
-    here once, on the kernel's cost matrix when the grid route needs one and
-    the outer cost is quadratic like the inner one.
+    here once, on the kernel's cost when the grid route needs one and the
+    outer cost is quadratic like the inner one.  Their label sweeps run at
+    every stage, so their (N, M) cost matrix is built here too and kept.
     """
 
     def __init__(self, problem, grid):
@@ -74,8 +75,10 @@ class ResidualSystem:
         self.kernel = KernelEvaluator(problem, grid)
         self.rho_cells = None
         if problem.variant == "p4":
-            shared = self.kernel.cells.cost if problem.cost.exponent == 2.0 else None
+            shared = self.kernel.cells.grid_cost if problem.cost.exponent == 2.0 else None
             self.rho_cells = cell_operands(problem.targets, problem.rho, grid, cost=shared)
+            if isinstance(self.rho_cells, GridCells):
+                self.rho_cells.grid_cost.matrix()
 
     def _check_time(self, t):
         if self.problem.scales_penalty:

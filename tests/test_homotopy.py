@@ -259,16 +259,18 @@ def test_non_finite_snapshot_time_refused(grid2, t_snap):
 
 
 @pytest.mark.parametrize(
-    "config, snapshot_times",
+    "config, snapshot_times, matrices",
     [
-        ({"variant": "p1", "dim": 2, "targets": parabola_targets(4).points.tolist()}, (0.5, 1.0)),
-        ({"variant": "p4", "dim": 2, "n_targets": 3, "seed": 4, "rho": {"kind": "gauss"}}, ()),
+        ({"variant": "p1", "dim": 2, "targets": parabola_targets(4).points.tolist()}, (0.5, 1.0), 0),
+        ({"variant": "p4", "dim": 2, "n_targets": 3, "seed": 4, "rho": {"kind": "gauss"}}, (), 1),
     ],
     ids=["p1-snapshots", "p4"],
 )
-def test_one_cost_matrix_per_grid(monkeypatch, config, snapshot_times):
-    # the stage grid and the boosted grid: the snapshots, the p4 rho cells and
-    # the terminal residual (on the boosted grid) reuse the matrices of the run
+def test_one_cost_matrix_per_grid(monkeypatch, config, snapshot_times, matrices):
+    # p1 stages take the separable route, and the snapshots and the terminal
+    # residual stream the per-axis tables: no (N, M) matrix at all.  The p4
+    # rho cells sweep at every stage and keep one matrix per grid (stage and
+    # boosted), which the terminal residual reads too.
     grid = build_grid(unit_domain(2), 12, 4)
     prob = build_problem(config)
     built = []
@@ -282,7 +284,7 @@ def test_one_cost_matrix_per_grid(monkeypatch, config, snapshot_times):
             monkeypatch.setattr(module, "cost_matrix", counting)
     traj = integrate_homotopy(prob, 0.25, grid, snapshot_times=snapshot_times)
     assert len(traj.snapshots) == len(snapshot_times)
-    assert sorted(built) == [grid.n_nodes, 4 * grid.n_nodes]
+    assert sorted(built) == [grid.n_nodes, 4 * grid.n_nodes] * matrices
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,14 @@ from otpath import (
     build_grid,
     unit_domain,
 )
-from otpath.kernel import CHUNK_NODES, MAX_AXIS_GAP, _gap_bound, _gram_block
+from otpath.kernel import (
+    CHUNK_NODES,
+    MAX_AXIS_GAP,
+    _blocks,
+    _gap_bound,
+    _gram_block,
+    _small_products,
+)
 from conftest import central_diff, central_diff_scalar_arg
 
 
@@ -304,7 +311,9 @@ def _routes(ke, psi, t):
     """Both routes' blocks at one point, and the guard's bound there."""
     a = psi - ke.offsets
     alpha, beta = ke._axis_exponents(a, t)
-    return ke._separable(a, t, alpha, beta), ke._chunked(a, t), _gap_bound(alpha, beta)
+    peaks = alpha.max(axis=0), beta.max(axis=0)
+    bound = _gap_bound(alpha, beta, peaks)  # before _separable overwrites alpha and beta
+    return ke._separable(a, t, alpha, beta, peaks), ke._chunked(a, t), bound
 
 
 @pytest.mark.parametrize("t", [0.0, 0.5, 0.9, 0.99, 0.9925])
@@ -348,6 +357,59 @@ def test_both_routes_match_a_long_double_reference(n, variant, t):
                 assert np.abs(got - ref).max() <= 1e-14 * float(scale)
 
 
+def _loop_separable(ke, a, t):
+    """The separable route in its loop form: pair rows built one target j at
+    a time, the guard from `np.ptp`, and S and Z scattered by (row, column)
+    index.  Returns the three blocks and the guard's bound."""
+    alpha, beta = ke._axis_exponents(a, t)
+    bound = min(np.ptp(alpha, axis=0).max(), np.ptp(beta, axis=0).max())
+    pairs = ke._pairs
+    n, p = ke.n, pairs.j.size
+    u = np.exp(alpha - alpha.max(axis=0))
+    v = np.exp(beta - beta.max(axis=0))
+    r = _small_products(u.T, v)
+    np.divide(pairs.w, np.multiply(r, r, out=r), out=r)
+    stack = np.empty((2 * p, u.shape[1]))
+    w2 = np.empty((p, v.shape[1]))
+    lo = 0
+    for j in range(n):
+        hi = lo + n - j
+        np.multiply(u[j], u[j:], out=stack[lo:hi])
+        np.multiply(v[j], v[j:], out=w2[lo:hi])
+        lo = hi
+    np.multiply(stack[:p], pairs.dd1, out=stack[p:])
+    t12 = _small_products(stack, r)
+    t1, t2 = t12[:p], t12[p:]
+    s_pairs = np.einsum("pi,pi->p", w2, t1)
+    t2 += np.multiply(t1, pairs.dd2, out=t1)
+    z_pairs = np.einsum("pi,pi->p", w2, t2)
+    outer = np.empty((n, n))
+    outer[pairs.j, pairs.k] = s_pairs
+    outer[pairs.k, pairs.j] = s_pairs
+    z = np.empty((n, n))
+    z[pairs.j, pairs.k] = z_pairs
+    z[pairs.k, pairs.j] = -z_pairs
+    return _blocks(outer, z.sum(axis=1), a, t), bound
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 0.99, 0.9925])
+@pytest.mark.parametrize("n", [1, 2, 7, 12])
+@pytest.mark.parametrize("panels", [4, 24])
+def test_separable_route_equals_its_loop_form(panels, n, t):
+    # the gathered pair rows, the guard from the shift's maxima, the in-place
+    # exponentials and the flat scatter change no bit
+    grid = build_grid(unit_domain(2), panels, 6)
+    prob = _random_problem(n, dim=2, seed=29, variant="p3")
+    ke = KernelEvaluator(prob, grid)
+    psi = prob.offsets + np.random.default_rng(n).uniform(-0.2, 0.2, n)
+    ev = ke.evaluate(psi, t)
+    ref, bound = _loop_separable(ke, psi - ke.offsets, t)
+    alpha, beta = ke._axis_exponents(psi - ke.offsets, t)
+    assert _gap_bound(alpha, beta, (alpha.max(axis=0), beta.max(axis=0))) == bound <= MAX_AXIS_GAP
+    for got, want in zip((ev.grad, ev.hess, ev.dt_grad), (ref.grad, ref.hess, ref.dt_grad)):
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("t", [0.0, 0.3, 0.9, 0.999])
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_gap_bound_covers_the_exact_gap(n, t):
@@ -360,10 +422,11 @@ def test_gap_bound_covers_the_exact_gap(n, t):
         a = rng.uniform(-1.0, 1.0, n)
         alpha, beta = ke._axis_exponents(a, t)
         node = alpha[:, :, None] + beta[:, None, :]
-        gap = alpha.max(axis=0)[:, None] + beta.max(axis=0)[None, :] - node.max(axis=0)
+        peaks = alpha.max(axis=0), beta.max(axis=0)
+        gap = peaks[0][:, None] + peaks[1][None, :] - node.max(axis=0)
         slack = 1e-12 * np.abs(node).max()
         assert gap.min() >= -slack
-        assert _gap_bound(alpha, beta) + slack >= gap.max()
+        assert _gap_bound(alpha, beta, peaks) + slack >= gap.max()
 
 
 def test_the_data_picks_the_route(monkeypatch):

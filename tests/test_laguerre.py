@@ -28,6 +28,7 @@ from otpath.laguerre import (
     measure_jacobian,
 )
 from otpath import residuals
+from otpath.kernel import _softmax
 from otpath.model import cost_matrix, density_eval
 from otpath.residuals import ResidualSystem
 
@@ -591,3 +592,75 @@ def test_grid_jacobian_on_exact_ties():
                 tied += np.count_nonzero(raised == (cost - weights[:, None]).min(axis=0))
                 _assert_matches_moved_node_reference(weights, cells)
     assert tied > 0
+
+
+# 1,024 nodes (one chunk); 10,000 (100 per axis row: the chunk boundary at
+# node 8,192 falls inside row 81); 20,736 (two full chunks and a partial one,
+# the boundaries inside rows 56 and 113)
+_STREAM_GRIDS = ((8, 4), (20, 5), (24, 6))
+
+
+def _with_matrix(cells, grid, exponent=2.0):
+    """The same operands on an explicit (N, M) matrix, the per-node sum of
+    `cost_matrix`: every pass reads that matrix."""
+    cost = cost_matrix(cells.targets.points, grid.nodes, exponent)
+    return GridCells(targets=cells.targets, cost=cost, node_mass=cells.node_mass, spacing=cells.spacing)
+
+
+@pytest.mark.parametrize("panels, order", _STREAM_GRIDS)
+def test_streamed_passes_match_the_matrix_route(panels, order):
+    # labels, kept sweeps, masses and softmax weights formed chunk by chunk
+    # from the per-axis tables equal, bit for bit, those read from a matrix
+    grid = build_grid(unit_domain(2), panels, order)
+    assert grid.n_nodes <= laguerre.CHUNK_NODES or grid.n_nodes % laguerre.CHUNK_NODES
+    prob = build_problem({"variant": "p3", "dim": 2, "n_targets": 7, "seed": 6, "anchor": [0.4, 0.6]})
+    ke = KernelEvaluator(prob, grid)
+    cells = ke.cells
+    matrix = _with_matrix(cells, grid)
+    rng = np.random.default_rng(panels)
+    for _ in range(3):
+        weights = rng.uniform(-0.3, 0.3, prob.n)
+        expected = np.argmin(matrix.cost - weights[:, None], axis=0)
+        assert np.array_equal(grid_labels(weights, cells), expected)
+        assert np.array_equal(grid_labels(weights, matrix), expected)
+        for got, ref in zip(cells._last_sweep(weights), matrix._last_sweep(weights)):
+            assert np.array_equal(got, ref)
+        assert np.array_equal(power_cell_measures(weights, cells), power_cell_measures(weights, matrix))
+        psi = prob.offsets + weights
+        for t in (0.0, 0.5, 0.99):
+            # the unchunked softmax over the whole matrix
+            whole = _softmax(psi - prob.offsets, t, matrix.cost).T
+            assert np.array_equal(ke.node_weights(psi, t), whole)
+    assert cells.grid_cost._matrix is None  # every pass above streamed
+    # once built on request, the matrix is what the passes read
+    assert np.array_equal(cells.cost, matrix.cost)
+    assert np.array_equal(grid_labels(weights, cells), expected)
+    assert np.array_equal(ke.node_weights(psi, 0.99), whole)
+
+
+@pytest.mark.parametrize("exponent", [2.0, 3.0])
+@pytest.mark.parametrize("variant", ["p1", "p4"])
+def test_streamed_terminal_residual_matches_the_matrix_route(monkeypatch, variant, exponent):
+    # fresh operands stream their quadratic cost (the p4 rho cells share the
+    # mu cells' tables when the outer cost is quadratic too) and build no
+    # matrix; on explicit matrices the residual is the same, bit for bit
+    grid = build_grid(unit_domain(2), 20, 5)
+    config = {"variant": variant, "dim": 2, "n_targets": 6, "seed": 4, "cost_exponent": exponent}
+    if variant == "p4":
+        config["rho"] = {"kind": "gauss"}
+    prob = build_problem(config)
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return cost_matrix(*args)
+
+    monkeypatch.setattr(laguerre, "cost_matrix", counting)
+    psi = np.random.default_rng(1).uniform(-0.1, 0.1, prob.n)
+    streamed = unregularized_residual(prob, psi, grid)
+    assert len(built) == (exponent == 3.0)  # the cubic mu cells hold a matrix
+    mu = _with_matrix(GridCells.build(prob.targets, grid, prob.mu, exponent), grid, exponent)
+    rho = None
+    if variant == "p4":
+        rho = _with_matrix(GridCells.build(prob.targets, grid, prob.rho), grid)
+    assert np.array_equal(streamed, unregularized_residual(prob, psi, grid, mu, rho))

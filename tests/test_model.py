@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from otpath import (
     ConfigError,
     CostSpec,
     Domain,
+    NonFiniteValueError,
     TargetSet,
     build_grid,
     build_problem,
@@ -145,8 +148,9 @@ def test_density_checks_keep_their_order():
 
 
 def test_build_problem_validates_on_one_grid(monkeypatch):
-    # mu and rho are each evaluated once, on one shared validation grid
-    calls = {"density_eval": 0, "build_grid": 0}
+    # mu and rho are each evaluated once, at one node of one shared rule; the
+    # rule is two per-axis rules, and no 2-D grid is built
+    calls = {"density_eval": 0, "build_grid": 0, "axis_rule": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -159,8 +163,60 @@ def test_build_problem_validates_on_one_grid(monkeypatch):
 
     counted(model, "density_eval")
     counted(model.quadrature, "build_grid")
+    counted(model.quadrature, "axis_rule")
     build_problem({"variant": "p4", "dim": 2, "n_targets": 6, "seed": 4, "rho": {"kind": "gauss"}})
-    assert calls == {"density_eval": 2, "build_grid": 1}
+    assert calls == {"density_eval": 2, "build_grid": 0, "axis_rule": 2}
+
+
+def _grid_check(config):
+    """The source-density check `build_problem` once made at every node of
+    the default rule on the domain: (warned, error type or None)."""
+    domain = unit_domain(config["dim"])
+    spec = model._density_from_config(config["density"], domain)
+    grid = build_grid(domain, model.DEFAULT_PANELS[domain.dim], model.DEFAULT_ORDER[domain.dim])
+    values = density_eval(spec, grid.nodes)
+    try:
+        total = integrate(grid, lambda x: values)
+    except NonFiniteValueError:
+        return False, NonFiniteValueError
+    return abs(total - 1.0) > 1e-3, ConfigError if values.min() <= 0.0 else None
+
+
+def _per_axis_check(config):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            build_problem(config)
+            error = None
+        except (ConfigError, NonFiniteValueError) as exc:
+            error = type(exc)
+    return any("integrates" in str(w.message) for w in caught), error
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize(
+    "density, outcome",
+    [
+        ({"kind": "uniform"}, (False, None)),
+        ({"kind": "gauss"}, (False, None)),
+        ({"kind": "gauss", "center": (0.1, 0.9), "sharpness": 30.0}, (False, None)),
+        ({"kind": "gauss", "normalization": float("nan")}, (False, NonFiniteValueError)),
+        ({"kind": "gauss", "normalization": float("inf")}, (False, NonFiniteValueError)),
+        ({"kind": "gauss", "sharpness": float("nan")}, (False, NonFiniteValueError)),
+        ({"kind": "gauss", "normalization": 1.5}, (True, None)),  # a wrong constant
+        ({"kind": "gauss", "sharpness": 4e3}, (False, ConfigError)),  # underflows at the corners
+        ({"kind": "gauss", "sharpness": 1e5, "normalization": 1.0}, (True, ConfigError)),
+    ],
+    ids=["uniform", "gauss", "off-center", "nan-constant", "inf-constant", "nan-sharpness",
+         "wrong-constant", "underflow", "steep-and-wrong"],
+)
+def test_per_axis_density_check_agrees_with_the_grid_check(dim, density, outcome):
+    # the product of the per-axis rule sums and the value at the node
+    # farthest from the center refuse and warn where every node did
+    if "center" in density:
+        density = {**density, "center": density["center"][:dim]}
+    config = {"variant": "p1", "dim": dim, "targets": [[0.2] * dim, [0.6] * dim], "density": density}
+    assert _per_axis_check(config) == _grid_check(config) == outcome
 
 
 def test_parabola_targets():
