@@ -39,7 +39,7 @@ from .model import (
     unit_domain,
 )
 from .newton import NewtonReport, fixed_t_oracle, newton_1d, solve_xi_star
-from .quadrature import QuadratureGrid, build_grid, integrate, refine_grid
+from .quadrature import QuadratureGrid, build_grid, refine_grid
 from .residuals import InitialData, ResidualEval, ResidualSystem
 
 __version__ = "0.1.0"
@@ -73,7 +73,6 @@ __all__ = [
     "density_eval",
     "fixed_t_oracle",
     "gaussian_bump_density",
-    "integrate",
     "integrate_homotopy",
     "newton_1d",
     "parabola_targets",

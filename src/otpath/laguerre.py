@@ -437,16 +437,23 @@ def triple_intersection_check(psi, problem, grid, eps=None):
 
     A zero count certifies (at grid resolution) that consecutive cells meet
     only pairwise, i.e. the cell layout is nested along the target ordering.
+    The cost is swept chunk by chunk (`GridCost.blocks`); the default eps,
+    1e-3 times the cost's range, takes one more pass.
     """
     psi = np.asarray(psi, dtype=float)
-    n = problem.n
-    if n < 3:
+    if problem.n < 3:
         return 0
-    costs = cost_matrix(problem.targets.points, grid.nodes, problem.cost.exponent, grid.axes)
+    cost = GridCost.build(problem.targets, grid, problem.cost.exponent)
     if eps is None:
-        eps = 1e-3 * float(costs.max() - costs.min())
-    adjusted = costs - (psi - problem.offsets)[:, None]
-    gap = adjusted - adjusted.min(axis=0)
-    near = gap <= eps
-    triple = near[:-2] & near[1:-1] & near[2:]
-    return int(np.count_nonzero(triple.any(axis=0)))
+        lo, hi = np.inf, -np.inf
+        for _, block in cost.blocks():
+            lo, hi = min(lo, block.min()), max(hi, block.max())
+        eps = 1e-3 * float(hi - lo)
+    shift = (psi - problem.offsets)[:, None]
+    count = 0
+    for _, block in cost.blocks():
+        gap = block - shift
+        gap -= gap.min(axis=0)
+        near = gap <= eps
+        count += int(np.count_nonzero((near[:-2] & near[1:-1] & near[2:]).any(axis=0)))
+    return count

@@ -4,7 +4,8 @@ and the equal-mass weight solve that seeds the Wasserstein-penalty variant.
 
 The baseline is deliberately undamped so its initialization sensitivity is
 reproducible; the other two are damped because downstream code relies on
-them converging, and share one damped loop, `_damped_newton`.
+them converging, and share one damped loop, `_damped_newton`, which reads
+the residual and its Jacobian at every trial point as plain arrays.
 """
 
 from dataclasses import dataclass, replace
@@ -17,6 +18,7 @@ from .linsolve import solve_dual_system
 from .residuals import ResidualSystem
 
 MAX_ITER = 100  # Newton updates before a solver reports non-convergence
+TOL_1D = 1e-8  # residual sup-norm at which the 1-D baseline stops
 MAX_HALVINGS = 30
 
 
@@ -28,14 +30,14 @@ class NewtonReport:
     converged: bool
 
 
-def newton_1d(problem, psi0=None, tol=1e-8):
+def newton_1d(problem, psi0=None):
     """Plain Newton iteration on the unregularized 1-D dual.
 
     Residual: exp(-psi_j) - mu(cell_j(psi)).  The Jacobian is analytic:
     interface points between adjacent nonempty cells contribute
     mu(x_ij) / (2|y_i - y_j|) off-diagonal, and the diagonal collects
     -exp(-psi_i) minus the row's interface terms.  Stops at sup-norm below
-    `tol` or after MAX_ITER updates; divergence is reported, not raised.
+    TOL_1D or after MAX_ITER updates; divergence is reported, not raised.
     That is the t = 1 system of p1 and p2 only, so other variants, cubic cost
     and 2-D targets are refused.
     """
@@ -51,7 +53,7 @@ def newton_1d(problem, psi0=None, tol=1e-8):
 
     g = res(psi)
     for k in range(MAX_ITER):
-        if np.abs(g).max() < tol:
+        if np.abs(g).max() < TOL_1D:
             return NewtonReport(psi=psi, iterations=k, residual_sup=float(np.abs(g).max()), converged=True)
         with np.errstate(over="ignore"):
             jac = -np.diag(np.exp(-psi)) - measure_jacobian(psi, cells)
@@ -66,7 +68,7 @@ def newton_1d(problem, psi0=None, tol=1e-8):
         if not np.all(np.isfinite(g)):
             return NewtonReport(psi=psi, iterations=k + 1, residual_sup=np.inf, converged=False)
     sup = float(np.abs(g).max())
-    return NewtonReport(psi=psi, iterations=MAX_ITER, residual_sup=sup, converged=sup < tol)
+    return NewtonReport(psi=psi, iterations=MAX_ITER, residual_sup=sup, converged=sup < TOL_1D)
 
 
 def _newton_direction(jac, g, deflate):
@@ -92,18 +94,17 @@ def _newton_direction(jac, g, deflate):
 def _damped_newton(evaluate, psi0, tol, deflate=False, admissible=None):
     """Shared damped iteration: accept the full step if the sup-norm drops
     (and `admissible(g_trial, g_start)` holds, when given), otherwise halve
-    it up to MAX_HALVINGS times.  `evaluate(psi)` returns the residual and a
-    thunk for the Jacobian there; it runs once per trial point, the thunk
-    only at accepted points."""
+    it up to MAX_HALVINGS times.  `evaluate(psi)` returns the residual and
+    its Jacobian there; it runs once per trial point."""
     psi = np.asarray(psi0, dtype=float).copy()
-    g, jacobian = evaluate(psi)
+    g, jac = evaluate(psi)
     g_start = g
     sup = float(np.abs(g).max())
     for k in range(MAX_ITER):
         if sup < tol:
             return NewtonReport(psi=psi, iterations=k, residual_sup=sup, converged=True)
         try:
-            step = _newton_direction(jacobian(), g, deflate)
+            step = _newton_direction(jac, g, deflate)
         except SolverError:
             return NewtonReport(psi=psi, iterations=k, residual_sup=sup, converged=False)
         scale = 1.0
@@ -116,7 +117,7 @@ def _damped_newton(evaluate, psi0, tol, deflate=False, admissible=None):
             if g_trial is not None and np.all(np.isfinite(g_trial)):
                 sup_trial = float(np.abs(g_trial).max())
                 if sup_trial < sup and (admissible is None or admissible(g_trial, g_start)):
-                    psi, g, jacobian, sup = trial, g_trial, jac_trial, sup_trial
+                    psi, g, jac, sup = trial, g_trial, jac_trial, sup_trial
                     break
             scale *= 0.5
         else:
@@ -129,7 +130,7 @@ def fixed_t_oracle(problem, t, grid, tol=1e-10, psi0=None):
 
     Warm-startable through psi0; the default start extrapolates the
     closed-form initial data to time t.  Each trial point costs one
-    `ResidualSystem.full`; its Jacobian is assembled only if it is accepted.
+    `ResidualSystem.full`, which assembles its Jacobian too.
     """
     system = ResidualSystem(problem, grid)
     if psi0 is None:
@@ -138,7 +139,7 @@ def fixed_t_oracle(problem, t, grid, tol=1e-10, psi0=None):
 
     def evaluate(psi):
         ev = system.full(psi, t)
-        return ev.g, lambda: ev.jac
+        return ev.g, ev.jac
 
     return _damped_newton(evaluate, psi0, tol, deflate=problem.variant == "p4")
 
@@ -158,8 +159,7 @@ def solve_xi_star(cells, tol=1e-8):
     n = cells.n
 
     def evaluate(xi):
-        g = power_cell_measures(xi, cells) - 1.0 / n
-        return g, lambda: measure_jacobian(xi, cells)
+        return power_cell_measures(xi, cells) - 1.0 / n, measure_jacobian(xi, cells)
 
     def above_floor(g, g_start):
         # masses m = g + 1/N must stay >= min(m_start.min(), 1/N) / 2

@@ -1,16 +1,16 @@
 """Composite Gauss-Legendre quadrature on a box in 1-D or 2-D.
 
-Every integral against a source density goes through this module.  Grids are
-deterministic: the same (domain, panels, order) always produces bit-identical
-nodes and weights, and `integrate` reduces with numpy's pairwise summation so
-results do not depend on chunking.
+Every grid-route integral against a density is a sum of these weights times
+the density at these nodes (cell masses, kernel sweeps, terminal residual).
+Grids are deterministic: the same (domain, panels, order) always produces
+bit-identical nodes and weights.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteValueError
+from .errors import ConfigError
 
 MIN_ORDER = 2
 MAX_ORDER = 16
@@ -101,22 +101,3 @@ def build_grid(domain, panels_per_axis, order):
 def refine_grid(grid, factor):
     """Same rule on the same box with `factor` times as many panels per axis."""
     return build_grid(grid, grid.panels_per_axis * int(factor), grid.order)
-
-
-def integrate(grid, f):
-    """Sum of weights * f(nodes); raises if f is non-finite anywhere.
-
-    `f` receives the full (M, dim) node array and must return (M,) values.
-    """
-    values = np.asarray(f(grid.nodes), dtype=float)
-    if values.shape != (grid.n_nodes,):
-        raise ValueError(
-            f"integrand returned shape {values.shape}, expected ({grid.n_nodes},)"
-        )
-    if not np.all(np.isfinite(values)):
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise NonFiniteValueError(
-            f"integrand is non-finite at node {bad}: x={grid.nodes[bad]}"
-        )
-    return float(np.sum(grid.weights * values))
-

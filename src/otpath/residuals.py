@@ -11,12 +11,12 @@ residuals are
 
 The trajectory psi(t) is the root of the residual at every t; the governing
 ODE is jacobian * psi' = -dt.  `ResidualSystem.full` is the one evaluation:
-all three blocks at a point from one kernel sweep plus the penalty's terms;
+it returns all three blocks at a point as plain arrays, from one kernel sweep
+plus the penalty's terms (for p4, one cell sweep and one measure Jacobian);
 the ODE stages, the Newton oracle and the acceptance checks all read it.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -34,21 +34,14 @@ class InitialData:
     dpsi0: np.ndarray = None
 
 
+@dataclass(frozen=True)
 class ResidualEval:
     """Residual vector `g`, Jacobian `jac` in psi, and time derivative `dt`
-    at one (psi, t).  `jac` and `dt` are assembled on first use, so a caller
-    that reads only `g` (a rejected Newton trial) skips p4's measure Jacobian."""
+    at one (psi, t)."""
 
-    def __init__(self, g, blocks):
-        self.g = g
-        self._blocks = blocks  # () -> (jac, dt)
-
-    @cached_property
-    def _jac_dt(self):
-        return self._blocks()
-
-    jac = property(lambda self: self._jac_dt[0])
-    dt = property(lambda self: self._jac_dt[1])
+    g: np.ndarray
+    jac: np.ndarray
+    dt: np.ndarray
 
 
 def _safe_exp(a, what):
@@ -90,7 +83,7 @@ class ResidualSystem:
             raise ValueError(f"t must lie in [0, 1), got {t}")
 
     def _penalty(self, psi, t):
-        """The penalty term's g block and a thunk for its (jac, dt) blocks.
+        """The penalty term's (g, jac, dt) blocks.
 
         For p4 the Jacobian is singular along the all-ones direction: both the
         transport term and the cell masses are invariant under constant
@@ -100,31 +93,22 @@ class ResidualSystem:
         if p.variant == "p4":
             xi = -psi / t
             masses = power_cell_measures(xi, self.rho_cells)
-
-            def blocks():
-                rho_jac = measure_jacobian(xi, self.rho_cells)
-                return -rho_jac / t, rho_jac @ psi / t**2
-
-            return masses, blocks
+            rho_jac = measure_jacobian(xi, self.rho_cells)
+            return masses, -rho_jac / t, rho_jac @ psi / t**2
         if p.variant == "p2":
             e = _safe_exp(-psi / t, "entropy penalty term")
-            return e, lambda: (np.diag(-e / t), e * psi / t**2)
+            return e, np.diag(-e / t), e * psi / t**2
         e = _safe_exp(-psi, "entropy penalty term")
-        return e, lambda: (np.diag(-e), np.zeros_like(psi))
+        return e, np.diag(-e), np.zeros_like(psi)
 
     def full(self, psi, t):
         """Residual, its symmetric negative (semi)definite Jacobian in psi,
         and its time derivative, from one kernel sweep."""
         self._check_time(t)
-        psi = np.array(psi, dtype=float)  # a copy: jac and dt may be built later
+        psi = np.asarray(psi, dtype=float)
         ke = self.kernel.evaluate(psi, t)
-        g, penalty_blocks = self._penalty(psi, t)
-
-        def blocks():
-            jac, dt = penalty_blocks()
-            return ke.hess + jac, ke.dt_grad + dt
-
-        return ResidualEval(g + ke.grad, blocks)
+        g, jac, dt = self._penalty(psi, t)
+        return ResidualEval(g=g + ke.grad, jac=ke.hess + jac, dt=ke.dt_grad + dt)
 
     def initial_state(self):
         """Closed-form start of the trajectory for this variant."""

@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 import otpath
+import otpath.cli as cli
 from otpath import (
     ConfigError,
+    NearSingularJacobianError,
+    NonFiniteValueError,
     ResidualSystem,
     build_grid,
     build_problem,
@@ -277,6 +280,46 @@ def test_newton_surrogate_labeled_in_2d(tmp_path):
     run_experiment(config)
     report = json.loads((tmp_path / "p1_2d_n2_dt0.1.json").read_text())
     assert "surrogate" in report["newton_baseline"]["method"]
+
+
+def test_failed_cell_recorded_and_sweep_continues(tmp_path, monkeypatch):
+    original = cli.integrate_homotopy
+
+    def failing_at_n3(problem, dt, grid, **kwargs):
+        if problem.n == 3:
+            raise NonFiniteValueError("toy overflow")
+        return original(problem, dt, grid, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate_homotopy", failing_at_n3)
+    config = ExperimentConfig(
+        variant="p1", n_list=(2, 3, 4), dt_list=(1e-1,), seed=4, out_dir=str(tmp_path)
+    )
+    run_experiment(config)
+    failed = json.loads((tmp_path / "p1_1d_n3_dt0.1.json").read_text())
+    assert failed == {"error": "toy overflow"}
+    assert not (tmp_path / "p1_1d_n3_dt0.1.csv").exists()
+    for n in (2, 4):  # the cells before and after the failure still ran
+        assert (tmp_path / f"p1_1d_n{n}_dt0.1.csv").exists()
+        assert "error_sup" in json.loads((tmp_path / f"p1_1d_n{n}_dt0.1.json").read_text())
+    row = (tmp_path / "summary.csv").read_text().splitlines()[1].split(",")
+    assert row[0] == "0.1" and row[2] == "NAN"
+    assert row[1] != "NAN" and row[3] != "NAN"
+
+
+def test_solver_failure_outside_a_cell_exits_2(tmp_path, capsys, monkeypatch):
+    # the baseline runs outside the per-cell guard, so its failure ends the run
+    def failing(problem, psi0=None):
+        raise NearSingularJacobianError(1.0, "toy baseline")
+
+    monkeypatch.setattr(cli, "newton_1d", failing)
+    code = main(
+        ["run", "--problem", "p1", "--n", "2", "--dt", "1e-1", "--seed", "4",
+         "--newton", "--out", str(tmp_path)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("solver failure: ")
+    assert "toy baseline" in err[0]
 
 
 def test_config_validation():

@@ -664,3 +664,33 @@ def test_streamed_terminal_residual_matches_the_matrix_route(monkeypatch, varian
     if variant == "p4":
         rho = _with_matrix(GridCells.build(prob.targets, grid, prob.rho), grid)
     assert np.array_equal(streamed, unregularized_residual(prob, psi, grid, mu, rho))
+
+
+def _triple_count_full_matrix(psi, prob, grid, eps=None):
+    """`triple_intersection_check` on the whole (N, M) cost matrix at once."""
+    costs = cost_matrix(prob.targets.points, grid.nodes, prob.cost.exponent, grid.axes)
+    if eps is None:
+        eps = 1e-3 * float(costs.max() - costs.min())
+    adjusted = costs - (psi - prob.offsets)[:, None]
+    gap = adjusted - adjusted.min(axis=0)
+    near = gap <= eps
+    return int(np.count_nonzero((near[:-2] & near[1:-1] & near[2:]).any(axis=0)))
+
+
+@pytest.mark.parametrize("exponent", [2.0, 3.0])
+def test_triple_intersection_chunked_count_matches_full_matrix(dom2, exponent, monkeypatch):
+    grid = build_grid(dom2, 41, 5)  # 42,025 nodes: the last chunk is partial
+    assert grid.n_nodes % laguerre.CHUNK_NODES != 0
+    targets = [[0.3, 0.3], [0.7, 0.3], [0.5, 0.65], [0.3, 0.8], [0.75, 0.85]]
+    prob = build_problem({"variant": "p1", "dim": 2, "targets": targets, "cost_exponent": exponent})
+    psi = np.array([0.01, -0.02, 0.0, 0.015, -0.01])
+    expected = [_triple_count_full_matrix(psi, prob, grid, eps) for eps in (None, 1e-2)]
+    assert 0 < expected[0] < expected[1]
+    if exponent == 2.0:  # quadratic cost is swept from its per-axis tables
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("cost_matrix called")
+
+        monkeypatch.setattr(laguerre, "cost_matrix", refuse)
+    got = [triple_intersection_check(psi, prob, grid, eps=eps) for eps in (None, 1e-2)]
+    assert got == expected

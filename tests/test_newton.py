@@ -41,9 +41,9 @@ def test_symmetric_pair_solution(grid1, mirror_pair):
 def test_stopping_rule_defaults(grid1, mirror_pair):
     import inspect
 
-    sig = inspect.signature(newton_1d)
-    assert sig.parameters["tol"].default == 1e-8
+    assert newton.TOL_1D == 1e-8
     assert newton.MAX_ITER == 100
+    assert "tol" not in inspect.signature(newton_1d).parameters
     for solver in (newton_1d, fixed_t_oracle, solve_xi_star):
         assert "max_iter" not in inspect.signature(solver).parameters
 
@@ -271,3 +271,36 @@ def test_one_interval_diagram_per_point(mirror_pair, grid1, monkeypatch):
     ev = ResidualSystem(prob, grid1).full(np.array([0.05, -0.02, 0.01, 0.0, -0.04]), 0.5)
     assert np.isfinite(ev.g).all() and np.isfinite(ev.jac).all() and np.isfinite(ev.dt).all()
     assert len(diagrams) == 1
+
+
+def test_damped_newton_rejects_a_trial_that_raises():
+    # g(x) = x; the first trial point raises, so it counts as rejected and
+    # the half step is tried next
+    points = []
+
+    def evaluate(x):
+        points.append(float(x[0]))
+        if len(points) == 2:
+            raise NearSingularJacobianError(0.5, "toy failure")
+        return x.copy(), np.eye(1)
+
+    report = newton._damped_newton(evaluate, np.array([1.0]), tol=1e-8)
+    assert points == [1.0, 0.0, 0.5, 0.0]
+    assert report.converged and report.iterations == 2
+    assert report.psi.tolist() == [0.0] and report.residual_sup == 0.0
+
+
+def test_damped_newton_reports_exhausted_halvings():
+    # g(x) = x down to x = 1 and 5 below it: one step is accepted at x = 1,
+    # then every halving of the next step lands on the plateau
+    points = []
+
+    def evaluate(x):
+        points.append(float(x[0]))
+        return (x.copy() if x[0] >= 1.0 else np.array([5.0])), np.eye(1)
+
+    report = newton._damped_newton(evaluate, np.array([2.0]), tol=1e-8)
+    assert points[:3] == [2.0, 0.0, 1.0]
+    assert len(points) == 3 + newton.MAX_HALVINGS + 1
+    assert not report.converged and report.iterations == 1
+    assert report.psi.tolist() == [1.0] and report.residual_sup == 1.0

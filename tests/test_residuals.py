@@ -81,7 +81,7 @@ def test_p4_2d_start_reuses_the_system_cells(grid2, monkeypatch):
     assert np.abs(masses - 0.25).max() <= 1e-3
 
 
-def test_p4_measure_jacobian_built_on_first_use(grid1, monkeypatch):
+def test_p4_full_builds_one_measure_jacobian(grid1, monkeypatch):
     built = []
     original = residuals.measure_jacobian
 
@@ -92,12 +92,12 @@ def test_p4_measure_jacobian_built_on_first_use(grid1, monkeypatch):
     monkeypatch.setattr(residuals, "measure_jacobian", counting)
     psi = np.array([0.05, -0.02, 0.01])
     ev = ResidualSystem(_problem("p4"), grid1).full(psi, 0.5)
-    assert np.isfinite(ev.g).all() and built == []  # the residual alone
-    psi[:] = 0.0  # the caller's array may change; the blocks are at the old point
-    jac, dt = ev.jac, ev.dt
     assert len(built) == 1  # one measure Jacobian serves both blocks
+    before = (ev.g.copy(), ev.jac.copy(), ev.dt.copy())
+    psi[:] = 0.0  # the caller's array may change; the record is at the old point
+    assert all(np.array_equal(a, b) for a, b in zip(before, (ev.g, ev.jac, ev.dt)))
     fresh = ResidualSystem(_problem("p4"), grid1).full(np.array([0.05, -0.02, 0.01]), 0.5)
-    assert np.array_equal(jac, fresh.jac) and np.array_equal(dt, fresh.dt)
+    assert np.array_equal(ev.jac, fresh.jac) and np.array_equal(ev.dt, fresh.dt)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])

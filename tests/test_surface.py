@@ -22,6 +22,7 @@ REMOVED = (
     "label_field",
     "cells_1d",
     "LaguerreDiagram1D",
+    "integrate",
 )
 
 
