@@ -139,15 +139,13 @@ class _Flow:
     """
 
     def __init__(self, problem, grid):
-        self.problem = problem
         self.base = ResidualSystem(problem, grid)
         self.boosted = ResidualSystem(problem, refine_grid(grid, BOOST_FACTOR))
-        self.deflate = problem.variant == "p4"
 
     def rhs(self, psi, t):
         system = self.boosted if t >= BOOST_AFTER else self.base
         ev = system.full(psi, t)
-        return solve_dual_system(ev.jac, -ev.dt, deflate=self.deflate, t=t)
+        return solve_dual_system(ev.jac, -ev.dt, deflate=system.deflate, t=t)
 
 
 def capture_snapshot(system, psi, t):

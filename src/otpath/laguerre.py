@@ -16,10 +16,10 @@ returns carry the choice:
 they are given; there is no option to choose.  The interval route is exact up
 to rounding; the grid route carries an O(node spacing) boundary error, which
 is why it is never used where the acceptance tolerances are tighter than that.
-Both kinds of operands keep their last evaluation, so the masses and the
-Jacobian at one weight vector cost one interval diagram or one pass over the
-cost.  The grid Jacobian is a central difference formed from the nodes that
-change owner, not from 2N label sweeps.
+`measure_jacobian` returns the masses with the Jacobian, so the pair at one
+weight vector costs one interval diagram or one pass over the cost.  The
+operands keep no evaluation between calls.  The grid Jacobian is a central
+difference formed from the nodes that change owner, not from 2N label sweeps.
 
 Grid cost: a `GridCost` is the target-major cost of the targets at the
 nodes.  For quadratic cost on a 2-D tensor grid it holds only the per-axis
@@ -37,23 +37,22 @@ takes over a node only when strictly smaller, so ties go to the lowest index
 exactly as `np.argmin` resolves them, and the masses are the bincount of
 those labels.  The nodes whose runner-up lies within the Jacobian's step of
 the minimum are the only ones that can change owner; the Jacobian gathers
-just their columns.  `grid_labels` is the same label rule for callers that
-want the labels themselves (snapshots).  A `GridCells` is built once per
+just their columns.  `grid_labels` returns the labels of that sweep, for
+callers that want the labels themselves (snapshots), so the tie rule lives
+in the sweep alone.  A `GridCells` is built once per
 grid and then shared: the kernel holds the source-density cells, the
 residual system the rho cells (on the kernel's `GridCost` when both costs
 are quadratic), snapshots label with the kernel's, and the 2-D terminal
 residual reads both on the boosted grid.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .model import (
-    DensitySpec,
     Domain,
-    TargetSet,
     axis_sq_dists,
     cost_matrix,
     density_eval,
@@ -78,37 +77,27 @@ class CellField:
             self.weights.setflags(write=False)
 
 
-@dataclass(frozen=True)
 class IntervalCells:
     """Operands of exact interval cell masses: 1-D targets (quadratic cost),
     the domain interval and the density.
 
     The coordinate sort does not depend on the weights, so it is done once
-    here: `order` sorts the targets into the coordinates `y`, and `lo`, `hi`
-    are the domain ends.
+    here: `order` sorts the targets into the coordinates `y` (both
+    read-only), and `lo`, `hi` are the domain ends.
     """
 
-    targets: TargetSet
-    domain: Domain
-    density: DensitySpec
-    order: np.ndarray = field(init=False, repr=False, compare=False)
-    y: np.ndarray = field(init=False, repr=False, compare=False)
-    lo: float = field(init=False, repr=False, compare=False)
-    hi: float = field(init=False, repr=False, compare=False)
-    _last: tuple = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.targets.dim != 1:
+    def __init__(self, targets, domain, density):
+        if targets.dim != 1:
             raise ConfigError("interval cells need 1-D targets")
-        coords = self.targets.points[:, 0]
-        order = np.argsort(coords)
-        y = coords[order]
-        order.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "lo", self.domain.lower[0])
-        object.__setattr__(self, "hi", self.domain.upper[0])
+        self.targets = targets
+        self.domain = domain
+        self.density = density
+        coords = targets.points[:, 0]
+        self.order = np.argsort(coords)
+        self.y = coords[self.order]
+        self.order.setflags(write=False)
+        self.y.setflags(write=False)
+        self.lo, self.hi = domain.lower[0], domain.upper[0]
 
     @property
     def n(self):
@@ -134,15 +123,6 @@ class IntervalCells:
         starts = np.minimum(np.maximum(left, lo), hi)
         ends = np.maximum(np.minimum(right, hi), lo)
         return starts, ends
-
-    def _last_diagram(self, weights):
-        """`diagram`, kept for the last weights: callers read the masses and
-        then the Jacobian at one point, and the pair should cost one diagram."""
-        last = self._last
-        if last is None or not np.array_equal(last[0], weights):
-            last = (weights.copy(), self.diagram(weights))
-            object.__setattr__(self, "_last", last)
-        return last[1]
 
 
 class GridCost:
@@ -206,8 +186,8 @@ class GridCells:
 
     `cost` is the (N, M) matrix, built on first request and kept; the label
     sweeps read it when it exists and stream chunks of the cost otherwise.
-    Like `IntervalCells`, grid cells keep their last sweep, so the masses and
-    the Jacobian at one weight vector cost one pass over the cost.
+    Besides the cost, the one thing kept is the largest |cost|, found by the
+    first sweep.
     """
 
     def __init__(self, targets, cost, node_mass, spacing):
@@ -216,7 +196,6 @@ class GridCells:
         self.node_mass = node_mass
         self.spacing = spacing
         self._cost_max = None
-        self._last = None
         node_mass.setflags(write=False)
 
     @property
@@ -242,41 +221,15 @@ class GridCells:
         node_mass = grid.weights * density_eval(density, grid.nodes)
         return cls(targets=targets, cost=cost, node_mass=node_mass, spacing=spacing)
 
-    def masses(self, weights):
-        return self._last_sweep(weights)[0].copy()
-
-    def boundary(self, weights, step):
-        """The nodes where a second row of cost - weights lies within `step`
-        of the minimum, widened by a rounding slack: the only nodes whose
-        owner can change when one weight moves by `step`.  Returns their
-        indices in node order with, from the kept sweep, their owner, the
-        minimum and the runner-up value."""
-        _, labels, best, second = self._last_sweep(weights)
-        # Rounding moves a perturbed value off its exact shift by a few ulps
-        # of |cost| + |weights| + step; the slack is over 1e3 times that.
-        reach = step + 1e-12 * (self._cost_max + np.abs(weights).max() + step)
-        nodes = np.flatnonzero(second <= best + reach)
-        return nodes, labels[nodes], best[nodes], second[nodes]
-
-    def _last_sweep(self, weights):
-        """`_sweep`, kept for the last weights: callers read the masses and
-        then the Jacobian at one point, and the pair should cost one pass."""
-        weights = np.asarray(weights, dtype=float)
-        last = self._last
-        if last is None or not np.array_equal(last[0], weights):
-            last = (weights.copy(), self._sweep(weights))
-            self._last = last
-        return last[1]
-
     def _sweep(self, weights):
         """(masses, labels, best, second) at `weights` from one chunked pass
         over the rows: per node the running minimum of cost - weights with its
         argmin label, and the runner-up value (+inf for one row).
 
-        Labels follow `grid_labels` exactly (a row takes a node only when
-        strictly smaller), so the masses are its bincount bit for bit.  The
-        first sweep also finds the largest |cost|, which the boundary slack
-        needs, while each chunk is in cache.
+        A row takes a node only when strictly smaller, so ties go to the
+        lowest index, as `np.argmin` resolves them.  The first sweep also
+        finds the largest |cost|, which the Jacobian's boundary slack needs,
+        while each chunk is in cache.
         """
         n, m = self.n, self.node_mass.size
         labels = np.zeros(m, dtype=np.intp)
@@ -304,19 +257,9 @@ class GridCells:
 
 
 def grid_labels(weights, cells):
-    """Per-node argmin of cost(x, y_j) - weights_j over the rows of the
-    GridCells' target-major cost, chunk by chunk; ties go to the lowest
-    index."""
-    weights = np.asarray(weights, dtype=float)
-    labels = np.zeros(cells.node_mass.size, dtype=np.intp)
-    for lo, cost in cells.grid_cost.blocks():
-        lab = labels[lo : lo + cost.shape[1]]
-        best = cost[0] - weights[0]
-        for j in range(1, cells.n):
-            cand = cost[j] - weights[j]
-            lab[cand < best] = j
-            np.minimum(best, cand, out=best)
-    return labels
+    """Per-node argmin of cost(x, y_j) - weights_j over the targets of the
+    GridCells, from one sweep; ties go to the lowest index."""
+    return cells._sweep(np.asarray(weights, dtype=float))[1]
 
 
 def cell_operands(targets, density, grid, cost_exponent=2.0, cost=None):
@@ -331,19 +274,25 @@ def cell_operands(targets, density, grid, cost_exponent=2.0, cost=None):
     return GridCells.build(targets, grid, density, cost_exponent, cost)
 
 
+def _interval_masses(cells, starts, ends):
+    """Per-target masses of the sorted cells (starts, ends) of `diagram`."""
+    masses = np.zeros(cells.n)
+    masses[cells.order] = interval_mass(cells.density, starts, ends)
+    return masses
+
+
 def power_cell_measures(weights, cells):
     """Masses of the power cells of `weights` under the density of `cells`."""
     weights = np.asarray(weights, dtype=float)
     if isinstance(cells, IntervalCells):
-        starts, ends = cells._last_diagram(weights)
-        masses = np.zeros(cells.n)
-        masses[cells.order] = interval_mass(cells.density, starts, ends)
-        return masses
-    return cells.masses(weights)
+        return _interval_masses(cells, *cells.diagram(weights))
+    return cells._sweep(weights)[0]
 
 
 def measure_jacobian(weights, cells):
-    """Jacobian of weights -> cell masses (quadratic cost).
+    """Cell masses and the Jacobian of weights -> cell masses (quadratic
+    cost), as (masses, jac), from one interval diagram or one grid sweep.
+    The masses are those of `power_cell_measures`, bit for bit.
 
     Interval cells: each interface point between consecutive nonempty cells
     i, j contributes density(x_ij) / (2|y_i - y_j|) on the diagonal and its
@@ -358,7 +307,7 @@ def measure_jacobian(weights, cells):
     weights = np.asarray(weights, dtype=float)
     n = cells.n
     if isinstance(cells, IntervalCells):
-        starts, ends = cells._last_diagram(weights)
+        starts, ends = cells.diagram(weights)
         alive = np.flatnonzero(starts < ends)
         left, right = alive[:-1], alive[1:]
         cut = ends[left]
@@ -371,19 +320,24 @@ def measure_jacobian(weights, cells):
         jac[j, j] += gain
         jac[i, j] -= gain
         jac[j, i] -= gain
-        return jac
+        return _interval_masses(cells, starts, ends), jac
+    masses, labels, best, second = cells._sweep(weights)
     pts = cells.targets.points
     gaps = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
     step = max(FD_STEP, 2.0 * cells.spacing * float(gaps.max()))
-    # owner, best and second are the kept sweep's, which follows grid_labels
-    nodes, owner, best, second = cells.boundary(weights, step)
+    # Only nodes where a second row lies within `step` of the minimum can
+    # change owner.  Rounding moves a perturbed value off its exact shift by
+    # a few ulps of |cost| + |weights| + step; the slack is over 1e3 times that.
+    reach = step + 1e-12 * (cells._cost_max + np.abs(weights).max() + step)
+    nodes = np.flatnonzero(second <= best + reach)
+    owner, best, second = labels[nodes], best[nodes], second[nodes]
     pos = np.arange(nodes.size)
     cost = cells.cost[:, nodes]
     cand = cost - weights[:, None]
     cand[owner, pos] = np.inf
     runner = cand.argmin(axis=0)  # lowest index over the other rows
     # +step on row k: k takes the node iff fl(cost_k - fl(w_k + step)) beats
-    # the owner's value, ties going to the lower index as in grid_labels.
+    # the owner's value, ties going to the lower index as in the sweep.
     raised = cost - (weights + step)[:, None]
     ranks = np.arange(n)[:, None]
     gain = (raised < best) | ((raised == best) & (ranks < owner))
@@ -401,7 +355,7 @@ def measure_jacobian(weights, cells):
     moved = np.concatenate([mass[at], -mass[at], mass[lose], -mass[lose]])
     diff = np.bincount(rows * n + cols, weights=moved, minlength=n * n).reshape(n, n)
     jac = diff / (2.0 * step)
-    return 0.5 * (jac + jac.T)
+    return masses, 0.5 * (jac + jac.T)
 
 
 def unregularized_residual(problem, psi, grid, mu_cells=None, rho_cells=None):

@@ -5,7 +5,9 @@ and the equal-mass weight solve that seeds the Wasserstein-penalty variant.
 The baseline is deliberately undamped so its initialization sensitivity is
 reproducible; the other two are damped because downstream code relies on
 them converging, and share one damped loop, `_damped_newton`, which reads
-the residual and its Jacobian at every trial point as plain arrays.
+the residual and its Jacobian at every trial point as plain arrays.  The
+baseline and the equal-mass solve take the cell masses and their Jacobian
+at a point from one `measure_jacobian` call.
 """
 
 from dataclasses import dataclass, replace
@@ -13,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .laguerre import IntervalCells, measure_jacobian, power_cell_measures
+from .laguerre import IntervalCells, measure_jacobian
 from .linsolve import solve_dual_system
 from .residuals import ResidualSystem
 
@@ -44,31 +46,24 @@ def newton_1d(problem, psi0=None):
     if problem.variant not in ("p1", "p2") or problem.cost.exponent != 2.0:
         raise ConfigError("the Newton baseline needs variant p1 or p2 and quadratic cost")
     cells = IntervalCells(problem.targets, problem.domain, problem.mu)
-    n = problem.n
-    psi = np.zeros(n) if psi0 is None else np.asarray(psi0, dtype=float).copy()
-
-    def res(p):
+    psi = np.zeros(problem.n) if psi0 is None else np.asarray(psi0, dtype=float).copy()
+    for k in range(MAX_ITER + 1):
+        masses, cell_jac = measure_jacobian(psi, cells)
         with np.errstate(over="ignore"):  # divergence shows up as inf, reported below
-            return np.exp(-p) - power_cell_measures(p, cells)
-
-    g = res(psi)
-    for k in range(MAX_ITER):
-        if np.abs(g).max() < TOL_1D:
-            return NewtonReport(psi=psi, iterations=k, residual_sup=float(np.abs(g).max()), converged=True)
-        with np.errstate(over="ignore"):
-            jac = -np.diag(np.exp(-psi)) - measure_jacobian(psi, cells)
+            decay = np.exp(-psi)
+        g = decay - masses
+        if not np.all(np.isfinite(g)):
+            return NewtonReport(psi=psi, iterations=k, residual_sup=np.inf, converged=False)
+        sup = float(np.abs(g).max())
+        if sup < TOL_1D or k == MAX_ITER:
+            return NewtonReport(psi=psi, iterations=k, residual_sup=sup, converged=sup < TOL_1D)
         try:
-            step = solve_dual_system(jac, g)
+            step = solve_dual_system(-np.diag(decay) - cell_jac, g)
         except SolverError:
             return NewtonReport(psi=psi, iterations=k, residual_sup=np.inf, converged=False)
         psi = psi - step
         if not np.all(np.isfinite(psi)) or np.abs(psi).max() > 1e8:
             return NewtonReport(psi=psi, iterations=k + 1, residual_sup=np.inf, converged=False)
-        g = res(psi)
-        if not np.all(np.isfinite(g)):
-            return NewtonReport(psi=psi, iterations=k + 1, residual_sup=np.inf, converged=False)
-    sup = float(np.abs(g).max())
-    return NewtonReport(psi=psi, iterations=MAX_ITER, residual_sup=sup, converged=sup < TOL_1D)
 
 
 def _newton_direction(jac, g, deflate):
@@ -125,23 +120,22 @@ def _damped_newton(evaluate, psi0, tol, deflate=False, admissible=None):
     return NewtonReport(psi=psi, iterations=MAX_ITER, residual_sup=sup, converged=sup < tol)
 
 
-def fixed_t_oracle(problem, t, grid, tol=1e-10, psi0=None):
+def fixed_t_oracle(problem, t, grid, tol=1e-10):
     """Damped Newton on the fixed-t residual; independent of the ODE path.
 
-    Warm-startable through psi0; the default start extrapolates the
-    closed-form initial data to time t.  Each trial point costs one
-    `ResidualSystem.full`, which assembles its Jacobian too.
+    It starts from the closed-form initial data extrapolated to time t.
+    Each trial point costs one `ResidualSystem.full`, which assembles its
+    Jacobian too.
     """
     system = ResidualSystem(problem, grid)
-    if psi0 is None:
-        init = system.initial_state()
-        psi0 = init.psi0 if init.dpsi0 is None else init.psi0 + t * init.dpsi0
+    init = system.initial_state()
+    psi0 = init.psi0 if init.dpsi0 is None else init.psi0 + t * init.dpsi0
 
     def evaluate(psi):
         ev = system.full(psi, t)
         return ev.g, ev.jac
 
-    return _damped_newton(evaluate, psi0, tol, deflate=problem.variant == "p4")
+    return _damped_newton(evaluate, psi0, tol, deflate=system.deflate)
 
 
 def solve_xi_star(cells, tol=1e-8):
@@ -159,7 +153,8 @@ def solve_xi_star(cells, tol=1e-8):
     n = cells.n
 
     def evaluate(xi):
-        return power_cell_measures(xi, cells) - 1.0 / n, measure_jacobian(xi, cells)
+        masses, jac = measure_jacobian(xi, cells)
+        return masses - 1.0 / n, jac
 
     def above_floor(g, g_start):
         # masses m = g + 1/N must stay >= min(m_start.min(), 1/N) / 2

@@ -12,8 +12,10 @@ residuals are
 The trajectory psi(t) is the root of the residual at every t; the governing
 ODE is jacobian * psi' = -dt.  `ResidualSystem.full` is the one evaluation:
 it returns all three blocks at a point as plain arrays, from one kernel sweep
-plus the penalty's terms (for p4, one cell sweep and one measure Jacobian);
-the ODE stages, the Newton oracle and the acceptance checks all read it.
+plus the penalty's terms (for p4, the rho-cell masses and their measure
+Jacobian from one `measure_jacobian` call); the ODE stages, the Newton oracle
+and the acceptance checks all read it.  `ResidualSystem.deflate` tells every
+solve with its Jacobian whether to deflate the all-ones direction.
 """
 
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import NonFiniteValueError
 from .kernel import KernelEvaluator
-from .laguerre import GridCells, cell_operands, measure_jacobian, power_cell_measures
+from .laguerre import GridCells, cell_operands, measure_jacobian
 
 
 @dataclass(frozen=True)
@@ -56,10 +58,12 @@ class ResidualSystem:
 
     Shares one kernel evaluator across calls; `full` shares the softmax
     sweep (and, for p4, the measure Jacobian) between the residual,
-    Jacobian, and time derivative.  For p4 the rho cells' operands are built
-    here once, on the kernel's cost when the grid route needs one and the
-    outer cost is quadratic like the inner one.  Their label sweeps run at
-    every stage, so their (N, M) cost matrix is built here too and kept.
+    Jacobian, and time derivative.  `deflate` is set for p4 alone, whose
+    Jacobian is singular (see `_penalty`).  For p4 the rho cells' operands
+    are built here once, on the kernel's cost when the grid route needs one
+    and the outer cost is quadratic like the inner one.  Their label sweeps
+    run at every stage, so their (N, M) cost matrix is built here too and
+    kept.
     """
 
     def __init__(self, problem, grid):
@@ -67,6 +71,7 @@ class ResidualSystem:
         self.grid = grid
         self.kernel = KernelEvaluator(problem, grid)
         self.rho_cells = None
+        self.deflate = problem.variant == "p4"
         if problem.variant == "p4":
             shared = self.kernel.cells.grid_cost if problem.cost.exponent == 2.0 else None
             self.rho_cells = cell_operands(problem.targets, problem.rho, grid, cost=shared)
@@ -87,13 +92,12 @@ class ResidualSystem:
 
         For p4 the Jacobian is singular along the all-ones direction: both the
         transport term and the cell masses are invariant under constant
-        shifts of psi.  The ODE layer deflates that direction when solving.
+        shifts of psi.  That is why `deflate` is set for p4: the ODE stages
+        and the Newton oracle deflate that direction when solving.
         """
         p = self.problem
         if p.variant == "p4":
-            xi = -psi / t
-            masses = power_cell_measures(xi, self.rho_cells)
-            rho_jac = measure_jacobian(xi, self.rho_cells)
+            masses, rho_jac = measure_jacobian(-psi / t, self.rho_cells)
             return masses, -rho_jac / t, rho_jac @ psi / t**2
         if p.variant == "p2":
             e = _safe_exp(-psi / t, "entropy penalty term")

@@ -84,7 +84,8 @@ def test_nonadjacent_domination(dom1):
     assert measures[2] == pytest.approx(0.85, abs=1e-12)
     # the only interface joins targets 0 and 2; the emptied cell has none
     cells = IntervalCells(targets, dom1, uniform_density(dom1))
-    jac = measure_jacobian(np.array([0.0, 0.0, 0.2]), cells)
+    masses, jac = measure_jacobian(np.array([0.0, 0.0, 0.2]), cells)
+    assert np.array_equal(masses, measures)
     assert np.all(jac[1] == 0.0) and np.all(jac[:, 1] == 0.0)
     assert jac[0, 2] == pytest.approx(-1.0 / (2 * 0.5), abs=1e-15)
 
@@ -104,20 +105,7 @@ def test_single_target_diagram_is_the_domain():
     cells, starts, ends, measures = _interval_diagram(np.array([3.0]), single, box)
     assert (starts[0], ends[0]) == (-0.5, 2.0)
     assert measures == pytest.approx([1.0], abs=1e-15)
-    assert np.array_equal(measure_jacobian(np.array([3.0]), cells), np.zeros((1, 1)))
-
-
-def test_interval_diagram_kept_only_for_equal_weights(dom1):
-    # the caller's array may change in place between calls
-    targets = TargetSet(points=np.array([[0.2], [0.5], [0.9]]))
-    cells = IntervalCells(targets, dom1, uniform_density(dom1))
-    weights = np.array([0.0, 0.05, -0.02])
-    before = power_cell_measures(weights, cells)
-    weights[1] = 0.2
-    fresh = IntervalCells(targets, dom1, uniform_density(dom1))
-    assert np.array_equal(power_cell_measures(weights, cells), power_cell_measures(weights, fresh))
-    assert np.array_equal(measure_jacobian(weights, cells), measure_jacobian(weights, fresh))
-    assert not np.array_equal(before, power_cell_measures(weights, cells))
+    assert np.array_equal(measure_jacobian(np.array([3.0]), cells)[1], np.zeros((1, 1)))
 
 
 def test_interval_cells_reject_higher_dim():
@@ -136,7 +124,7 @@ def cell_measures(psi, problem, grid):
 def _grid_measures(psi, problem, grid):
     """cell_measures on the grid-label route, which 1-D quadratic cost skips."""
     cells = GridCells.build(problem.targets, grid, problem.mu)
-    return cells.masses(np.asarray(psi, dtype=float) - problem.offsets)
+    return power_cell_measures(np.asarray(psi, dtype=float) - problem.offsets, cells)
 
 
 def test_symmetric_measures(dom1, grid1, mirror_pair):
@@ -160,8 +148,8 @@ def test_modes_agree_on_random_instances(dom1, grid1):
         psi = rng.uniform(-1.0, 1.0, n)
         density = uniform_density(dom1) if trial % 2 else gaussian_bump_density(dom1)
         exact = power_cell_measures(psi, cell_operands(targets, density, grid1))
-        coarse = GridCells.build(targets, grid1, density).masses(psi)
-        refined = GridCells.build(targets, fine, density).masses(psi)
+        coarse = power_cell_measures(psi, GridCells.build(targets, grid1, density))
+        refined = power_cell_measures(psi, GridCells.build(targets, fine, density))
         assert np.abs(exact - coarse).max() <= 5e-3
         assert np.abs(exact - refined).max() <= 1e-4
         assert exact.sum() == pytest.approx(1.0, abs=1e-9)
@@ -200,7 +188,8 @@ def test_measure_jacobian_matches_finite_differences(dom1):
     density = gaussian_bump_density(dom1)
     xi = rng.uniform(-0.2, 0.2, 5)
     cells = IntervalCells(targets, dom1, density)
-    jac = measure_jacobian(xi, cells)
+    masses, jac = measure_jacobian(xi, cells)
+    assert np.array_equal(masses, power_cell_measures(xi, cells))
     step = 1e-6
     fd = np.zeros((5, 5))
     for k in range(5):
@@ -415,9 +404,9 @@ def test_p4_2d_grid_cells_bit_identical_to_bincount(dom2):
         expected = _bincount_masses(xi, prob.targets, grid, prob.rho)
         totals = _bincount_jacobian(xi, prob.targets, grid, prob.rho, step)
         for cells in (cell_operands(prob.targets, prob.rho, grid), system.rho_cells):
-            got = power_cell_measures(xi, cells)
-            assert np.array_equal(got, expected)
-            jac = measure_jacobian(xi, cells)
+            assert np.array_equal(power_cell_measures(xi, cells), expected)
+            masses, jac = measure_jacobian(xi, cells)
+            assert np.array_equal(masses, expected)
             assert np.array_equal(jac, _moved_node_jacobian(xi, cells))
             # the moved-node sums agree with differences of full-cell totals
             assert np.abs(jac - totals).max() <= 1e-12
@@ -431,40 +420,77 @@ def test_p4_2d_grid_cells_bit_identical_to_bincount(dom2):
 
 def test_grid_jacobian_runs_at_most_one_label_sweep(dom2, monkeypatch):
     sweeps = []
-    original = laguerre.grid_labels
+    original = GridCells._sweep
 
-    def counting(weights, cells):
+    def counting(self, weights):
         sweeps.append(1)
-        return original(weights, cells)
+        return original(self, weights)
 
-    monkeypatch.setattr(laguerre, "grid_labels", counting)
+    monkeypatch.setattr(GridCells, "_sweep", counting)
     targets = sample_targets(6, 2, dom2, seed=3)
     cells = GridCells.build(targets, build_grid(dom2, 8, 4), gaussian_bump_density(dom2))
     measure_jacobian(np.random.default_rng(0).uniform(-0.1, 0.1, 6), cells)
-    assert len(sweeps) <= 1
+    assert len(sweeps) == 1  # masses and Jacobian together
+
+
+def _held(cells):
+    """Every attribute of the operands and, for grid cells, of their cost."""
+    held = {f"cells.{k}": v for k, v in vars(cells).items()}
+    if isinstance(cells, GridCells):
+        held.update({f"cost.{k}": v for k, v in vars(cells.grid_cost).items()})
+    return held
+
+
+def test_cell_operands_keep_no_evaluation(dom1, dom2):
+    # masses, Jacobians and labels are returned, not kept: after evaluations
+    # at two weight vectors the operands hold what they were built with, plus
+    # the largest |cost| that the first grid sweep finds
+    rng = np.random.default_rng(3)
+    interval = IntervalCells(sample_targets(5, 1, dom1, seed=2), dom1, gaussian_bump_density(dom1))
+    grid = build_grid(dom2, 8, 4)
+    planar = GridCells.build(sample_targets(5, 2, dom2, seed=2), grid, gaussian_bump_density(dom2))
+    assert planar.cost.shape == (5, grid.n_nodes)  # built on request, then kept
+    for cells in (interval, planar):
+        before = _held(cells)
+        for _ in range(2):
+            weights = rng.uniform(-0.1, 0.1, 5)
+            power_cell_measures(weights, cells)
+            measure_jacobian(weights, cells)
+            if cells is planar:
+                grid_labels(weights, cells)
+        after = _held(cells)
+        if cells is planar:
+            assert before.pop("cells._cost_max") is None
+            assert after.pop("cells._cost_max") == np.abs(planar.cost).max()
+            node_length = [k for k, v in after.items() if getattr(v, "shape", None) == (grid.n_nodes,)]
+            assert node_length == ["cells.node_mass"]
+        assert after.keys() == before.keys()
+        assert all(after[k] is before[k] for k in before)
 
 
 def _assert_matches_moved_node_reference(weights, cells):
-    jac = measure_jacobian(weights, cells)
+    jac = measure_jacobian(weights, cells)[1]
     assert np.array_equal(jac, _moved_node_jacobian(weights, cells))
     return jac
 
 
-def _check_kept_sweep(weights, cells):
-    """Masses, then the Jacobian, at `weights` from the cells' kept sweep,
-    against grid_labels + bincount and the moved-node reference."""
+def _check_one_sweep(weights, cells):
+    """Masses and Jacobian at `weights` from one `measure_jacobian` call,
+    against `power_cell_measures`, grid_labels + bincount and the moved-node
+    reference."""
     labels = grid_labels(weights, cells)
     expected = np.bincount(labels, weights=cells.node_mass, minlength=cells.n)
-    masses = power_cell_measures(weights, cells)
+    masses, jac = measure_jacobian(weights, cells)
     assert np.array_equal(masses, expected)
-    assert np.array_equal(measure_jacobian(weights, cells), _moved_node_jacobian(weights, cells))
+    assert np.array_equal(masses, power_cell_measures(weights, cells))
+    assert np.array_equal(jac, _moved_node_jacobian(weights, cells))
     return masses
 
 
 def test_grid_jacobian_matches_moved_node_reference_on_random_weights(dom1, dom2):
     # bit-identity needs the same moved nodes on both sides: one node more
-    # or less shifts an entry by a whole node mass.  Masses come first, so
-    # the Jacobian reads the kept sweep, as in a stage.
+    # or less shifts an entry by a whole node mass.  The masses come from the
+    # Jacobian's sweep, as in a stage.
     rng = np.random.default_rng(11)
     operands = []
     for dim, exponent, n in ((2, 2.0, 1), (2, 2.0, 2), (2, 2.0, 6), (2, 3.0, 5), (1, 3.0, 4), (2, 2.0, 9)):
@@ -490,10 +516,10 @@ def test_grid_jacobian_matches_moved_node_reference_on_random_weights(dom1, dom2
             weights = rng.uniform(-scale, scale, cells.n)
         if trial % 5 == 0 and cells.n > 1:
             weights[0] = -10.0  # far out of reach: cell 0 is empty
-        emptied += _check_kept_sweep(weights, cells)[0] == 0.0 and cells.n > 1
-        # the caller changes its array in place: the kept sweep is stale
+        emptied += _check_one_sweep(weights, cells)[0] == 0.0 and cells.n > 1
+        # the caller changes its array in place between calls
         weights[trial % cells.n] += 1.0 if cells is tied else 0.05
-        _check_kept_sweep(weights, cells)
+        _check_one_sweep(weights, cells)
     assert emptied >= 150
 
 
@@ -529,7 +555,7 @@ class _ReadCounter(np.ndarray):
 
 
 def test_p4_stage_jacobian_sweeps_the_rho_matrix_once(dom2):
-    # masses then Jacobian at one point: one pass over the (N, M) matrix,
+    # masses and Jacobian at one point: one pass over the (N, M) matrix,
     # plus one gather of the columns of the boundary nodes
     prob = build_problem(
         {"variant": "p4", "dim": 2, "n_targets": 6, "seed": 4, "rho": {"kind": "gauss"}}
@@ -609,7 +635,7 @@ def _with_matrix(cells, grid, exponent=2.0):
 
 @pytest.mark.parametrize("panels, order", _STREAM_GRIDS)
 def test_streamed_passes_match_the_matrix_route(panels, order):
-    # labels, kept sweeps, masses and softmax weights formed chunk by chunk
+    # labels, sweeps, masses and softmax weights formed chunk by chunk
     # from the per-axis tables equal, bit for bit, those read from a matrix
     grid = build_grid(unit_domain(2), panels, order)
     assert grid.n_nodes <= laguerre.CHUNK_NODES or grid.n_nodes % laguerre.CHUNK_NODES
@@ -623,7 +649,7 @@ def test_streamed_passes_match_the_matrix_route(panels, order):
         expected = np.argmin(matrix.cost - weights[:, None], axis=0)
         assert np.array_equal(grid_labels(weights, cells), expected)
         assert np.array_equal(grid_labels(weights, matrix), expected)
-        for got, ref in zip(cells._last_sweep(weights), matrix._last_sweep(weights)):
+        for got, ref in zip(cells._sweep(weights), matrix._sweep(weights)):
             assert np.array_equal(got, ref)
         assert np.array_equal(power_cell_measures(weights, cells), power_cell_measures(weights, matrix))
         psi = prob.offsets + weights

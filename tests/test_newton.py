@@ -93,13 +93,6 @@ def test_oracle_meets_tolerance(grid1):
     assert np.abs(ResidualSystem(prob, grid1).full(report.psi, 0.5).g).max() < 1e-10
 
 
-def test_oracle_warm_start(grid1):
-    prob = build_problem({"variant": "p1", "dim": 1, "n_targets": 4, "seed": 4})
-    cold = fixed_t_oracle(prob, 0.6, grid=grid1)
-    warm = fixed_t_oracle(prob, 0.6, grid=grid1, psi0=cold.psi)
-    assert warm.converged and warm.iterations == 0
-
-
 def test_oracle_handles_p4_gauge(grid1):
     prob = build_problem(
         {"variant": "p4", "dim": 1, "n_targets": 3, "seed": 5, "rho": {"kind": "gauss"}}
@@ -246,7 +239,7 @@ def _count_diagrams(monkeypatch):
 
 
 def test_one_interval_diagram_per_point(mirror_pair, grid1, monkeypatch):
-    # masses and the measure Jacobian at one point share one diagram
+    # masses and the measure Jacobian at one point come from one diagram
     diagrams = _count_diagrams(monkeypatch)
     report = newton_1d(mirror_pair)
     assert report.converged and report.iterations > 0
@@ -254,18 +247,19 @@ def test_one_interval_diagram_per_point(mirror_pair, grid1, monkeypatch):
 
     diagrams.clear()
     points = []
-    original = newton.power_cell_measures
+    original = newton.measure_jacobian
 
     def recording(weights, cells):
         points.append(np.array(weights))
         return original(weights, cells)
 
-    monkeypatch.setattr(newton, "power_cell_measures", recording)
+    monkeypatch.setattr(newton, "measure_jacobian", recording)
     prob = build_problem({"variant": "p4", "dim": 1, "n_targets": 5, "seed": 3, "rho": {"kind": "gauss"}})
     report = solve_xi_star(cell_operands(prob.targets, prob.rho, grid1))
     assert report.converged and report.iterations > 0
-    # one diagram per trial point; the Jacobians at accepted ones add none
+    # one diagram per trial point, at that point
     assert len(diagrams) == len(points)
+    assert all(np.array_equal(d, x) for d, x in zip(diagrams, points))
 
     diagrams.clear()
     ev = ResidualSystem(prob, grid1).full(np.array([0.05, -0.02, 0.01, 0.0, -0.04]), 0.5)

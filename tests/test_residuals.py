@@ -77,7 +77,7 @@ def test_p4_2d_start_reuses_the_system_cells(grid2, monkeypatch):
     monkeypatch.setattr(laguerre, "cost_matrix", counting)
     init = system.initial_state()
     assert built == []
-    masses = system.rho_cells.masses(-init.dpsi0)
+    masses = power_cell_measures(-init.dpsi0, system.rho_cells)
     assert np.abs(masses - 0.25).max() <= 1e-3
 
 
