@@ -306,7 +306,12 @@ def run_experiment(config):
     """Execute the sweep and write all artifacts; returns the summary rows."""
     # every refusal comes before the output directory is created
     tableau = rk3_tableau(config.alpha, config.beta)
-    grid = config.grid()
+    try:
+        grid = config.grid()
+    except MemoryError:
+        raise ConfigError(
+            "the quadrature grid does not fit in memory; lower quad_panels or quad_order"
+        ) from None
     problems = [(n, build_problem(config.problem_config(n))) for n in config.n_list]
     out = Path(config.out_dir)
     try:

@@ -32,18 +32,23 @@ Every other cost is the matrix from the start.
 
 Grid passes: a `GridCells` sweeps its cost in chunks of nodes, one row at a
 time, each pass vectorized along the nodes.  Per node it keeps the running
-minimum of cost - weights with its label, and the runner-up value.  A row
-takes over a node only when strictly smaller, so ties go to the lowest index
-exactly as `np.argmin` resolves them, and the masses are the bincount of
-those labels.  The nodes whose runner-up lies within the Jacobian's step of
-the minimum are the only ones that can change owner; the Jacobian gathers
-just their columns.  `grid_labels` returns the labels of that sweep, for
-callers that want the labels themselves (snapshots), so the tie rule lives
-in the sweep alone.  A `GridCells` is built once per
-grid and then shared: the kernel holds the source-density cells, the
-residual system the rho cells (on the kernel's `GridCost` when both costs
-are quadratic), snapshots label with the kernel's, and the 2-D terminal
-residual reads both on the boosted grid.
+minimum of cost - weights with its label and, for the measure Jacobian
+alone, the runner-up value.  A row takes over a node only when strictly
+smaller, so ties go to the lowest index exactly as `np.argmin` resolves
+them, and the masses are the bincount of those labels.  The nodes whose
+runner-up lies within the Jacobian's step of the minimum are the only ones
+that can change owner; the Jacobian gathers just their columns.
+`grid_labels` returns the labels of that sweep, for callers that want the
+labels themselves (snapshots), so the tie rule lives in the sweep alone.
+
+A `GridCells` is built once per grid and then shared: the kernel holds the
+source-density cells, the residual system the rho cells (on the kernel's
+`GridCost` when both costs are quadratic), snapshots label with the
+kernel's, and the 2-D terminal residual reads both on the boosted grid.
+Everything it holds is fixed at build: the node masses, formed from the
+per-axis factors of the grid weights and the density, and the Jacobian's
+step and cost bound, the largest |cost|, which on the per-axis tables is
+the largest fl(max d1_j + max d2_j).
 """
 
 from dataclasses import dataclass
@@ -52,6 +57,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import (
+    DENSITY_UNIFORM,
     Domain,
     axis_sq_dists,
     cost_matrix,
@@ -186,8 +192,9 @@ class GridCells:
 
     `cost` is the (N, M) matrix, built on first request and kept; the label
     sweeps read it when it exists and stream chunks of the cost otherwise.
-    Besides the cost, the one thing kept is the largest |cost|, found by the
-    first sweep.
+    The two constants of the measure Jacobian are fixed at construction:
+    its central-difference step and the largest |cost|, which bounds the
+    rounding slack of its boundary-node filter.
     """
 
     def __init__(self, targets, cost, node_mass, spacing):
@@ -195,8 +202,17 @@ class GridCells:
         self.grid_cost = cost if isinstance(cost, GridCost) else GridCost(matrix=cost)
         self.node_mass = node_mass
         self.spacing = spacing
-        self._cost_max = None
         node_mass.setflags(write=False)
+        pts = targets.points
+        gaps = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+        self._fd_step = max(FD_STEP, 2.0 * spacing * float(gaps.max()))
+        # the cost is nonnegative; from the tables, the largest entry of
+        # row j is fl(max d1_j + max d2_j), since rounding is monotone
+        if self.tables is not None:
+            d1, d2 = self.tables
+            self._cost_max = float((d1.max(axis=1) + d2.max(axis=1)).max())
+        else:
+            self._cost_max = float(self.grid_cost.matrix().max())
 
     @property
     def n(self):
@@ -218,48 +234,59 @@ class GridCells:
             cost = GridCost.build(targets, grid, cost_exponent)
         counts = grid.panels_per_axis * grid.order
         spacing = max((hi - lo) / counts for lo, hi in zip(grid.lower, grid.upper))
-        node_mass = grid.weights * density_eval(density, grid.nodes)
-        return cls(targets=targets, cost=cost, node_mass=node_mass, spacing=spacing)
+        return cls(targets=targets, cost=cost, node_mass=_node_mass(grid, density), spacing=spacing)
 
-    def _sweep(self, weights):
-        """(masses, labels, best, second) at `weights` from one chunked pass
-        over the rows: per node the running minimum of cost - weights with its
-        argmin label, and the runner-up value (+inf for one row).
+    def _sweep(self, weights, runner_up=True):
+        """(labels, best, second) at `weights` from one chunked pass over the
+        rows: per node the running minimum of cost - weights with its argmin
+        label, and the runner-up value (+inf for one row).  Only the measure
+        Jacobian reads the runner-up; runner_up=False skips it and returns
+        None in its place, with the same labels and minima.
 
         A row takes a node only when strictly smaller, so ties go to the
-        lowest index, as `np.argmin` resolves them.  The first sweep also
-        finds the largest |cost|, which the Jacobian's boundary slack needs,
-        while each chunk is in cache.
+        lowest index, as `np.argmin` resolves them.
         """
         n, m = self.n, self.node_mass.size
         labels = np.zeros(m, dtype=np.intp)
         best = np.empty(m)
-        second = np.full(m, np.inf)
+        second = np.full(m, np.inf) if runner_up else None
         cand = np.empty(min(m, CHUNK_NODES))
         upper = np.empty_like(cand)
-        bound = 0.0
         for lo, block in self.grid_cost.blocks():
-            if self._cost_max is None:
-                bound = max(bound, block.max(), -block.min())
             span = slice(lo, lo + block.shape[1])
-            lab, low, run = labels[span], best[span], second[span]
+            lab, low = labels[span], best[span]
+            run = second[span] if runner_up else None
             c, hi = cand[: low.size], upper[: low.size]
             np.subtract(block[0], weights[0], out=low)
             for j in range(1, n):
                 np.subtract(block[j], weights[j], out=c)
                 lab[c < low] = j
-                np.minimum(run, np.maximum(low, c, out=hi), out=run)
+                if runner_up:
+                    np.minimum(run, np.maximum(low, c, out=hi), out=run)
                 np.minimum(low, c, out=low)
-        if self._cost_max is None:
-            self._cost_max = float(bound)
-        masses = np.bincount(labels, weights=self.node_mass, minlength=n)
-        return masses, labels, best, second
+        return labels, best, second
+
+    def _masses(self, labels):
+        return np.bincount(labels, weights=self.node_mass, minlength=self.n)
+
+
+def _node_mass(grid, density):
+    """Quadrature weight times density at every node of `grid`, from the
+    per-axis factors of the density: the float expressions `density_eval`
+    applies to `grid.nodes`, so the same bits, without the (M, dim) node
+    temporaries.  Node p * n2 + q has squared distance fl(s1[p] + s2[q]) to
+    a Gaussian's center, as the per-node sum over the two axes forms it."""
+    if density.kind == DENSITY_UNIFORM:
+        return grid.weights * density.normalization
+    gaps = [(x - c) ** 2 for x, c in zip(grid.axes, density.center)]
+    sq = gaps[0] if len(gaps) == 1 else np.add.outer(*gaps).ravel()
+    return grid.weights * (density.normalization * np.exp(-density.sharpness * sq))
 
 
 def grid_labels(weights, cells):
     """Per-node argmin of cost(x, y_j) - weights_j over the targets of the
     GridCells, from one sweep; ties go to the lowest index."""
-    return cells._sweep(np.asarray(weights, dtype=float))[1]
+    return cells._sweep(np.asarray(weights, dtype=float), runner_up=False)[0]
 
 
 def cell_operands(targets, density, grid, cost_exponent=2.0, cost=None):
@@ -286,7 +313,7 @@ def power_cell_measures(weights, cells):
     weights = np.asarray(weights, dtype=float)
     if isinstance(cells, IntervalCells):
         return _interval_masses(cells, *cells.diagram(weights))
-    return cells._sweep(weights)[0]
+    return cells._masses(cells._sweep(weights, runner_up=False)[0])
 
 
 def measure_jacobian(weights, cells):
@@ -321,10 +348,9 @@ def measure_jacobian(weights, cells):
         jac[i, j] -= gain
         jac[j, i] -= gain
         return _interval_masses(cells, starts, ends), jac
-    masses, labels, best, second = cells._sweep(weights)
-    pts = cells.targets.points
-    gaps = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
-    step = max(FD_STEP, 2.0 * cells.spacing * float(gaps.max()))
+    labels, best, second = cells._sweep(weights)
+    masses = cells._masses(labels)
+    step = cells._fd_step
     # Only nodes where a second row lies within `step` of the minimum can
     # change owner.  Rounding moves a perturbed value off its exact shift by
     # a few ulps of |cost| + |weights| + step; the slack is over 1e3 times that.

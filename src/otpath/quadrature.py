@@ -4,8 +4,15 @@ Every grid-route integral against a density is a sum of these weights times
 the density at these nodes (cell masses, kernel sweeps, terminal residual).
 Grids are deterministic: the same (domain, panels, order) always produces
 bit-identical nodes and weights.
+
+The Gauss-Legendre rule of an order (an eigenvalue solve) is computed once
+per process and shared read-only by every grid of that order.  A 2-D grid is
+filled straight from its per-axis coordinates and weights: node p * n2 + q is
+(x1[p], x2[q]) with weight w1[p] * w2[q], and callers that can work per axis
+(`model.cost_matrix`, `laguerre.GridCells`) read `axes` instead of `nodes`.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,9 +56,18 @@ class QuadratureGrid:
         return self.nodes.shape[0]
 
 
+@functools.cache
+def _legendre(order):
+    """Read-only Gauss-Legendre nodes and weights of `order` on [-1, 1]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def axis_rule(lo, hi, panels, order):
     """Nodes/weights of the composite rule on [lo, hi] for one axis."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _legendre(order)
     edges = np.linspace(lo, hi, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -78,13 +94,15 @@ def build_grid(domain, panels_per_axis, order):
         axis_rule(lo, hi, panels_per_axis, order) for lo, hi in zip(lower, upper)
     ]
     if len(axes) == 1:
-        nodes = axes[0][0][:, None].copy()
-        weights = axes[0][1].copy()
+        [(x1, weights)] = axes
+        nodes = x1[:, None]
     elif len(axes) == 2:
         (x1, w1), (x2, w2) = axes
-        g1, g2 = np.meshgrid(x1, x2, indexing="ij")
-        nodes = np.column_stack([g1.ravel(), g2.ravel()])
-        weights = (w1[:, None] * w2[None, :]).ravel()
+        nodes = np.empty((x1.size, x2.size, 2))
+        nodes[:, :, 0] = x1[:, None]
+        nodes[:, :, 1] = x2
+        nodes = nodes.reshape(-1, 2)
+        weights = np.multiply.outer(w1, w2).ravel()
     else:
         raise ConfigError(f"only 1-D and 2-D domains are supported, got dim={len(axes)}")
     return QuadratureGrid(

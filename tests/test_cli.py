@@ -385,6 +385,9 @@ BAD_INPUTS = [
     pytest.param(["run", "--quad-order", "0"], None, 1, None, id="quad-order-0"),
     pytest.param(["run", "--quad-panels", "-2"], None, 1, None, id="quad-panels-negative"),
     pytest.param(["run", "--dt", "0"], None, 1, None, id="dt-0"),
+    # 600,000 nodes per axis: the 5.8 TB node array is refused at once
+    pytest.param(["run", "--dim", "2", "--quad-panels", "100000"], None, 1,
+                 "does not fit in memory", id="grid-too-large"),
     pytest.param(["run", "--n", "2,x"], None, 1, None, id="n-not-int"),  # bare ValueError
     pytest.param(["run", "--n", ","], None, 1, "n_list", id="n-empty"),
     pytest.param(["run", "--dt", ","], None, 1, "dt_list", id="dt-empty"),

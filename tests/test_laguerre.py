@@ -306,6 +306,57 @@ def test_cell_operands_route(dom1, dom2, grid1, grid2):
         IntervalCells(planar, dom2, uniform_density(dom2))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["uniform", "gauss"])
+def test_node_masses_match_density_eval(dim, kind):
+    # the per-axis construction is the same float expression as the
+    # quadrature weights times `density_eval` at the nodes
+    dom = Domain(lower=(-0.5, 0.25)[:dim], upper=(1.5, 1.0)[:dim])
+    grid = build_grid(dom, 7, 5)
+    targets = sample_targets(3, dim, dom, seed=1)
+    if kind == "uniform":
+        density = uniform_density(dom)
+    else:
+        density = gaussian_bump_density(dom, center=(0.3, 0.6)[:dim], sharpness=7.0)
+    cells = GridCells.build(targets, grid, density, 3.0)
+    assert np.array_equal(cells.node_mass, grid.weights * density_eval(density, grid.nodes))
+
+
+def _first_sweep_bound(cells):
+    """The largest |cost| as a chunked pass over the cost finds it."""
+    bound = 0.0
+    for _, block in cells.grid_cost.blocks():
+        bound = max(bound, block.max(), -block.min())
+    return float(bound)
+
+
+@pytest.mark.parametrize("dim, exponent", [(1, 2.0), (1, 3.0), (2, 2.0), (2, 3.0)])
+def test_jacobian_constants_fixed_at_build(dim, exponent):
+    # the step and the cost bound set at construction are those a measure
+    # Jacobian would form from the targets and from one sweep over the cost
+    dom = unit_domain(dim)
+    grid = build_grid(dom, 41 if dim == 2 else 64, 5)  # 2-D: a partial last chunk
+    for seed in range(3):
+        targets = sample_targets(5, dim, Domain(lower=(-0.5,) * dim, upper=(1.5,) * dim), seed)
+        cells = GridCells.build(targets, grid, gaussian_bump_density(dom), exponent)
+        assert (cells.tables is not None) == (dim == 2 and exponent == 2.0)
+        assert cells._fd_step == _fd_step(cells)
+        assert cells._cost_max == _first_sweep_bound(cells)
+        assert cells._cost_max == np.abs(cells.cost).max()
+
+
+def test_sweep_without_runner_up_keeps_labels_and_minima(dom2):
+    targets = sample_targets(6, 2, dom2, seed=5)
+    cells = GridCells.build(targets, build_grid(dom2, 24, 6), gaussian_bump_density(dom2))
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        weights = rng.uniform(-0.2, 0.2, 6)
+        labels, best, second = cells._sweep(weights)
+        fast = cells._sweep(weights, runner_up=False)
+        assert np.array_equal(fast[0], labels) and np.array_equal(fast[1], best)
+        assert fast[2] is None and np.isfinite(second).all()
+
+
 def test_grid_labels_match_argmin_on_exact_ties():
     # small integers make exact ties between targets common
     rng = np.random.default_rng(5)
@@ -443,8 +494,8 @@ def _held(cells):
 
 def test_cell_operands_keep_no_evaluation(dom1, dom2):
     # masses, Jacobians and labels are returned, not kept: after evaluations
-    # at two weight vectors the operands hold what they were built with, plus
-    # the largest |cost| that the first grid sweep finds
+    # at two weight vectors the operands hold what they were built with, and
+    # the grid operands' constants (step and largest |cost|) are set at build
     rng = np.random.default_rng(3)
     interval = IntervalCells(sample_targets(5, 1, dom1, seed=2), dom1, gaussian_bump_density(dom1))
     grid = build_grid(dom2, 8, 4)
@@ -460,8 +511,7 @@ def test_cell_operands_keep_no_evaluation(dom1, dom2):
                 grid_labels(weights, cells)
         after = _held(cells)
         if cells is planar:
-            assert before.pop("cells._cost_max") is None
-            assert after.pop("cells._cost_max") == np.abs(planar.cost).max()
+            assert before["cells._cost_max"] == np.abs(planar.cost).max()
             node_length = [k for k, v in after.items() if getattr(v, "shape", None) == (grid.n_nodes,)]
             assert node_length == ["cells.node_mass"]
         assert after.keys() == before.keys()

@@ -9,6 +9,7 @@ from otpath import (
     gaussian_bump_density,
     refine_grid,
 )
+from otpath import quadrature
 
 
 def test_two_point_rule_on_unit_interval(dom1):
@@ -34,6 +35,32 @@ def test_axes_span_the_nodes(dom1, dom2):
     assert not x1.flags.writeable
     line = build_grid(dom1, 3, 4)
     assert np.array_equal(line.nodes[:, 0], line.axes[0])
+
+
+@pytest.mark.parametrize("order", [2, 6, 16])
+@pytest.mark.parametrize("box", [((0.0, 0.0), (1.0, 1.0)), ((-2.0, 0.5), (3.0, 0.75))])
+def test_nodes_and_weights_match_the_meshgrid_construction(order, box):
+    # filled from the axes, the same bits as meshgrid + column_stack of the
+    # per-axis rules and the flattened outer product of their weights
+    dom = Domain(lower=box[0], upper=box[1])
+    grid = build_grid(dom, 5, order)
+    (x1, w1), (x2, w2) = (quadrature.axis_rule(lo, hi, 5, order) for lo, hi in zip(*box))
+    g1, g2 = np.meshgrid(x1, x2, indexing="ij")
+    assert np.array_equal(grid.nodes, np.column_stack([g1.ravel(), g2.ravel()]))
+    assert np.array_equal(grid.weights, (w1[:, None] * w2[None, :]).ravel())
+    line = build_grid(Domain(lower=box[0][:1], upper=box[1][:1]), 5, order)
+    assert np.array_equal(line.nodes, x1[:, None]) and np.array_equal(line.weights, w1)
+
+
+def test_legendre_rule_is_cached_read_only():
+    x, w = quadrature._legendre(6)
+    assert quadrature._legendre(6)[0] is x
+    ref_x, ref_w = np.polynomial.legendre.leggauss(6)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    for a in (x, w):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def test_weights_positive_and_sum_to_volume():
