@@ -242,9 +242,8 @@ def _text_table(texts):
 
 
 def write_snapshot_csv(path, cell_field):
-    nodes, labels, weights = cell_field.nodes, cell_field.labels, cell_field.weights
+    nodes, labels, weights, n = cell_field.nodes, cell_field.labels, cell_field.weights, cell_field.n
     dim = nodes.shape[1]
-    n = weights.shape[1] if weights is not None else int(labels.max()) + 1
     header = ",".join(
         [f"x{k + 1}" for k in range(dim)]
         + ["label"]
@@ -305,15 +304,18 @@ def _newton_block(problem, grid):
 def run_experiment(config):
     """Execute the sweep and write all artifacts; returns the summary rows."""
     # every refusal comes before the output directory is created
-    tableau = rk3_tableau(config.alpha, config.beta)
+    try:
+        tableau = rk3_tableau(config.alpha, config.beta)
+        problems = [(n, build_problem(config.problem_config(n))) for n in config.n_list]
+        out = Path(config.out_dir)
+    except TypeError as exc:  # a value of the wrong type, such as a number for a mapping
+        raise ConfigError(f"ill-typed configuration value: {exc}") from None
     try:
         grid = config.grid()
     except MemoryError:
         raise ConfigError(
             "the quadrature grid does not fit in memory; lower quad_panels or quad_order"
         ) from None
-    problems = [(n, build_problem(config.problem_config(n))) for n in config.n_list]
-    out = Path(config.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file at, or on the way to, the output path

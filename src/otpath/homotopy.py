@@ -155,7 +155,7 @@ def capture_snapshot(system, psi, t):
     kernel = system.kernel
     labels = grid_labels(psi - kernel.offsets, kernel.cells)
     weights = kernel.node_weights(psi, t) if t < 1.0 else None
-    return CellField(nodes=system.grid.nodes, labels=labels, weights=weights)
+    return CellField(nodes=system.grid.nodes, labels=labels, n=kernel.n, weights=weights)
 
 
 def lattice_steps(dt):

@@ -71,13 +71,14 @@ near 1 with targets far outside the box) take the chunked route.
 Chunked route (1-D, cubic cost, and refused stages).  It sweeps the
 target-major (N, M) cost matrix, so every per-node reduction (the softmax
 max and sum) runs across the N rows and stays vectorized along the long
-node axis.  The matrix belongs to the source density's `laguerre.GridCells`;
-a 2-D quadratic cost, which the cells hold as per-axis tables, gets its
-matrix built on the first refused stage and kept.  The one-off passes
-(`node_weights` for snapshots, the labels, the 2-D terminal residual) read
-the cells chunk by chunk and need no matrix.  `evaluate` passes over the
-nodes in chunks of CHUNK_NODES columns, so the temporaries stay in cache,
-and accumulates S and spread with piw = pi*w.  Passes per chunk: the
+node axis.  It reads the cost chunk by chunk from the source density's
+`laguerre.GridCells` (`blocks`): columns of the matrix, or, for a 2-D
+quadratic cost that the cells hold as per-axis tables, chunks formed from
+those tables, so a refused stage builds no (N, M) matrix.  The one-off
+passes (`node_weights` for snapshots, the labels, the 2-D terminal
+residual) read the same chunks.  `evaluate` passes over the nodes in
+chunks of CHUNK_NODES columns, so the temporaries stay in cache, and
+accumulates S and spread with piw = pi*w.  Passes per chunk: the
 exponents are formed as a/(1-t) - (t/(1-t))*C (one scale and one row
 shift), shifted by their per-node maximum, exponentiated, and normalized by
 multiplying with the reciprocal of the per-node sum.  Then piw, S, pi.C and
@@ -254,7 +255,7 @@ class KernelEvaluator:
         """(M, N) softmax weights at every quadrature node, chunk by chunk."""
         a = self._depth(psi, t)
         out = np.empty((self.n, self.cells.node_mass.size))
-        for lo, cost in self.cells.grid_cost.blocks():
+        for lo, cost in self.cells.blocks():
             _softmax(a, t, cost, out=out[:, lo : lo + cost.shape[1]])
         return out.T
 
@@ -265,9 +266,11 @@ class KernelEvaluator:
         solver itself never needs it.
         """
         a = self._depth(psi, t)
-        expo = (a[:, None] - t * self.cells.cost) / (1.0 - t)
-        m = expo.max(axis=0)
-        lse = m + np.log(np.exp(expo - m).sum(axis=0))
+        lse = np.empty(self.cells.node_mass.size)
+        for lo, cost in self.cells.blocks():
+            expo = (a[:, None] - t * cost) / (1.0 - t)
+            m = expo.max(axis=0)
+            lse[lo : lo + m.size] = m + np.log(np.exp(expo - m).sum(axis=0))
         return -(1.0 - t) * float(np.sum(self.cells.node_mass * lse))
 
     def evaluate(self, psi, t):
@@ -324,7 +327,7 @@ class KernelEvaluator:
 
     def _chunked(self, a, t):
         """The three blocks from one chunked sweep over the (N, M) cost."""
-        n, m = self.cells.cost.shape
+        n, m = self.n, self.cells.node_mass.size
         width = min(m, CHUNK_NODES)
         block = _gram_block(n, width)
         # scratch reused by every chunk: fresh large temporaries per chunk
@@ -332,10 +335,9 @@ class KernelEvaluator:
         pi_buf, piw_buf, peak_buf = np.empty((n, width)), np.empty((n, width)), np.empty(width)
         outer = np.zeros((n, n))
         spread = np.zeros(n)
-        for lo in range(0, m, CHUNK_NODES):
-            cost = self.cells.cost[:, lo : lo + CHUNK_NODES]
-            w = self.cells.node_mass[lo : lo + CHUNK_NODES]
-            k = w.size
+        for lo, cost in self.cells.blocks():
+            k = cost.shape[1]
+            w = self.cells.node_mass[lo : lo + k]
             pi = _softmax(a, t, cost, out=pi_buf[:, :k], peak=peak_buf[:k])
             piw = np.multiply(pi, w, out=piw_buf[:, :k])
             for b in range(0, k, block):

@@ -21,14 +21,14 @@ weight vector costs one interval diagram or one pass over the cost.  The
 operands keep no evaluation between calls.  The grid Jacobian is a central
 difference formed from the nodes that change owner, not from 2N label sweeps.
 
-Grid cost: a `GridCost` is the target-major cost of the targets at the
-nodes.  For quadratic cost on a 2-D tensor grid it holds only the per-axis
-tables (y_jd - x_d)^2, N*(n1 + n2) numbers; the (N, M) matrix is built on
-first request and kept, by the callers that sweep at every stage (the p4 rho
-cells, the kernel's chunked route).  The once-per-run passes (snapshot
-labels and weights, the mu cells of the 2-D terminal residual) form each
-chunk of nodes from the tables instead, the same float sum as the matrix.
-Every other cost is the matrix from the start.
+Grid cost: every `GridCells` holds its own target-major cost of the targets
+at the nodes, set at construction.  For quadratic cost on a 2-D tensor grid
+that is the per-axis tables (y_jd - x_d)^2, N*(n1 + n2) numbers, from which
+each chunk of nodes is formed as the same float sum as the (N, M) matrix;
+every other cost is the matrix.  Operands that sweep at every stage (the p4
+rho cells) are made to hold the matrix from the start (`with_matrix`); the
+once-per-run passes (snapshot labels and weights, the mu cells of the 2-D
+terminal residual) and the kernel's refused stages stream the tables.
 
 Grid passes: a `GridCells` sweeps its cost in chunks of nodes, one row at a
 time, each pass vectorized along the nodes.  Per node it keeps the running
@@ -42,13 +42,13 @@ that can change owner; the Jacobian gathers just their columns.
 labels themselves (snapshots), so the tie rule lives in the sweep alone.
 
 A `GridCells` is built once per grid and then shared: the kernel holds the
-source-density cells, the residual system the rho cells (on the kernel's
-`GridCost` when both costs are quadratic), snapshots label with the
-kernel's, and the 2-D terminal residual reads both on the boosted grid.
-Everything it holds is fixed at build: the node masses, formed from the
-per-axis factors of the grid weights and the density, and the Jacobian's
-step and cost bound, the largest |cost|, which on the per-axis tables is
-the largest fl(max d1_j + max d2_j).
+source-density cells, the residual system the rho cells, snapshots label
+with the kernel's, and the 2-D terminal residual reads both on the boosted
+grid.  No two operands share a cost.  Everything a `GridCells` holds is
+fixed at build: the cost, the node masses, formed from the per-axis factors
+of the grid weights and the density, and the Jacobian's step and cost
+bound, the largest |cost|, which on the per-axis tables is the largest
+fl(max d1_j + max d2_j).
 """
 
 from dataclasses import dataclass
@@ -71,10 +71,12 @@ CHUNK_NODES = 8192  # nodes per sweep chunk: (N, CHUNK_NODES) temporaries stay i
 
 @dataclass(frozen=True)
 class CellField:
-    """Per-node cell labels on a grid, optionally with softmax weights."""
+    """Per-node cell labels on a grid of the N = `n` targets, optionally with
+    softmax weights."""
 
     nodes: np.ndarray
     labels: np.ndarray
+    n: int
     weights: np.ndarray = None
 
     def __post_init__(self):
@@ -131,78 +133,60 @@ class IntervalCells:
         return starts, ends
 
 
-class GridCost:
-    """Target-major cost of N targets at the M nodes of one grid.
+def _node_cost(targets, grid, exponent):
+    """The target-major cost of `targets` at the nodes of `grid`: for
+    quadratic cost on a 2-D tensor grid the per-axis tables (d1, d2), the
+    (N, n1) and (N, n2) squared distances (y_jd - x_d)^2, where node
+    p*n2 + q costs d1[:, p] + d2[:, q]; otherwise the (N, M) matrix."""
+    if grid.dim == 2 and exponent == 2.0:
+        return tuple(axis_sq_dists(targets.points, grid.axes))
+    return cost_matrix(targets.points, grid.nodes, exponent, grid.axes)
 
-    Quadratic cost on a 2-D tensor grid is held as its per-axis tables
-    `tables` = (d1, d2), the (N, n1) and (N, n2) squared distances
-    (y_jd - x_d)^2: node p*n2 + q costs d1[:, p] + d2[:, q].  `matrix()`
-    builds the (N, M) matrix on its first call and keeps it, for callers that
-    sweep it at every stage; until then `blocks` forms each chunk of nodes
-    from the tables, the float sum `cost_matrix` forms.  Any other cost is
-    held as the matrix alone.
-    """
 
-    def __init__(self, matrix=None, tables=None, source=None):
-        self.tables = tables
-        self._matrix = matrix
-        self._source = source  # the `cost_matrix` arguments of the matrix
-        if matrix is not None:
-            matrix.setflags(write=False)
-
-    @classmethod
-    def build(cls, targets, grid, exponent):
-        source = (targets.points, grid.nodes, exponent, grid.axes)
-        if grid.dim == 2 and exponent == 2.0:
-            return cls(tables=tuple(axis_sq_dists(targets.points, grid.axes)), source=source)
-        return cls(matrix=cost_matrix(*source))
-
-    def matrix(self):
-        if self._matrix is None:
-            self._matrix = cost_matrix(*self._source)
-            self._matrix.setflags(write=False)
-        return self._matrix
-
-    def blocks(self):
-        """(lo, block) per chunk of CHUNK_NODES nodes: the (N, k) cost of
-        nodes lo to lo + k, a view of the matrix when it is built, else formed
-        from the tables in one scratch buffer that the next block reuses."""
-        if self._matrix is not None:
-            m = self._matrix.shape[1]
-            for lo in range(0, m, CHUNK_NODES):
-                yield lo, self._matrix[:, lo : lo + CHUNK_NODES]
-            return
-        d1, d2 = self.tables
-        n, n2 = d2.shape
-        m = d1.shape[1] * n2
-        # the axis rows p0 to p1 that hold one chunk's nodes
-        scratch = np.empty((n, -(-min(m, CHUNK_NODES) // n2) + 1, n2))
-        for lo in range(0, m, CHUNK_NODES):
-            hi = min(lo + CHUNK_NODES, m)
-            p0, p1 = lo // n2, -(-hi // n2)
-            rows = np.add(d1[:, p0:p1, None], d2[:, None, :], out=scratch[:, : p1 - p0])
-            yield lo, rows.reshape(n, -1)[:, lo - p0 * n2 : hi - p0 * n2]
+def _cost_blocks(cost):
+    """(lo, block) per chunk of CHUNK_NODES nodes of a `_node_cost`: the
+    (N, k) cost of nodes lo to lo + k, a view of the matrix, or formed from
+    the tables in one scratch buffer that the next block reuses (the float
+    sum `cost_matrix` forms)."""
+    if isinstance(cost, np.ndarray):
+        for lo in range(0, cost.shape[1], CHUNK_NODES):
+            yield lo, cost[:, lo : lo + CHUNK_NODES]
+        return
+    d1, d2 = cost
+    n, n2 = d2.shape
+    m = d1.shape[1] * n2
+    # the axis rows p0 to p1 that hold one chunk's nodes
+    scratch = np.empty((n, -(-min(m, CHUNK_NODES) // n2) + 1, n2))
+    for lo in range(0, m, CHUNK_NODES):
+        hi = min(lo + CHUNK_NODES, m)
+        p0, p1 = lo // n2, -(-hi // n2)
+        rows = np.add(d1[:, p0:p1, None], d2[:, None, :], out=scratch[:, : p1 - p0])
+        yield lo, rows.reshape(n, -1)[:, lo - p0 * n2 : hi - p0 * n2]
 
 
 class GridCells:
     """Operands of grid-label cell masses for one (grid, targets, density,
-    cost): the targets, the target-major cost (a `GridCost`, or an (N, M)
-    matrix), the density-weighted node masses, and the largest node spacing
-    of the grid.
+    cost): the targets, their target-major cost, the density-weighted node
+    masses, and the largest node spacing of the grid.
 
-    `cost` is the (N, M) matrix, built on first request and kept; the label
-    sweeps read it when it exists and stream chunks of the cost otherwise.
-    The two constants of the measure Jacobian are fixed at construction:
-    its central-difference step and the largest |cost|, which bounds the
-    rounding slack of its boundary-node filter.
+    `cost` is given as the (N, M) matrix or as the per-axis tables (d1, d2)
+    of a `_node_cost`, and held as `cost` or `tables`, the other None.  The
+    label sweeps read the matrix, or stream chunks of it from the tables;
+    `with_matrix` gives the same operands on the matrix, for callers that
+    sweep at every stage.  The two constants of the measure Jacobian are
+    fixed at construction: its central-difference step and the largest
+    |cost|, which bounds the rounding slack of its boundary-node filter.
+    Nothing is assigned after construction.
     """
 
     def __init__(self, targets, cost, node_mass, spacing):
         self.targets = targets
-        self.grid_cost = cost if isinstance(cost, GridCost) else GridCost(matrix=cost)
+        self.tables = None if isinstance(cost, np.ndarray) else tuple(cost)
+        self.cost = cost if self.tables is None else None
         self.node_mass = node_mass
         self.spacing = spacing
-        node_mass.setflags(write=False)
+        for held in (node_mass,) + (self.tables or (cost,)):
+            held.setflags(write=False)
         pts = targets.points
         gaps = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
         self._fd_step = max(FD_STEP, 2.0 * spacing * float(gaps.max()))
@@ -212,29 +196,38 @@ class GridCells:
             d1, d2 = self.tables
             self._cost_max = float((d1.max(axis=1) + d2.max(axis=1)).max())
         else:
-            self._cost_max = float(self.grid_cost.matrix().max())
+            self._cost_max = float(cost.max())
 
     @property
     def n(self):
         return self.targets.n
 
-    @property
-    def tables(self):
-        return self.grid_cost.tables
-
-    @property
-    def cost(self):
-        return self.grid_cost.matrix()
-
     @classmethod
-    def build(cls, targets, grid, density, cost_exponent=2.0, cost=None):
-        """`cost` passes in the `GridCost` of the same targets, grid and
-        exponent, to share, instead of building another."""
-        if cost is None:
-            cost = GridCost.build(targets, grid, cost_exponent)
+    def build(cls, targets, grid, density, cost_exponent=2.0):
         counts = grid.panels_per_axis * grid.order
         spacing = max((hi - lo) / counts for lo, hi in zip(grid.lower, grid.upper))
+        cost = _node_cost(targets, grid, cost_exponent)
         return cls(targets=targets, cost=cost, node_mass=_node_mass(grid, density), spacing=spacing)
+
+    def with_matrix(self, grid):
+        """These operands holding the (N, M) matrix of their quadratic cost on
+        `grid` (the grid they were built on) instead of its tables."""
+        cost = cost_matrix(self.targets.points, grid.nodes, 2.0, grid.axes)
+        return GridCells(targets=self.targets, cost=cost, node_mass=self.node_mass, spacing=self.spacing)
+
+    def blocks(self):
+        """(lo, block) per chunk of CHUNK_NODES nodes: the (N, k) cost of
+        nodes lo to lo + k (see `_cost_blocks`)."""
+        return _cost_blocks(self.tables or self.cost)
+
+    def _columns(self, nodes):
+        """The (N, k) cost at the node indices `nodes`: matrix columns, or
+        from the tables d1[:, p] + d2[:, q], the same float sum."""
+        if self.tables is None:
+            return self.cost[:, nodes]
+        d1, d2 = self.tables
+        p, q = np.divmod(nodes, d2.shape[1])
+        return d1[:, p] + d2[:, q]
 
     def _sweep(self, weights, runner_up=True):
         """(labels, best, second) at `weights` from one chunked pass over the
@@ -252,7 +245,7 @@ class GridCells:
         second = np.full(m, np.inf) if runner_up else None
         cand = np.empty(min(m, CHUNK_NODES))
         upper = np.empty_like(cand)
-        for lo, block in self.grid_cost.blocks():
+        for lo, block in self.blocks():
             span = slice(lo, lo + block.shape[1])
             lab, low = labels[span], best[span]
             run = second[span] if runner_up else None
@@ -289,16 +282,15 @@ def grid_labels(weights, cells):
     return cells._sweep(np.asarray(weights, dtype=float), runner_up=False)[0]
 
 
-def cell_operands(targets, density, grid, cost_exponent=2.0, cost=None):
+def cell_operands(targets, density, grid, cost_exponent=2.0):
     """Cell-mass operands of `targets` under `density` over the box of `grid`.
 
     The only place the route is decided: IntervalCells for 1-D targets with
-    quadratic cost, GridCells otherwise.  `cost` passes an existing
-    `GridCost` to the grid route instead of building another.
+    quadratic cost, GridCells otherwise.
     """
     if targets.dim == 1 and cost_exponent == 2.0:
         return IntervalCells(targets, Domain(lower=grid.lower, upper=grid.upper), density)
-    return GridCells.build(targets, grid, density, cost_exponent, cost)
+    return GridCells.build(targets, grid, density, cost_exponent)
 
 
 def _interval_masses(cells, starts, ends):
@@ -358,7 +350,7 @@ def measure_jacobian(weights, cells):
     nodes = np.flatnonzero(second <= best + reach)
     owner, best, second = labels[nodes], best[nodes], second[nodes]
     pos = np.arange(nodes.size)
-    cost = cells.cost[:, nodes]
+    cost = cells._columns(nodes)
     cand = cost - weights[:, None]
     cand[owner, pos] = np.inf
     runner = cand.argmin(axis=0)  # lowest index over the other rows
@@ -392,9 +384,8 @@ def unregularized_residual(problem, psi, grid, mu_cells=None, rho_cells=None):
     weights psi - offsets (the argmin convention cost_j(x) - psi_j - offset_j
     used everywhere).  For p4 the penalty term is also a cell mass: rho-cells
     of -psi under the quadratic inner cost, against mu-cells of psi under the
-    outer cost; when the outer cost is quadratic too, both share one cost.
-    `mu_cells` and `rho_cells` pass operands already built on `grid` (a
-    residual system's); the missing ones are built here.
+    outer cost.  `mu_cells` and `rho_cells` pass operands already built on
+    `grid` (a residual system's); the missing ones are built here.
     """
     psi = np.asarray(psi, dtype=float)
     exponent = problem.cost.exponent
@@ -403,8 +394,7 @@ def unregularized_residual(problem, psi, grid, mu_cells=None, rho_cells=None):
     mu_mass = power_cell_measures(psi - problem.offsets, mu_cells)
     if problem.variant == "p4":
         if rho_cells is None:
-            shared = mu_cells.grid_cost if isinstance(mu_cells, GridCells) and exponent == 2.0 else None
-            rho_cells = cell_operands(problem.targets, problem.rho, grid, cost=shared)
+            rho_cells = cell_operands(problem.targets, problem.rho, grid)
         penalty = power_cell_measures(-psi, rho_cells)
     else:
         penalty = np.exp(-psi)
@@ -417,21 +407,21 @@ def triple_intersection_check(psi, problem, grid, eps=None):
 
     A zero count certifies (at grid resolution) that consecutive cells meet
     only pairwise, i.e. the cell layout is nested along the target ordering.
-    The cost is swept chunk by chunk (`GridCost.blocks`); the default eps,
-    1e-3 times the cost's range, takes one more pass.
+    The cost is swept chunk by chunk, as the grid cells sweep it; the
+    default eps, 1e-3 times the cost's range, takes one more pass.
     """
     psi = np.asarray(psi, dtype=float)
     if problem.n < 3:
         return 0
-    cost = GridCost.build(problem.targets, grid, problem.cost.exponent)
+    cost = _node_cost(problem.targets, grid, problem.cost.exponent)
     if eps is None:
         lo, hi = np.inf, -np.inf
-        for _, block in cost.blocks():
+        for _, block in _cost_blocks(cost):
             lo, hi = min(lo, block.min()), max(hi, block.max())
         eps = 1e-3 * float(hi - lo)
     shift = (psi - problem.offsets)[:, None]
     count = 0
-    for _, block in cost.blocks():
+    for _, block in _cost_blocks(cost):
         gap = block - shift
         gap -= gap.min(axis=0)
         near = gap <= eps

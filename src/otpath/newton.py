@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .laguerre import IntervalCells, measure_jacobian
+from .laguerre import GridCells, IntervalCells, measure_jacobian
 from .linsolve import solve_dual_system
 from .residuals import ResidualSystem
 
@@ -138,9 +138,11 @@ def fixed_t_oracle(problem, t, grid, tol=1e-10):
     return _damped_newton(evaluate, psi0, tol, deflate=system.deflate)
 
 
-def solve_xi_star(cells, tol=1e-8):
+def solve_xi_star(cells):
     """Weights whose power cells split the density of `cells` (the operands
-    from `laguerre.cell_operands`) into N equal masses.
+    from `laguerre.cell_operands`) into N equal masses, to a residual below
+    1e-8 on interval cells and 1e-3 on grid cells, whose label masses are
+    quantized at roughly the boundary-node mass.
 
     Damped Newton on xi -> rho-cells(xi) - 1/N with the measure Jacobian and
     the standard semi-discrete globalization: besides decreasing the residual,
@@ -160,6 +162,7 @@ def solve_xi_star(cells, tol=1e-8):
         # masses m = g + 1/N must stay >= min(m_start.min(), 1/N) / 2
         return g.min() >= 0.5 * min(float(g_start.min()), 0.0) - 0.5 / n
 
+    tol = 1e-3 if isinstance(cells, GridCells) else 1e-8
     report = _damped_newton(
         evaluate, np.zeros(n), tol, deflate=True, admissible=above_floor
     )

@@ -60,10 +60,9 @@ class ResidualSystem:
     sweep (and, for p4, the measure Jacobian) between the residual,
     Jacobian, and time derivative.  `deflate` is set for p4 alone, whose
     Jacobian is singular (see `_penalty`).  For p4 the rho cells' operands
-    are built here once, on the kernel's cost when the grid route needs one
-    and the outer cost is quadratic like the inner one.  Their label sweeps
-    run at every stage, so their (N, M) cost matrix is built here too and
-    kept.
+    are built here once, apart from the kernel's; grid cells hold their own
+    (N, M) cost matrix from the start, because their label sweeps run at
+    every stage.
     """
 
     def __init__(self, problem, grid):
@@ -73,10 +72,9 @@ class ResidualSystem:
         self.rho_cells = None
         self.deflate = problem.variant == "p4"
         if problem.variant == "p4":
-            shared = self.kernel.cells.grid_cost if problem.cost.exponent == 2.0 else None
-            self.rho_cells = cell_operands(problem.targets, problem.rho, grid, cost=shared)
+            self.rho_cells = cell_operands(problem.targets, problem.rho, grid)
             if isinstance(self.rho_cells, GridCells):
-                self.rho_cells.grid_cost.matrix()
+                self.rho_cells = self.rho_cells.with_matrix(grid)
 
     def _check_time(self, t):
         if self.problem.scales_penalty:
@@ -130,10 +128,7 @@ class ResidualSystem:
             return InitialData(psi0=half + log_total)
         from .newton import solve_xi_star  # deferred: newton imports this module
 
-        # Grid-label masses are quantized at roughly the boundary-node mass,
-        # so the equal-mass solve cannot go below ~1e-3 on them.
-        tol = 1e-3 if isinstance(self.rho_cells, GridCells) else 1e-8
-        report = solve_xi_star(self.rho_cells, tol=tol)
+        report = solve_xi_star(self.rho_cells)
         if not report.converged:
             raise NonFiniteValueError(
                 "equal-mass weight solve for the p4 start did not converge"

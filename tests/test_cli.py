@@ -125,8 +125,7 @@ def test_snapshots_written(tmp_path):
 
 def _reference_snapshot_bytes(cell_field):
     """Snapshot CSV bytes built one formatted field at a time."""
-    nodes, labels, weights = cell_field.nodes, cell_field.labels, cell_field.weights
-    n = weights.shape[1] if weights is not None else int(labels.max()) + 1
+    nodes, labels, weights, n = cell_field.nodes, cell_field.labels, cell_field.weights, cell_field.n
     if weights is None:
         weights = np.eye(n)[labels]
     header = [f"x{k + 1}" for k in range(nodes.shape[1])] + ["label"]
@@ -151,7 +150,7 @@ def test_snapshot_bytes_in_2d(tmp_path):
 
 
 def test_snapshot_bytes_in_1d_and_with_two_digit_labels(tmp_path):
-    fields = [CellField(nodes=np.array([[0.0], [-0.0], [0.25]]), labels=np.array([0, 1, 0]))]
+    fields = [CellField(nodes=np.array([[0.0], [-0.0], [0.25]]), labels=np.array([0, 1, 0]), n=2)]
     p3_1d = build_problem({"variant": "p3", "dim": 1, "n_targets": 4, "seed": 4, "anchor": [0.5]})
     system = ResidualSystem(p3_1d, build_grid(unit_domain(1), 5, 3))
     fields += [capture_snapshot(system, np.array([0.1, -0.2, 0.05, 0.0]), t) for t in (0.4, 1.0)]
@@ -166,6 +165,30 @@ def test_snapshot_bytes_in_1d_and_with_two_digit_labels(tmp_path):
     for fld in fields:
         write_snapshot_csv(tmp_path / "snap.csv", fld)
         assert (tmp_path / "snap.csv").read_bytes() == _reference_snapshot_bytes(fld)
+
+
+def test_label_snapshot_keeps_the_columns_of_empty_cells(tmp_path):
+    # at psi = (5, -5) target 1 owns every node, so its label is the largest
+    # one; the t = 1 snapshot still has one pi_j column per target
+    problem = build_problem({"variant": "p1", "dim": 1, "targets": [[0.2], [0.6]]})
+    system = ResidualSystem(problem, build_grid(unit_domain(1), 4, 3))
+    fld = capture_snapshot(system, np.array([5.0, -5.0]), 1.0)
+    assert fld.n == 2 and not fld.labels.any()
+    write_snapshot_csv(tmp_path / "snap.csv", fld)
+    lines = (tmp_path / "snap.csv").read_text().splitlines()
+    assert lines[0] == "x1,label,pi_1,pi_2"
+    assert all(line.endswith(",1,1,0") for line in lines[1:])
+    assert (tmp_path / "snap.csv").read_bytes() == _reference_snapshot_bytes(fld)
+
+
+def test_run_writes_every_pi_column_at_t_1(tmp_path):
+    # seed 0 leaves targets 5 to 8 without a node at t = 1
+    run_experiment(ExperimentConfig(
+        n_list=(8,), dt_list=(0.1,), seed=0, snapshot_times=(0.5, 1.0), out_dir=str(tmp_path)
+    ))
+    for t_snap in (0.5, 1):
+        header = (tmp_path / f"p1_1d_n8_dt0.1_t{t_snap:g}_cells.csv").read_text().splitlines()[0]
+        assert header.split(",")[2:] == [f"pi_{j + 1}" for j in range(8)]
 
 
 def _g17_text(values):
@@ -406,6 +429,15 @@ BAD_INPUTS = [
     pytest.param(["run"], {"n_list": ["x"]}, 1, None, id="config-n-not-int"),  # bare ValueError
     pytest.param(["run"], {"n_list": []}, 1, "n_list", id="config-n-empty"),
     pytest.param(["run"], "not json", 1, None, id="config-not-json"),
+    # wrong-typed values, refused where the config becomes problems
+    pytest.param(["run"], {"density": 5}, 1, None, id="config-density-number"),
+    pytest.param(["run"], {"variant": "p4", "rho": 3}, 1, None, id="config-rho-number"),
+    pytest.param(["run"], {"variant": "p3", "anchor": 5}, 1, None, id="config-anchor-number"),
+    pytest.param(["run"], {"density": {"kind": "gauss", "center": 5}}, 1, None,
+                 id="config-center-number"),
+    pytest.param(["run"], {"density": {"kind": "gauss", "sharpness": "x"}}, 1, None,
+                 id="config-sharpness-text"),
+    pytest.param(["run"], {"alpha": [0.1]}, 1, None, id="config-alpha-list"),
     pytest.param(["run", "--config", "{tmp}/missing.json"], None, 1, None, id="config-missing"),
     pytest.param(["verify", "--criteria", "1,x"], None, 1, None, id="criteria-not-int"),
     pytest.param(["verify", "--criteria", "99"], None, 1, None, id="criteria-unknown"),

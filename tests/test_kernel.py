@@ -9,6 +9,7 @@ from otpath import (
     build_grid,
     unit_domain,
 )
+from otpath import laguerre
 from otpath.kernel import (
     CHUNK_NODES,
     MAX_AXIS_GAP,
@@ -17,6 +18,7 @@ from otpath.kernel import (
     _gram_block,
     _small_products,
 )
+from otpath.model import cost_matrix
 from conftest import central_diff, central_diff_scalar_arg
 
 
@@ -29,6 +31,12 @@ def _random_problem(n, dim=1, seed=0, variant="p1"):
 
 def _evaluate(psi, t, problem, grid):
     return KernelEvaluator(problem, grid).evaluate(psi, t)
+
+
+def _cost(ke):
+    """The (N, M) cost matrix of the evaluator's targets at its grid nodes."""
+    prob, grid = ke.problem, ke.grid
+    return cost_matrix(prob.targets.points, grid.nodes, prob.cost.exponent, grid.axes)
 
 
 def test_softmax_symmetric_point(dom1, mirror_pair):
@@ -173,7 +181,7 @@ def test_no_overflow_for_extreme_exponents(grid1, p1_1d):
 def _node_major_reference(ke, psi, t):
     """The three blocks by the node-major (M, N) formulas the fused sweep
     replaced: one softmax over all nodes, then per-block reductions."""
-    cost = ke.cells.cost.T
+    cost = _cost(ke).T
     expo = (psi[None, :] - ke.offsets[None, :] - t * cost) / (1.0 - t)
     expo -= expo.max(axis=1, keepdims=True)
     pi = np.exp(expo)
@@ -237,7 +245,7 @@ def _docstring_reference(ke, psi, t, dtype=float):
     over all nodes, in `dtype`.  Also returns, per block, the size of the
     terms its formula adds up, the scale its rounding error is relative to."""
     a = (psi - ke.offsets).astype(dtype)
-    cost, w = ke.cells.cost.astype(dtype), ke.cells.node_mass.astype(dtype)
+    cost, w = _cost(ke).astype(dtype), ke.cells.node_mass.astype(dtype)
     t = dtype(t)
     expo = (a / (1.0 - t))[:, None] - (t / (1.0 - t)) * cost
     pi = np.exp(expo - expo.max(axis=0))
@@ -454,3 +462,33 @@ def test_the_data_picks_the_route(monkeypatch):
         ev = KernelEvaluator(prob, g).evaluate(np.zeros(prob.n), t)
         assert ran == [route]
         assert np.isfinite(ev.dt_grad).all()
+
+
+def test_a_refused_2d_stage_streams_the_tables(monkeypatch):
+    # the range guard refuses the stage, and the chunked route reads the
+    # cells' per-axis tables chunk by chunk: no (N, M) matrix is built, and
+    # the blocks are those read from the matrix, bit for bit; so is `value`
+    grid = build_grid(unit_domain(2), 24, 6)  # chunk boundaries inside axis rows
+    far = build_problem({"variant": "p1", "dim": 2, "targets": [[-2.0, -2.0], [3.0, 3.0]]})
+    ke = KernelEvaluator(far, grid)
+    psi, t = np.array([0.3, -0.1]), 0.999
+    alpha, beta = ke._axis_exponents(psi, t)
+    assert _gap_bound(alpha, beta, (alpha.max(axis=0), beta.max(axis=0))) > MAX_AXIS_GAP
+    on_matrix = KernelEvaluator(far, grid)
+    on_matrix.cells = on_matrix.cells.with_matrix(grid)
+    ref = on_matrix._chunked(psi, t)
+    cost = on_matrix.cells.cost
+    expo = (psi[:, None] - t * cost) / (1.0 - t)
+    peak = expo.max(axis=0)
+    lse = peak + np.log(np.exp(expo - peak).sum(axis=0))
+    value = -(1.0 - t) * float(np.sum(ke.cells.node_mass * lse))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cost_matrix called")
+
+    monkeypatch.setattr(laguerre, "cost_matrix", refuse)
+    ev = ke.evaluate(psi, t)
+    for got, want in zip((ev.grad, ev.hess, ev.dt_grad), (ref.grad, ref.hess, ref.dt_grad)):
+        assert np.array_equal(got, want)
+    assert ke.value(psi, t) == value
+    assert ke.cells.cost is None

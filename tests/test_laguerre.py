@@ -19,7 +19,7 @@ from otpath import (
     unit_domain,
     unregularized_residual,
 )
-from otpath import laguerre
+from otpath import homotopy, laguerre
 from otpath.laguerre import (
     FD_STEP,
     GridCells,
@@ -30,6 +30,7 @@ from otpath.laguerre import (
 from otpath import residuals
 from otpath.kernel import _softmax
 from otpath.model import cost_matrix, density_eval
+from otpath.quadrature import refine_grid
 from otpath.residuals import ResidualSystem
 
 
@@ -325,7 +326,7 @@ def test_node_masses_match_density_eval(dim, kind):
 def _first_sweep_bound(cells):
     """The largest |cost| as a chunked pass over the cost finds it."""
     bound = 0.0
-    for _, block in cells.grid_cost.blocks():
+    for _, block in cells.blocks():
         bound = max(bound, block.max(), -block.min())
     return float(bound)
 
@@ -339,10 +340,10 @@ def test_jacobian_constants_fixed_at_build(dim, exponent):
     for seed in range(3):
         targets = sample_targets(5, dim, Domain(lower=(-0.5,) * dim, upper=(1.5,) * dim), seed)
         cells = GridCells.build(targets, grid, gaussian_bump_density(dom), exponent)
-        assert (cells.tables is not None) == (dim == 2 and exponent == 2.0)
+        assert (cells.tables is not None) == (dim == 2 and exponent == 2.0) == (cells.cost is None)
         assert cells._fd_step == _fd_step(cells)
         assert cells._cost_max == _first_sweep_bound(cells)
-        assert cells._cost_max == np.abs(cells.cost).max()
+        assert cells._cost_max == np.abs(cost_matrix(targets.points, grid.nodes, exponent, grid.axes)).max()
 
 
 def test_sweep_without_runner_up_keeps_labels_and_minima(dom2):
@@ -415,8 +416,9 @@ def _fd_step(cells):
     return max(FD_STEP, 2.0 * cells.spacing * float(gaps.max()))
 
 
-def _moved_node_jacobian(weights, cells):
-    """Naive 2N-sweep reference of the grid measure Jacobian.
+def _moved_node_jacobian(weights, cells, cost):
+    """Naive 2N-sweep reference of the grid measure Jacobian on the (N, M)
+    matrix `cost` of the cells.
 
     Labels every node by argmin at weights and at weights +- step on each
     coordinate; column k sums, in node order, the masses of the nodes whose
@@ -425,13 +427,13 @@ def _moved_node_jacobian(weights, cells):
     n = cells.n
     step = _fd_step(cells)
     mass = cells.node_mass
-    base = np.argmin(cells.cost - weights[:, None], axis=0)
+    base = np.argmin(cost - weights[:, None], axis=0)
     jac = np.zeros((n, n))
     for k in range(n):
         bump = np.zeros(n)
         bump[k] = step
-        plus = np.argmin(cells.cost - (weights + bump)[:, None], axis=0)
-        minus = np.argmin(cells.cost - (weights - bump)[:, None], axis=0)
+        plus = np.argmin(cost - (weights + bump)[:, None], axis=0)
+        minus = np.argmin(cost - (weights - bump)[:, None], axis=0)
         up = np.flatnonzero(plus != base)
         down = np.flatnonzero(minus != base)
         assert np.all(plus[up] == k) and np.all(base[down] == k)
@@ -447,7 +449,10 @@ def test_p4_2d_grid_cells_bit_identical_to_bincount(dom2):
         {"variant": "p4", "dim": 2, "n_targets": 6, "seed": 4, "rho": {"kind": "gauss"}}
     )
     system = ResidualSystem(prob, grid)
-    assert system.rho_cells.cost is system.kernel.cells.cost  # quadratic: one matrix
+    # the kernel's cells stream their tables; the rho cells hold their own matrix
+    cost = cost_matrix(prob.targets.points, grid.nodes, 2.0, grid.axes)
+    assert system.kernel.cells.cost is None and system.rho_cells.tables is None
+    assert np.array_equal(system.rho_cells.cost, cost)
     step = _fd_step(system.rho_cells)
     rng = np.random.default_rng(8)
     for _ in range(3):
@@ -458,15 +463,15 @@ def test_p4_2d_grid_cells_bit_identical_to_bincount(dom2):
             assert np.array_equal(power_cell_measures(xi, cells), expected)
             masses, jac = measure_jacobian(xi, cells)
             assert np.array_equal(masses, expected)
-            assert np.array_equal(jac, _moved_node_jacobian(xi, cells))
+            assert np.array_equal(jac, _moved_node_jacobian(xi, cells, cost))
             # the moved-node sums agree with differences of full-cell totals
             assert np.abs(jac - totals).max() <= 1e-12
     cubic = build_problem(
         {"variant": "p4", "dim": 2, "n_targets": 6, "seed": 4, "rho": {"kind": "gauss"},
          "cost_exponent": 3}
     )
-    cubic_cells = ResidualSystem(cubic, grid).rho_cells
-    assert np.array_equal(cubic_cells.cost, GridCells.build(cubic.targets, grid, cubic.rho).cost)
+    cubic_cells = ResidualSystem(cubic, grid).rho_cells  # the inner cost stays quadratic
+    assert np.array_equal(cubic_cells.cost, cost)
 
 
 def test_grid_jacobian_runs_at_most_one_label_sweep(dom2, monkeypatch):
@@ -485,55 +490,103 @@ def test_grid_jacobian_runs_at_most_one_label_sweep(dom2, monkeypatch):
 
 
 def _held(cells):
-    """Every attribute of the operands and, for grid cells, of their cost."""
+    """Every attribute of the operands, and each of their per-axis tables."""
     held = {f"cells.{k}": v for k, v in vars(cells).items()}
-    if isinstance(cells, GridCells):
-        held.update({f"cost.{k}": v for k, v in vars(cells.grid_cost).items()})
+    for d, table in enumerate(getattr(cells, "tables", None) or ()):
+        held[f"cells.tables[{d}]"] = table
     return held
 
 
-def test_cell_operands_keep_no_evaluation(dom1, dom2):
+def _assert_holds(cells, before):
+    """`cells` hold the very objects of `before`, and no array they hold
+    can be written."""
+    after = _held(cells)
+    assert after.keys() == before.keys()
+    assert all(after[k] is before[k] for k in before)
+    assert not any(v.flags.writeable for v in after.values() if isinstance(v, np.ndarray))
+
+
+def test_cell_operands_keep_no_evaluation(dom1, dom2, monkeypatch):
     # masses, Jacobians and labels are returned, not kept: after evaluations
-    # at two weight vectors the operands hold what they were built with, and
-    # the grid operands' constants (step and largest |cost|) are set at build
+    # at two weight vectors the operands hold what they were built with (the
+    # cost as per-axis tables or as the matrix, the node masses, and the
+    # Jacobian's step and largest |cost|, both set at build)
     rng = np.random.default_rng(3)
     interval = IntervalCells(sample_targets(5, 1, dom1, seed=2), dom1, gaussian_bump_density(dom1))
     grid = build_grid(dom2, 8, 4)
-    planar = GridCells.build(sample_targets(5, 2, dom2, seed=2), grid, gaussian_bump_density(dom2))
-    assert planar.cost.shape == (5, grid.n_nodes)  # built on request, then kept
-    for cells in (interval, planar):
+    targets = sample_targets(5, 2, dom2, seed=2)
+    planar = GridCells.build(targets, grid, gaussian_bump_density(dom2))
+    held = planar.with_matrix(grid)
+    cost = cost_matrix(targets.points, grid.nodes, 2.0, grid.axes)
+    assert planar.cost is None and held.tables is None and np.array_equal(held.cost, cost)
+    for cells in (interval, planar, held):
         before = _held(cells)
         for _ in range(2):
             weights = rng.uniform(-0.1, 0.1, 5)
             power_cell_measures(weights, cells)
             measure_jacobian(weights, cells)
-            if cells is planar:
+            if cells is not interval:
                 grid_labels(weights, cells)
-        after = _held(cells)
-        if cells is planar:
-            assert before["cells._cost_max"] == np.abs(planar.cost).max()
-            node_length = [k for k, v in after.items() if getattr(v, "shape", None) == (grid.n_nodes,)]
+        if cells is not interval:
+            assert before["cells._cost_max"] == np.abs(cost).max()
+            node_length = [k for k, v in before.items() if getattr(v, "shape", None) == (grid.n_nodes,)]
             assert node_length == ["cells.node_mass"]
-        assert after.keys() == before.keys()
-        assert all(after[k] is before[k] for k in before)
+        _assert_holds(cells, before)
+
+    # a p4 2-D run: stages, equal-mass start and terminal residual on the
+    # base and boosted systems leave their kernel and rho cells as built
+    systems = []
+
+    class Recording(ResidualSystem):
+        def __init__(self, problem, grid):
+            super().__init__(problem, grid)
+            systems.append([(c, _held(c)) for c in (self.kernel.cells, self.rho_cells)])
+
+    monkeypatch.setattr(homotopy, "ResidualSystem", Recording)
+    prob = build_problem(
+        {"variant": "p4", "dim": 2, "n_targets": 4, "seed": 4, "rho": {"kind": "gauss"}}
+    )
+    integrate_homotopy(prob, 0.25, build_grid(dom2, 8, 4), snapshot_times=(0.5, 1.0))
+    assert len(systems) == 2
+    for (kernel_cells, kernel_held), (rho_cells, rho_held) in systems:
+        assert kernel_cells.cost is None and rho_cells.tables is None
+        _assert_holds(kernel_cells, kernel_held)
+        _assert_holds(rho_cells, rho_held)
 
 
-def _assert_matches_moved_node_reference(weights, cells):
+@pytest.mark.parametrize("kind", ["uniform", "gauss"])
+def test_measure_jacobian_same_bits_from_tables_and_matrix(dom2, kind):
+    # the boundary-node columns gathered from the per-axis tables are the
+    # matrix's entries, so masses and Jacobian keep every bit
+    grid = build_grid(dom2, 24, 6)  # chunk boundaries inside axis rows
+    density = uniform_density(dom2) if kind == "uniform" else gaussian_bump_density(dom2)
+    rng = np.random.default_rng(7)
+    for seed in range(3):
+        tables = GridCells.build(sample_targets(6, 2, dom2, seed), grid, density)
+        matrix = tables.with_matrix(grid)
+        for scale in (0.02, 0.2):
+            weights = rng.uniform(-scale, scale, 6)
+            weights[seed] -= 1.0 if scale == 0.2 else 0.0  # an empty or small cell
+            for got, ref in zip(measure_jacobian(weights, tables), measure_jacobian(weights, matrix)):
+                assert np.array_equal(got, ref)
+
+
+def _assert_matches_moved_node_reference(weights, cells, cost):
     jac = measure_jacobian(weights, cells)[1]
-    assert np.array_equal(jac, _moved_node_jacobian(weights, cells))
+    assert np.array_equal(jac, _moved_node_jacobian(weights, cells, cost))
     return jac
 
 
-def _check_one_sweep(weights, cells):
+def _check_one_sweep(weights, cells, cost):
     """Masses and Jacobian at `weights` from one `measure_jacobian` call,
     against `power_cell_measures`, grid_labels + bincount and the moved-node
-    reference."""
+    reference on the matrix `cost`."""
     labels = grid_labels(weights, cells)
     expected = np.bincount(labels, weights=cells.node_mass, minlength=cells.n)
     masses, jac = measure_jacobian(weights, cells)
     assert np.array_equal(masses, expected)
     assert np.array_equal(masses, power_cell_measures(weights, cells))
-    assert np.array_equal(jac, _moved_node_jacobian(weights, cells))
+    assert np.array_equal(jac, _moved_node_jacobian(weights, cells, cost))
     return masses
 
 
@@ -547,18 +600,20 @@ def test_grid_jacobian_matches_moved_node_reference_on_random_weights(dom1, dom2
         dom = unit_domain(dim)
         targets = sample_targets(n, dim, dom, seed=n)
         grid = build_grid(dom, 8 if dim == 2 else 32, 4)
-        operands.append(GridCells.build(targets, grid, gaussian_bump_density(dom), exponent))
+        cells = GridCells.build(targets, grid, gaussian_bump_density(dom), exponent)
+        operands.append((cells, cost_matrix(targets.points, grid.nodes, exponent, grid.axes)))
     # small integer costs and weights with a dyadic step: exact ties
+    cost = rng.integers(0, 4, size=(4, 700)).astype(float)
     tied = GridCells(
         targets=TargetSet(points=np.arange(4.0)[:, None]),
-        cost=rng.integers(0, 4, size=(4, 700)).astype(float),
+        cost=cost,
         node_mass=rng.uniform(0.5, 1.5, 700),
         spacing=0.25,
     )
-    operands.append(tied)
+    operands.append((tied, cost))
     emptied = 0
     for trial in range(1000):
-        cells = operands[trial % len(operands)]
+        cells, cost = operands[trial % len(operands)]
         if cells is tied:
             weights = rng.integers(0, 3, size=cells.n).astype(float)
         else:
@@ -566,10 +621,10 @@ def test_grid_jacobian_matches_moved_node_reference_on_random_weights(dom1, dom2
             weights = rng.uniform(-scale, scale, cells.n)
         if trial % 5 == 0 and cells.n > 1:
             weights[0] = -10.0  # far out of reach: cell 0 is empty
-        emptied += _check_one_sweep(weights, cells)[0] == 0.0 and cells.n > 1
+        emptied += _check_one_sweep(weights, cells, cost)[0] == 0.0 and cells.n > 1
         # the caller changes its array in place between calls
         weights[trial % cells.n] += 1.0 if cells is tied else 0.05
-        _check_one_sweep(weights, cells)
+        _check_one_sweep(weights, cells, cost)
     assert emptied >= 150
 
 
@@ -586,11 +641,15 @@ def test_grid_jacobian_matches_reference_along_the_p4_2d_trajectory(dom2, monkey
         return original(weights, cells)
 
     monkeypatch.setattr(residuals, "measure_jacobian", recording)
-    integrate_homotopy(prob, 0.1, build_grid(dom2, 24, 6))
-    sizes = {cells.cost.shape[1] for _, cells in calls}
-    assert sizes == {20736, 82944}
+    grid = build_grid(dom2, 24, 6)
+    integrate_homotopy(prob, 0.1, grid)
+    costs = {
+        g.n_nodes: cost_matrix(prob.targets.points, g.nodes, 2.0, g.axes)
+        for g in (grid, refine_grid(grid, homotopy.BOOST_FACTOR))
+    }
+    assert {cells.node_mass.size for _, cells in calls} == set(costs) == {20736, 82944}
     for weights, cells in calls:
-        _assert_matches_moved_node_reference(weights, cells)
+        _assert_matches_moved_node_reference(weights, cells, costs[cells.node_mass.size])
 
 
 class _ReadCounter(np.ndarray):
@@ -629,25 +688,29 @@ def test_p4_stage_jacobian_sweeps_the_rho_matrix_once(dom2):
 
 def test_grid_jacobian_single_target_is_zero(dom2):
     single = TargetSet(points=np.array([[0.3, 0.6]]))
-    cells = GridCells.build(single, build_grid(dom2, 8, 4), uniform_density(dom2))
-    jac = _assert_matches_moved_node_reference(np.array([0.4]), cells)
+    grid = build_grid(dom2, 8, 4)
+    cells = GridCells.build(single, grid, uniform_density(dom2))
+    cost = cost_matrix(single.points, grid.nodes, 2.0, grid.axes)
+    jac = _assert_matches_moved_node_reference(np.array([0.4]), cells, cost)
     assert np.array_equal(jac, np.zeros((1, 1)))
 
 
 def test_grid_jacobian_with_empty_cells(dom2):
     targets = sample_targets(5, 2, dom2, seed=2)
-    cells = GridCells.build(targets, build_grid(dom2, 8, 4), gaussian_bump_density(dom2))
+    grid = build_grid(dom2, 8, 4)
+    cells = GridCells.build(targets, grid, gaussian_bump_density(dom2))
+    cost = cost_matrix(targets.points, grid.nodes, 2.0, grid.axes)
     step = _fd_step(cells)
     weights = np.zeros(5)
-    cand = cells.cost - weights[:, None]
+    cand = cost - weights[:, None]
     # target 0 just out of reach: empty, but +step on it takes nodes
     weights[0] += (cand[0] - cand[1:].min(axis=0)).min() - 0.5 * step
     assert power_cell_measures(weights, cells)[0] == 0.0
-    jac = _assert_matches_moved_node_reference(weights, cells)
+    jac = _assert_matches_moved_node_reference(weights, cells, cost)
     assert jac[0, 0] > 0.0
     # target 0 far out of reach: its row and column vanish
     weights[0] = -10.0
-    jac = _assert_matches_moved_node_reference(weights, cells)
+    jac = _assert_matches_moved_node_reference(weights, cells, cost)
     assert np.all(jac[0] == 0.0) and np.all(jac[:, 0] == 0.0)
 
 
@@ -666,7 +729,7 @@ def test_grid_jacobian_on_exact_ties():
                 cells = GridCells(targets=targets, cost=cost, node_mass=mass, spacing=spacing)
                 raised = cost - (weights + _fd_step(cells))[:, None]
                 tied += np.count_nonzero(raised == (cost - weights[:, None]).min(axis=0))
-                _assert_matches_moved_node_reference(weights, cells)
+                _assert_matches_moved_node_reference(weights, cells, cost)
     assert tied > 0
 
 
@@ -707,19 +770,19 @@ def test_streamed_passes_match_the_matrix_route(panels, order):
             # the unchunked softmax over the whole matrix
             whole = _softmax(psi - prob.offsets, t, matrix.cost).T
             assert np.array_equal(ke.node_weights(psi, t), whole)
-    assert cells.grid_cost._matrix is None  # every pass above streamed
-    # once built on request, the matrix is what the passes read
-    assert np.array_equal(cells.cost, matrix.cost)
-    assert np.array_equal(grid_labels(weights, cells), expected)
-    assert np.array_equal(ke.node_weights(psi, 0.99), whole)
+    assert cells.cost is None  # every pass above streamed, and no matrix was kept
+    # the same operands holding the matrix of `cost_matrix` on the tables
+    held = cells.with_matrix(grid)
+    assert np.array_equal(held.cost, matrix.cost)
+    assert np.array_equal(grid_labels(weights, held), expected)
 
 
 @pytest.mark.parametrize("exponent", [2.0, 3.0])
 @pytest.mark.parametrize("variant", ["p1", "p4"])
 def test_streamed_terminal_residual_matches_the_matrix_route(monkeypatch, variant, exponent):
-    # fresh operands stream their quadratic cost (the p4 rho cells share the
-    # mu cells' tables when the outer cost is quadratic too) and build no
-    # matrix; on explicit matrices the residual is the same, bit for bit
+    # fresh operands stream their quadratic cost (the p4 rho cells from
+    # tables of their own) and build no matrix; on explicit matrices the
+    # residual is the same, bit for bit
     grid = build_grid(unit_domain(2), 20, 5)
     config = {"variant": variant, "dim": 2, "n_targets": 6, "seed": 4, "cost_exponent": exponent}
     if variant == "p4":
