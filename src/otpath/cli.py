@@ -36,7 +36,19 @@ from .newton import fixed_t_oracle, newton_1d
 from .quadrature import build_grid
 
 SURROGATE_T = 1.0 - 1e-4  # fixed-t stand-in for the baseline in 2-D
-SNAPSHOT_ROWS = 1024  # snapshot CSV rows per block; bounds the writer's temporaries
+SNAPSHOT_ROWS = 1024  # CSV rows per block; bounds the writers' temporaries
+# (field, accepted types, what a refusal asks for) of the fields whose
+# values are iterated or looked up: checked first, so that an ill-typed
+# value is refused by its key
+_FIELD_TYPES = (
+    ("dim", int, "an integer"),
+    ("n_list", (list, tuple), "a list"),
+    ("dt_list", (list, tuple), "a list"),
+    ("snapshot_times", (list, tuple), "a list"),
+    ("anchor", (list, tuple, type(None)), "a list"),
+    ("density", dict, "a mapping"),
+    ("rho", (dict, type(None)), "a mapping"),
+)
 
 
 @dataclass
@@ -60,6 +72,10 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
+        for name, kinds, what in _FIELD_TYPES:
+            value = getattr(self, name)
+            if not isinstance(value, kinds):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
         self.n_list = tuple(int(n) for n in self.n_list)
         self.dt_list = tuple(float(dt) for dt in self.dt_list)
         self.snapshot_times = tuple(float(t) for t in self.snapshot_times)
@@ -102,18 +118,14 @@ class ExperimentConfig:
         return build_grid(unit_domain(self.dim), panels, order)
 
 
-def _format_float(x):
-    return f"{x:.17g}"
-
-
 def write_trajectory_csv(path, trajectory):
+    """One row `t,psi_1,...,psi_N` per state, every value as '%.17g'."""
     n = trajectory.states[0].psi.size
-    lines = ["t," + ",".join(f"psi_{j + 1}" for j in range(n))]
-    for state in trajectory.states:
-        lines.append(
-            ",".join([_format_float(state.t)] + [_format_float(v) for v in state.psi])
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = np.column_stack([trajectory.times, trajectory.psi_matrix])
+    with open(path, "wb") as out:
+        out.write(("t," + ",".join(f"psi_{j + 1}" for j in range(n)) + "\n").encode())
+        for start in range(0, len(rows), SNAPSHOT_ROWS):
+            out.write(_g17_rows(rows[start : start + SNAPSHOT_ROWS]).tobytes().translate(None, b"\0"))
 
 
 # '%.17g' prints |x| in [1e-4, 1e14) in fixed notation from its 17
@@ -235,6 +247,17 @@ def _g17_slots(values):
     return slots
 
 
+def _g17_rows(values):
+    """'%.17g' % v of every entry of the 2-D `values`, as one NUL-padded
+    uint8 row per row of values: fields separated by commas, each row ended
+    by a newline."""
+    text = _g17_slots(values)
+    text[:, -1] = ord(",")
+    text = text.reshape(len(values), -1)
+    text[:, -1] = ord("\n")
+    return text
+
+
 def _text_table(texts):
     """NUL-padded uint8 rows, row i holding texts[i] in ASCII."""
     table = np.array([t.encode() for t in texts])
@@ -249,7 +272,7 @@ def write_snapshot_csv(path, cell_field):
         + ["label"]
         + [f"pi_{j + 1}" for j in range(n)]
     )
-    # Every field is formatted as '%.17g' (like _format_float) into a
+    # Every field is formatted as '%.17g' (like the trajectory CSV) into a
     # NUL-padded table row that ends in its separator; a block of rows is one
     # uint8 array written with its NULs deleted.  Labels are exported
     # 1-based.  A grid has few distinct coordinates per axis, so each is
@@ -273,11 +296,7 @@ def write_snapshot_csv(path, cell_field):
             columns = [table[index[part]] for table, index in coords]
             columns.append(tails[labels[part]])
             if weights is not None:
-                text = _g17_slots(weights[part])
-                text[:, -1] = ord(",")
-                text = text.reshape(-1, n * G17_SLOT)  # one row of slots per node
-                text[:, -1] = ord("\n")
-                columns.append(text)
+                columns.append(_g17_rows(weights[part]))
             out.write(np.concatenate(columns, axis=1).tobytes().translate(None, b"\0"))
 
 
@@ -312,6 +331,9 @@ def run_experiment(config):
         raise ConfigError(f"ill-typed configuration value: {exc}") from None
     try:
         grid = config.grid()
+        # the grid holds only its axes, but every solve holds per-node
+        # arrays (masses, labels): one that cannot be allocated is refused
+        np.empty(grid.n_nodes)
     except MemoryError:
         raise ConfigError(
             "the quadrature grid does not fit in memory; lower quad_panels or quad_order"

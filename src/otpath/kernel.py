@@ -350,11 +350,11 @@ class KernelEvaluator:
 
 
 def _blocks(outer, spread, a, t):
-    """grad, hess and dt_grad from S = `outer` and `spread`."""
+    """grad, hess and dt_grad from S = `outer` and `spread`; the Hessian
+    (S - diag(col)) / (1-t) is formed in `outer`'s own storage."""
     col = outer.sum(axis=1)
     pull = (outer * (a[None, :] - a[:, None])).sum(axis=1)
-    return KernelEval(
-        grad=-col,
-        hess=(outer - np.diag(col)) / (1.0 - t),
-        dt_grad=(pull + spread) / (1.0 - t) ** 2,
-    )
+    hess = outer
+    hess.flat[:: col.size + 1] -= col
+    hess /= 1.0 - t
+    return KernelEval(grad=-col, hess=hess, dt_grad=(pull + spread) / (1.0 - t) ** 2)

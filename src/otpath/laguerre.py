@@ -31,15 +31,17 @@ once-per-run passes (snapshot labels and weights, the mu cells of the 2-D
 terminal residual) and the kernel's refused stages stream the tables.
 
 Grid passes: a `GridCells` sweeps its cost in chunks of nodes, one row at a
-time, each pass vectorized along the nodes.  Per node it keeps the running
-minimum of cost - weights with its label and, for the measure Jacobian
-alone, the runner-up value.  A row takes over a node only when strictly
-smaller, so ties go to the lowest index exactly as `np.argmin` resolves
-them, and the masses are the bincount of those labels.  The nodes whose
-runner-up lies within the Jacobian's step of the minimum are the only ones
-that can change owner; the Jacobian gathers just their columns.
-`grid_labels` returns the labels of that sweep, for callers that want the
-labels themselves (snapshots), so the tie rule lives in the sweep alone.
+time, each pass vectorized along the nodes.  Per node of the chunk it keeps
+the running minimum of cost - weights with its label and, for the measure
+Jacobian alone, the runner-up value.  A row takes over a node only when
+strictly smaller, so ties go to the lowest index exactly as `np.argmin`
+resolves them, and the masses are the bincount of those labels.  The nodes
+whose runner-up lies within the Jacobian's step of the minimum are the only
+ones that can change owner; each chunk hands on just those, with their two
+values, and the Jacobian gathers just their columns.  So a sweep keeps one
+full-length array, the labels, and chunk-sized scratch.  `grid_labels`
+returns the labels of that sweep, for callers that want the labels
+themselves (snapshots), so the tie rule lives in the sweep alone.
 
 A `GridCells` is built once per grid and then shared: the kernel holds the
 source-density cells, the residual system the rho cells, snapshots label
@@ -64,6 +66,7 @@ from .model import (
     density_eval,
     interval_mass,
 )
+from .quadrature import tensor_weights
 
 FD_STEP = 1e-5  # least central-difference step of the grid measure Jacobian
 CHUNK_NODES = 8192  # nodes per sweep chunk: (N, CHUNK_NODES) temporaries stay in cache
@@ -140,7 +143,7 @@ def _node_cost(targets, grid, exponent):
     p*n2 + q costs d1[:, p] + d2[:, q]; otherwise the (N, M) matrix."""
     if grid.dim == 2 and exponent == 2.0:
         return tuple(axis_sq_dists(targets.points, grid.axes))
-    return cost_matrix(targets.points, grid.nodes, exponent, grid.axes)
+    return cost_matrix(targets.points, None, exponent, grid.axes)
 
 
 def _cost_blocks(cost):
@@ -212,7 +215,7 @@ class GridCells:
     def with_matrix(self, grid):
         """These operands holding the (N, M) matrix of their quadratic cost on
         `grid` (the grid they were built on) instead of its tables."""
-        cost = cost_matrix(self.targets.points, grid.nodes, 2.0, grid.axes)
+        cost = cost_matrix(self.targets.points, None, 2.0, grid.axes)
         return GridCells(targets=self.targets, cost=cost, node_mass=self.node_mass, spacing=self.spacing)
 
     def blocks(self):
@@ -229,35 +232,41 @@ class GridCells:
         p, q = np.divmod(nodes, d2.shape[1])
         return d1[:, p] + d2[:, q]
 
-    def _sweep(self, weights, runner_up=True):
-        """(labels, best, second) at `weights` from one chunked pass over the
-        rows: per node the running minimum of cost - weights with its argmin
-        label, and the runner-up value (+inf for one row).  Only the measure
-        Jacobian reads the runner-up; runner_up=False skips it and returns
-        None in its place, with the same labels and minima.
+    def _sweep(self, weights, reach=None):
+        """Labels from one chunked pass over the rows: per node the argmin of
+        cost - weights, from a running minimum that lives per chunk.  A row
+        takes a node only when strictly smaller, so ties go to the lowest
+        index, as `np.argmin` resolves them.
 
-        A row takes a node only when strictly smaller, so ties go to the
-        lowest index, as `np.argmin` resolves them.
+        With `reach`, the pass also keeps the chunk's running runner-up value
+        (+inf for one row) and returns (labels, nodes, best, second): the
+        boundary nodes, those whose runner-up lies within `reach` of their
+        minimum (second <= best + reach), with both values there.  No
+        per-node minimum outlives its chunk.
         """
         n, m = self.n, self.node_mass.size
         labels = np.zeros(m, dtype=np.intp)
-        best = np.empty(m)
-        second = np.full(m, np.inf) if runner_up else None
-        cand = np.empty(min(m, CHUNK_NODES))
-        upper = np.empty_like(cand)
+        width = min(m, CHUNK_NODES)
+        low_buf, cand, run_buf, upper = (np.empty(width) for _ in range(4))
+        found = []
         for lo, block in self.blocks():
-            span = slice(lo, lo + block.shape[1])
-            lab, low = labels[span], best[span]
-            run = second[span] if runner_up else None
-            c, hi = cand[: low.size], upper[: low.size]
+            k = block.shape[1]
+            lab, low, c, run, hi = labels[lo : lo + k], low_buf[:k], cand[:k], run_buf[:k], upper[:k]
             np.subtract(block[0], weights[0], out=low)
+            run.fill(np.inf)
             for j in range(1, n):
                 np.subtract(block[j], weights[j], out=c)
                 lab[c < low] = j
-                if runner_up:
+                if reach is not None:
                     np.minimum(run, np.maximum(low, c, out=hi), out=run)
                 np.minimum(low, c, out=low)
-        return labels, best, second
+            if reach is not None:
+                near = np.flatnonzero(run <= np.add(low, reach, out=c))
+                found.append((near + lo, low[near], run[near]))
+        if reach is None:
+            return labels
+        nodes, best, second = (np.concatenate(part) for part in zip(*found))
+        return labels, nodes, best, second
 
     def _masses(self, labels):
         return np.bincount(labels, weights=self.node_mass, minlength=self.n)
@@ -265,21 +274,23 @@ class GridCells:
 
 def _node_mass(grid, density):
     """Quadrature weight times density at every node of `grid`, from the
-    per-axis factors of the density: the float expressions `density_eval`
-    applies to `grid.nodes`, so the same bits, without the (M, dim) node
-    temporaries.  Node p * n2 + q has squared distance fl(s1[p] + s2[q]) to
-    a Gaussian's center, as the per-node sum over the two axes forms it."""
+    per-axis factors of the weights and the density: the float expressions
+    of `grid.weights` and of `density_eval` on `grid.nodes`, so the same
+    bits, without forming either on the grid.  Node p * n2 + q has squared
+    distance fl(s1[p] + s2[q]) to a Gaussian's center, as the per-node sum
+    over the two axes forms it."""
+    weights = tensor_weights(grid.axis_weights)
     if density.kind == DENSITY_UNIFORM:
-        return grid.weights * density.normalization
+        return weights * density.normalization
     gaps = [(x - c) ** 2 for x, c in zip(grid.axes, density.center)]
     sq = gaps[0] if len(gaps) == 1 else np.add.outer(*gaps).ravel()
-    return grid.weights * (density.normalization * np.exp(-density.sharpness * sq))
+    return weights * (density.normalization * np.exp(-density.sharpness * sq))
 
 
 def grid_labels(weights, cells):
     """Per-node argmin of cost(x, y_j) - weights_j over the targets of the
     GridCells, from one sweep; ties go to the lowest index."""
-    return cells._sweep(np.asarray(weights, dtype=float), runner_up=False)[0]
+    return cells._sweep(np.asarray(weights, dtype=float))
 
 
 def cell_operands(targets, density, grid, cost_exponent=2.0):
@@ -305,7 +316,7 @@ def power_cell_measures(weights, cells):
     weights = np.asarray(weights, dtype=float)
     if isinstance(cells, IntervalCells):
         return _interval_masses(cells, *cells.diagram(weights))
-    return cells._masses(cells._sweep(weights, runner_up=False)[0])
+    return cells._masses(cells._sweep(weights))
 
 
 def measure_jacobian(weights, cells):
@@ -340,15 +351,14 @@ def measure_jacobian(weights, cells):
         jac[i, j] -= gain
         jac[j, i] -= gain
         return _interval_masses(cells, starts, ends), jac
-    labels, best, second = cells._sweep(weights)
-    masses = cells._masses(labels)
     step = cells._fd_step
     # Only nodes where a second row lies within `step` of the minimum can
     # change owner.  Rounding moves a perturbed value off its exact shift by
     # a few ulps of |cost| + |weights| + step; the slack is over 1e3 times that.
     reach = step + 1e-12 * (cells._cost_max + np.abs(weights).max() + step)
-    nodes = np.flatnonzero(second <= best + reach)
-    owner, best, second = labels[nodes], best[nodes], second[nodes]
+    labels, nodes, best, second = cells._sweep(weights, reach)
+    masses = cells._masses(labels)
+    owner = labels[nodes]
     pos = np.arange(nodes.size)
     cost = cells._columns(nodes)
     cand = cost - weights[:, None]

@@ -6,13 +6,16 @@ Grids are deterministic: the same (domain, panels, order) always produces
 bit-identical nodes and weights.
 
 The Gauss-Legendre rule of an order (an eigenvalue solve) is computed once
-per process and shared read-only by every grid of that order.  A 2-D grid is
-filled straight from its per-axis coordinates and weights: node p * n2 + q is
-(x1[p], x2[q]) with weight w1[p] * w2[q], and callers that can work per axis
-(`model.cost_matrix`, `laguerre.GridCells`) read `axes` instead of `nodes`.
+per process and shared read-only by every grid of that order.  A grid holds
+its per-axis coordinates `axes` and weights `axis_weights` alone: node
+p * n2 + q is (x1[p], x2[q]) with weight w1[p] * w2[q].  The (M, dim)
+`nodes` and (M,) `weights` are formed from them on first read and then kept;
+the solve paths (`model.cost_matrix`, `laguerre.GridCells`, the kernel) work
+per axis and read neither, so in 2-D only the snapshots form `nodes`.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,24 +30,22 @@ MAX_ORDER = 16
 class QuadratureGrid:
     """Tensor-product composite Gauss-Legendre rule.
 
-    nodes has shape (M, dim) with M = (panels_per_axis * order) ** dim;
-    weights are strictly positive and sum to the box volume.  `axes` holds
-    the per-axis node coordinates: nodes[p * n2 + q] = (axes[0][p],
-    axes[1][q]) in 2-D, so the first axis varies slowest.
+    `axes` and `axis_weights` hold the per-axis node coordinates and
+    weights.  `nodes` (M, dim), M = (panels_per_axis * order) ** dim, and
+    `weights` (M,) are their tensor product, formed on first read:
+    nodes[p * n2 + q] = (axes[0][p], axes[1][q]) in 2-D, so the first axis
+    varies slowest.  Weights are strictly positive and sum to the box volume.
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
     panels_per_axis: int
     order: int
     lower: tuple
     upper: tuple
     axes: tuple
+    axis_weights: tuple
 
     def __post_init__(self):
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
-        for x in self.axes:
+        for x in self.axes + self.axis_weights:
             x.setflags(write=False)
 
     @property
@@ -53,7 +54,25 @@ class QuadratureGrid:
 
     @property
     def n_nodes(self):
-        return self.nodes.shape[0]
+        return math.prod(x.size for x in self.axes)
+
+    @functools.cached_property
+    def nodes(self):
+        if self.dim == 1:
+            return self.axes[0][:, None]
+        x1, x2 = self.axes
+        nodes = np.empty((x1.size, x2.size, 2))
+        nodes[:, :, 0] = x1[:, None]
+        nodes[:, :, 1] = x2
+        nodes = nodes.reshape(-1, 2)
+        nodes.setflags(write=False)
+        return nodes
+
+    @functools.cached_property
+    def weights(self):
+        weights = tensor_weights(self.axis_weights)
+        weights.setflags(write=False)
+        return weights
 
 
 @functools.cache
@@ -76,6 +95,14 @@ def axis_rule(lo, hi, panels, order):
     return nodes, weights
 
 
+def tensor_weights(axis_weights):
+    """The (M,) weights of the tensor rule with per-axis weights
+    `axis_weights`: w1 in 1-D, w1[p] * w2[q] at node p * n2 + q in 2-D."""
+    if len(axis_weights) == 1:
+        return axis_weights[0]
+    return np.multiply.outer(*axis_weights).ravel()
+
+
 def build_grid(domain, panels_per_axis, order):
     """Build the composite rule over `domain` (any object with lower/upper).
 
@@ -90,29 +117,16 @@ def build_grid(domain, panels_per_axis, order):
         )
     lower = tuple(float(v) for v in domain.lower)
     upper = tuple(float(v) for v in domain.upper)
-    axes = [
-        axis_rule(lo, hi, panels_per_axis, order) for lo, hi in zip(lower, upper)
-    ]
-    if len(axes) == 1:
-        [(x1, weights)] = axes
-        nodes = x1[:, None]
-    elif len(axes) == 2:
-        (x1, w1), (x2, w2) = axes
-        nodes = np.empty((x1.size, x2.size, 2))
-        nodes[:, :, 0] = x1[:, None]
-        nodes[:, :, 1] = x2
-        nodes = nodes.reshape(-1, 2)
-        weights = np.multiply.outer(w1, w2).ravel()
-    else:
-        raise ConfigError(f"only 1-D and 2-D domains are supported, got dim={len(axes)}")
+    if len(lower) not in (1, 2):
+        raise ConfigError(f"only 1-D and 2-D domains are supported, got dim={len(lower)}")
+    rules = [axis_rule(lo, hi, panels_per_axis, order) for lo, hi in zip(lower, upper)]
     return QuadratureGrid(
-        nodes=nodes,
-        weights=weights,
         panels_per_axis=int(panels_per_axis),
         order=int(order),
         lower=lower,
         upper=upper,
-        axes=tuple(x for x, _ in axes),
+        axes=tuple(x for x, _ in rules),
+        axis_weights=tuple(w for _, w in rules),
     )
 
 

@@ -86,7 +86,9 @@ class ResidualSystem:
             raise ValueError(f"t must lie in [0, 1), got {t}")
 
     def _penalty(self, psi, t):
-        """The penalty term's (g, jac, dt) blocks.
+        """The penalty term's (g, jac, dt) blocks.  For p1-p3 the Jacobian
+        is diagonal and given as its diagonal, and dt is None where it is
+        zero (p1, p3).
 
         For p4 the Jacobian is singular along the all-ones direction: both the
         transport term and the cell masses are invariant under constant
@@ -99,18 +101,26 @@ class ResidualSystem:
             return masses, -rho_jac / t, rho_jac @ psi / t**2
         if p.variant == "p2":
             e = _safe_exp(-psi / t, "entropy penalty term")
-            return e, np.diag(-e / t), e * psi / t**2
+            return e, -e / t, e * psi / t**2
         e = _safe_exp(-psi, "entropy penalty term")
-        return e, np.diag(-e), np.zeros_like(psi)
+        return e, -e, None
 
     def full(self, psi, t):
         """Residual, its symmetric negative (semi)definite Jacobian in psi,
-        and its time derivative, from one kernel sweep."""
+        and its time derivative, from one kernel sweep.  The penalty's
+        Jacobian is added onto the kernel Hessian in place: a diagonal
+        (p1-p3) onto its diagonal alone."""
         self._check_time(t)
         psi = np.asarray(psi, dtype=float)
         ke = self.kernel.evaluate(psi, t)
-        g, jac, dt = self._penalty(psi, t)
-        return ResidualEval(g=g + ke.grad, jac=ke.hess + jac, dt=ke.dt_grad + dt)
+        g, pen_jac, pen_dt = self._penalty(psi, t)
+        jac = ke.hess
+        if pen_jac.ndim == 1:
+            jac.flat[:: jac.shape[0] + 1] += pen_jac
+        else:
+            jac += pen_jac
+        dt = ke.dt_grad if pen_dt is None else ke.dt_grad + pen_dt
+        return ResidualEval(g=g + ke.grad, jac=jac, dt=dt)
 
     def initial_state(self):
         """Closed-form start of the trajectory for this variant."""

@@ -12,9 +12,11 @@ import otpath
 import otpath.cli as cli
 from otpath import (
     ConfigError,
+    DualState,
     NearSingularJacobianError,
     NonFiniteValueError,
     ResidualSystem,
+    Trajectory,
     build_grid,
     build_problem,
     capture_snapshot,
@@ -65,6 +67,25 @@ def test_trajectory_csv_shape(tmp_path):
     assert len(lines) == 12  # header + 11 lattice states
     last = lines[-1].split(",")
     assert float(last[0]) == 1.0
+
+
+@pytest.mark.parametrize("block", [2, cli.SNAPSHOT_ROWS])
+def test_trajectory_csv_matches_percent_format(tmp_path, monkeypatch, block):
+    # rows with zeros of both signs, negatives, tiny and large values, at
+    # t = 0 and t = 1; with blocks of 2 rows the last block is partial
+    monkeypatch.setattr(cli, "SNAPSHOT_ROWS", block)
+    rows = [
+        (0.0, [0.0, -0.0, 1.3862943611198906]),
+        (0.25, [-1.5, 2.5e-7, -123456.78901234567]),
+        (0.5, [1e-4, -9.999999999999999e-5, 1e14]),
+        (0.75, [np.nextafter(1.0, 2.0), -1e300, 5e-324]),
+        (1.0, [0.1, -0.2, 0.30000000000000004]),
+    ]
+    traj = Trajectory(states=[DualState(t=t, psi=np.array(psi)) for t, psi in rows])
+    path = tmp_path / "traj.csv"
+    cli.write_trajectory_csv(path, traj)
+    expected = ["t,psi_1,psi_2,psi_3"] + [",".join("%.17g" % v for v in [t, *psi]) for t, psi in rows]
+    assert path.read_text() == "\n".join(expected) + "\n"
 
 
 def test_summary_matches_stored_state(tmp_path):
@@ -430,9 +451,15 @@ BAD_INPUTS = [
     pytest.param(["run"], {"n_list": []}, 1, "n_list", id="config-n-empty"),
     pytest.param(["run"], "not json", 1, None, id="config-not-json"),
     # wrong-typed values, refused where the config becomes problems
-    pytest.param(["run"], {"density": 5}, 1, None, id="config-density-number"),
-    pytest.param(["run"], {"variant": "p4", "rho": 3}, 1, None, id="config-rho-number"),
-    pytest.param(["run"], {"variant": "p3", "anchor": 5}, 1, None, id="config-anchor-number"),
+    pytest.param(["run"], {"density": 5}, 1, "density must be a mapping", id="config-density-number"),
+    pytest.param(["run"], {"dim": [1]}, 1, "dim must be an integer", id="config-dim-list"),
+    pytest.param(["run"], {"dim": 1.0}, 1, "dim must be an integer", id="config-dim-float"),
+    pytest.param(["run"], {"n_list": 3}, 1, "n_list must be a list", id="config-n-number"),
+    pytest.param(["run"], {"snapshot_times": 0.5}, 1, "snapshot_times must be a list",
+                 id="config-snapshot-times-number"),
+    pytest.param(["run"], {"variant": "p4", "rho": 3}, 1, "rho must be a mapping", id="config-rho-number"),
+    pytest.param(["run"], {"variant": "p3", "anchor": 5}, 1, "anchor must be a list",
+                 id="config-anchor-number"),
     pytest.param(["run"], {"density": {"kind": "gauss", "center": 5}}, 1, None,
                  id="config-center-number"),
     pytest.param(["run"], {"density": {"kind": "gauss", "sharpness": "x"}}, 1, None,

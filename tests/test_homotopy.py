@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -276,8 +277,9 @@ def test_one_cost_matrix_per_grid(monkeypatch, config, snapshot_times, matrices)
     built = []
 
     def counting(*args):
-        built.append(args[1].shape[0])
-        return cost_matrix(*args)
+        matrix = cost_matrix(*args)
+        built.append(matrix.shape[1])
+        return matrix
 
     for name, module in list(sys.modules.items()):
         if name.startswith("otpath") and getattr(module, "cost_matrix", None) is cost_matrix:
@@ -285,6 +287,30 @@ def test_one_cost_matrix_per_grid(monkeypatch, config, snapshot_times, matrices)
     traj = integrate_homotopy(prob, 0.25, grid, snapshot_times=snapshot_times)
     assert len(traj.snapshots) == len(snapshot_times)
     assert sorted(built) == [grid.n_nodes, 4 * grid.n_nodes] * matrices
+
+
+def test_2d_p4_run_holds_per_axis_grids_and_chunk_local_sweeps():
+    # Without snapshots no solve path reads the (M, 2) nodes or (M,) weights
+    # of either grid.  What grows with the grid: per node of the base and
+    # boosted grids, the rho cells' (N, M) matrices and two node-mass
+    # vectors, 8 (N + 2) bytes; the labels of one sweep and the kernel's
+    # scratch may add two floats more.  0.5 MB covers what does not grow
+    # with the grid.  Full-length nodes, weights and sweep minima, as the
+    # grids and sweeps once held, exceed the bound by over 1.5 MB.
+    grid = build_grid(unit_domain(2), 24, 6)
+    prob = build_problem({"variant": "p4", "dim": 2, "n_targets": 3, "seed": 4, "rho": {"kind": "gauss"}})
+    integrate_homotopy(prob, 0.25, grid)  # the process-wide caches fill here
+    grid = build_grid(unit_domain(2), 24, 6)
+    tracemalloc.start()
+    try:
+        report = integrate_homotopy(prob, 0.25, grid).report
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for held in (grid, report.grid):  # the base and the boosted (report) grid
+        assert "nodes" not in vars(held) and "weights" not in vars(held)
+    nodes = grid.n_nodes + report.grid.n_nodes
+    assert peak <= 8 * (prob.n + 4) * nodes + 2**19
 
 
 @pytest.mark.parametrize(

@@ -346,16 +346,26 @@ def test_jacobian_constants_fixed_at_build(dim, exponent):
         assert cells._cost_max == np.abs(cost_matrix(targets.points, grid.nodes, exponent, grid.axes)).max()
 
 
-def test_sweep_without_runner_up_keeps_labels_and_minima(dom2):
+def test_sweep_keeps_labels_and_boundary_minima(dom2):
+    # the labels do not depend on `reach`; with it, the boundary nodes and
+    # their minimum and runner-up equal a whole-matrix reference, though
+    # the sweep keeps both values per chunk only
     targets = sample_targets(6, 2, dom2, seed=5)
-    cells = GridCells.build(targets, build_grid(dom2, 24, 6), gaussian_bump_density(dom2))
+    grid = build_grid(dom2, 24, 6)  # 20,736 nodes: three chunks
+    cells = GridCells.build(targets, grid, gaussian_bump_density(dom2))
     rng = np.random.default_rng(4)
     for _ in range(3):
         weights = rng.uniform(-0.2, 0.2, 6)
-        labels, best, second = cells._sweep(weights)
-        fast = cells._sweep(weights, runner_up=False)
-        assert np.array_equal(fast[0], labels) and np.array_equal(fast[1], best)
-        assert fast[2] is None and np.isfinite(second).all()
+        shifted = cost_matrix(targets.points, None, 2.0, grid.axes) - weights[:, None]
+        values = np.sort(shifted, axis=0)
+        labels = cells._sweep(weights)
+        assert np.array_equal(labels, np.argmin(shifted, axis=0))
+        for reach in (0.0, 1e-3, 0.05):
+            got, nodes, best, second = cells._sweep(weights, reach)
+            assert np.array_equal(got, labels)
+            expected = np.flatnonzero(values[1] <= values[0] + reach)
+            assert np.array_equal(nodes, expected)
+            assert np.array_equal(best, values[0, expected]) and np.array_equal(second, values[1, expected])
 
 
 def test_grid_labels_match_argmin_on_exact_ties():
@@ -478,9 +488,9 @@ def test_grid_jacobian_runs_at_most_one_label_sweep(dom2, monkeypatch):
     sweeps = []
     original = GridCells._sweep
 
-    def counting(self, weights):
+    def counting(self, *args):
         sweeps.append(1)
-        return original(self, weights)
+        return original(self, *args)
 
     monkeypatch.setattr(GridCells, "_sweep", counting)
     targets = sample_targets(6, 2, dom2, seed=3)
@@ -762,7 +772,8 @@ def test_streamed_passes_match_the_matrix_route(panels, order):
         expected = np.argmin(matrix.cost - weights[:, None], axis=0)
         assert np.array_equal(grid_labels(weights, cells), expected)
         assert np.array_equal(grid_labels(weights, matrix), expected)
-        for got, ref in zip(cells._sweep(weights), matrix._sweep(weights)):
+        assert np.array_equal(cells._sweep(weights), matrix._sweep(weights))
+        for got, ref in zip(cells._sweep(weights, 0.01), matrix._sweep(weights, 0.01)):
             assert np.array_equal(got, ref)
         assert np.array_equal(power_cell_measures(weights, cells), power_cell_measures(weights, matrix))
         psi = prob.offsets + weights

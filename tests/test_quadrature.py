@@ -52,6 +52,31 @@ def test_nodes_and_weights_match_the_meshgrid_construction(order, box):
     assert np.array_equal(line.nodes, x1[:, None]) and np.array_equal(line.weights, w1)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_nodes_and_weights_formed_on_first_read(dim):
+    # a grid holds its axes alone; the tensor nodes and weights are formed
+    # when first read, then kept read-only, with the bits of the eager
+    # construction that built them with every grid
+    dom = Domain(lower=(-2.0, 0.5)[:dim], upper=(3.0, 0.75)[:dim])
+    grid = build_grid(dom, 5, 6)
+    assert "nodes" not in vars(grid) and "weights" not in vars(grid)
+    assert grid.n_nodes == 30**dim
+    rules = [quadrature.axis_rule(lo, hi, 5, 6) for lo, hi in zip(dom.lower, dom.upper)]
+    if dim == 1:
+        [(x1, w1)] = rules
+        nodes, weights = x1[:, None], w1
+    else:
+        (x1, w1), (x2, w2) = rules
+        nodes = np.empty((x1.size, x2.size, 2))
+        nodes[:, :, 0] = x1[:, None]
+        nodes[:, :, 1] = x2
+        nodes, weights = nodes.reshape(-1, 2), np.multiply.outer(w1, w2).ravel()
+    assert "nodes" not in vars(grid) and "weights" not in vars(grid)  # n_nodes formed neither
+    assert np.array_equal(grid.nodes, nodes) and np.array_equal(grid.weights, weights)
+    assert grid.nodes is grid.nodes and grid.weights is grid.weights
+    assert not grid.nodes.flags.writeable and not grid.weights.flags.writeable
+
+
 def test_legendre_rule_is_cached_read_only():
     x, w = quadrature._legendre(6)
     assert quadrature._legendre(6)[0] is x

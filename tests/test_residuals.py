@@ -169,6 +169,31 @@ def test_single_target_p1_dt_is_zero(grid1):
     assert dt == pytest.approx(0.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_full_adds_the_penalty_terms_bit_for_bit(grid1, grid2, variant, dim):
+    # the diagonal penalty Jacobians of p1-p3 go onto the Hessian's diagonal
+    # in place; every block keeps the bits of the dense composition
+    # hess + diag(...) and dt_grad + (the penalty's dt, zeros for p1 and p3)
+    system = ResidualSystem(_problem(variant, dim=dim), grid2 if dim == 2 else grid1)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        psi, t = rng.uniform(-0.4, 0.4, 3), rng.uniform(0.1, 0.9)
+        ev, ke = system.full(psi, t), system.kernel.evaluate(psi, t)
+        if variant == "p4":
+            masses, rho_jac = laguerre.measure_jacobian(-psi / t, system.rho_cells)
+            pen = (masses, -rho_jac / t, rho_jac @ psi / t**2)
+        elif variant == "p2":
+            e = np.exp(-psi / t)
+            pen = (e, np.diag(-e / t), e * psi / t**2)
+        else:
+            e = np.exp(-psi)
+            pen = (e, np.diag(-e), np.zeros_like(psi))
+        blocks = (pen[0] + ke.grad, ke.hess + pen[1], ke.dt_grad + pen[2])
+        for got, ref in zip((ev.g, ev.jac, ev.dt), blocks):
+            assert np.array_equal(got, ref)
+
+
 @pytest.mark.parametrize("variant", ["p1", "p2", "p3"])
 def test_jacobian_negative_definite(grid1, variant):
     system = ResidualSystem(_problem(variant), grid1)
