@@ -85,3 +85,32 @@ __all__ = [
     "uniform_density",
     "unit_domain",
 ]
+
+
+def _keep_freed_arrays_in_heap():
+    """Let freed numpy temporaries be reused from the heap (Linux).
+
+    By default glibc serves every block above 128 KiB by its own mmap and
+    gives free heap above 128 KiB back to the kernel, so each per-node array
+    of a set-up and each (N, chunk) temporary of a sweep faults in fresh
+    zeroed pages.  glibc's adaptive rule raises both thresholds once a large
+    block has been freed; this sets them to that rule's ceiling (blocks up to
+    32 MiB from the heap, up to 64 MiB of free heap kept) from the start.
+    Where the C library has no mallopt, nothing changes.
+    """
+    import ctypes
+    import sys
+
+    if sys.platform != "linux":
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
+_keep_freed_arrays_in_heap()

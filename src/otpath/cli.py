@@ -37,17 +37,29 @@ from .quadrature import build_grid
 
 SURROGATE_T = 1.0 - 1e-4  # fixed-t stand-in for the baseline in 2-D
 SNAPSHOT_ROWS = 1024  # CSV rows per block; bounds the writers' temporaries
-# (field, accepted types, what a refusal asks for) of the fields whose
-# values are iterated or looked up: checked first, so that an ill-typed
-# value is refused by its key
+# (field, accepted types, what a refusal asks for) of every field, checked
+# first, so that an ill-typed value is refused by its key.  A bool is refused
+# wherever a number is asked for (JSON true is not 1).
+_REAL = (int, float)
+_NONE = type(None)
 _FIELD_TYPES = (
+    ("variant", str, "a string"),
     ("dim", int, "an integer"),
     ("n_list", (list, tuple), "a list"),
     ("dt_list", (list, tuple), "a list"),
-    ("snapshot_times", (list, tuple), "a list"),
-    ("anchor", (list, tuple, type(None)), "a list"),
+    ("seed", int, "an integer"),
     ("density", dict, "a mapping"),
-    ("rho", (dict, type(None)), "a mapping"),
+    ("cost_exponent", _REAL, "a real number"),
+    ("anchor", (list, tuple, _NONE), "a list"),
+    ("rho", (dict, _NONE), "a mapping"),
+    ("parabola", bool, "true or false"),
+    ("alpha", _REAL, "a real number"),
+    ("beta", _REAL, "a real number"),
+    ("quad_panels", (int, _NONE), "a positive integer"),
+    ("quad_order", (int, _NONE), "a positive integer"),
+    ("snapshot_times", (list, tuple), "a list"),
+    ("run_newton", bool, "true or false"),
+    ("out_dir", str, "a string"),
 )
 
 
@@ -74,7 +86,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, kinds, what in _FIELD_TYPES:
             value = getattr(self, name)
-            if not isinstance(value, kinds):
+            if not isinstance(value, kinds) or (isinstance(value, bool) and kinds is not bool):
                 raise ConfigError(f"{name} must be {what}, got {value!r}")
         self.n_list = tuple(int(n) for n in self.n_list)
         self.dt_list = tuple(float(dt) for dt in self.dt_list)
@@ -85,7 +97,7 @@ class ExperimentConfig:
             raise ConfigError(f"dim must be one of {sorted(DEFAULT_PANELS)}, got {self.dim}")
         for name in ("quad_panels", "quad_order"):
             value = getattr(self, name)
-            if value is not None and (not isinstance(value, int) or value < 1):
+            if value is not None and value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         for dt in self.dt_list:  # the integrator's own lattice checks, run up front
             snapshot_steps(self.snapshot_times, lattice_steps(dt))

@@ -10,7 +10,7 @@ class SolverError(RuntimeError):
 
 
 class NearSingularJacobianError(SolverError):
-    """Stage Jacobian failed to factor or its condition estimate blew up."""
+    """Stage Jacobian is singular, non-finite, or its condition number blew up."""
 
     def __init__(self, t, detail=""):
         self.t = t

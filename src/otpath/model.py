@@ -13,11 +13,11 @@ Everything here is immutable after construction and safe to share across
 threads.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from . import quadrature
 from .errors import ConfigError, NonFiniteValueError
@@ -128,9 +128,16 @@ def uniform_density(domain):
     return DensitySpec(kind=DENSITY_UNIFORM, normalization=1.0 / domain.volume)
 
 
+def _erf(x):
+    """The error function of a float, or elementwise of a float array."""
+    if np.ndim(x) == 0:
+        return math.erf(x)
+    return np.array([math.erf(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
 def _gauss_axis_integral(lo, hi, c, s):
     half = 0.5 * np.sqrt(np.pi / s)
-    return half * (erf(np.sqrt(s) * (hi - c)) - erf(np.sqrt(s) * (lo - c)))
+    return half * (_erf(np.sqrt(s) * (hi - c)) - _erf(np.sqrt(s) * (lo - c)))
 
 
 def gaussian_bump_density(domain, center=None, sharpness=10.0, normalization=None):

@@ -464,7 +464,19 @@ BAD_INPUTS = [
                  id="config-center-number"),
     pytest.param(["run"], {"density": {"kind": "gauss", "sharpness": "x"}}, 1, None,
                  id="config-sharpness-text"),
-    pytest.param(["run"], {"alpha": [0.1]}, 1, None, id="config-alpha-list"),
+    pytest.param(["run"], {"alpha": [0.1]}, 1, "alpha must be a real number", id="config-alpha-list"),
+    pytest.param(["run"], {"seed": 1.5}, 1, "seed must be an integer, got 1.5", id="config-seed-float"),
+    pytest.param(["run"], {"seed": [1]}, 1, "seed must be an integer, got [1]", id="config-seed-list"),
+    pytest.param(["run"], {"cost_exponent": [2]}, 1, "cost_exponent must be a real number, got [2]",
+                 id="config-cost-exponent-list"),
+    # JSON true is not the number 1, nor 1 a bool
+    pytest.param(["run"], {"beta": True}, 1, "beta must be a real number, got True", id="config-beta-bool"),
+    pytest.param(["run"], {"dim": True}, 1, "dim must be an integer, got True", id="config-dim-bool"),
+    pytest.param(["run"], {"quad_order": True}, 1, "quad_order must be a positive integer, got True",
+                 id="config-quad-order-bool"),
+    pytest.param(["run"], {"parabola": 1}, 1, "parabola must be true or false, got 1", id="config-parabola-int"),
+    pytest.param(["run"], {"run_newton": "yes"}, 1, "run_newton must be true or false", id="config-newton-text"),
+    pytest.param(["run"], {"variant": 4}, 1, "variant must be a string, got 4", id="config-variant-number"),
     pytest.param(["run", "--config", "{tmp}/missing.json"], None, 1, None, id="config-missing"),
     pytest.param(["verify", "--criteria", "1,x"], None, 1, None, id="criteria-not-int"),
     pytest.param(["verify", "--criteria", "99"], None, 1, None, id="criteria-unknown"),
@@ -513,6 +525,30 @@ def test_help_exits_zero(capsys, argv):
         main(argv)
     assert exc.value.code == 0
     assert "usage: otpath" in capsys.readouterr().out
+
+
+def test_a_run_loads_no_scipy(tmp_path):
+    # a fresh interpreter: a 2-D p4 run with a Gaussian rho (error-function
+    # normalization, equal-mass start, stage solves) and its CSVs, then the
+    # modules it loaded
+    src = str(Path(otpath.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import sys\n"
+        "from otpath.cli import main\n"
+        "code = main(['run', '--problem', 'p4', '--dim', '2', '--n', '3', '--dt', '0.25',\n"
+        "             '--quad-panels', '8', '--quad-order', '4', '--snapshots', '0.5', '--out', sys.argv[1]])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0].startswith('scipy')))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "[]"]
+    assert json.loads((tmp_path / "p4_2d_n3_dt0.25.json").read_text())["variant"] == "p4"
+    rows = (tmp_path / "p4_2d_n3_dt0.25.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["t", "0", "0.25", "0.5", "0.75", "1"]
+    assert (tmp_path / "p4_2d_n3_dt0.25_t0.5_cells.csv").exists()
 
 
 def test_python_m_otpath_runs_the_cli():

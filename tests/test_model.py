@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from otpath import (
     uniform_density,
     unit_domain,
 )
-from otpath import model
+from otpath import model, quadrature
 from otpath.model import cost_matrix, default_target_box, interval_mass
 
 
@@ -264,6 +265,44 @@ def test_interval_mass_matches_quadrature(dom1, grid1):
     assert masses.tolist() == [direct, 0.0, 0.0]
     uni = uniform_density(dom1)
     assert interval_mass(uni, 0.25, 0.75) == pytest.approx(0.5, abs=1e-15)
+
+
+def _gauss_reference(lo, hi, center, sharpness):
+    """Integral of exp(-sharpness (x - center)^2) over [lo, hi] by a 16-point
+    Gauss-Legendre rule on 256 panels (at most 3/256 wide, under 1/sqrt(4e3))."""
+    x, w = quadrature.axis_rule(lo, hi, 256, 16)
+    return math.fsum((w * np.exp(-sharpness * (x - center) ** 2)).tolist())
+
+
+# (center, sharpness) on [0, 1]: centers inside, and outside by under one
+# 1/sqrt(sharpness), so that the box keeps a fair share of the bump's mass
+ERF_CASES = [
+    (c, s)
+    for s in (0.1, 1.0, 10.0, 300.0, 4e3)
+    for c in (0.5, 0.37, 1.0 + 0.7 / math.sqrt(s), -0.4 / math.sqrt(s))
+]
+
+
+@pytest.mark.parametrize("center, sharpness", ERF_CASES)
+def test_gauss_closed_forms_match_high_order_quadrature(center, sharpness):
+    bump = gaussian_bump_density(unit_domain(1), center=(center,), sharpness=sharpness)
+    axis = _gauss_reference(0.0, 1.0, center, sharpness)
+    assert bump.normalization * axis == pytest.approx(1.0, rel=1e-14)
+    # a 2-D box, the second axis centred elsewhere: the product of two axis integrals
+    box = Domain(lower=(0.0, -1.0), upper=(1.0, 2.0))
+    plane = gaussian_bump_density(box, center=(center, 0.2), sharpness=sharpness)
+    total = axis * _gauss_reference(-1.0, 2.0, 0.2, sharpness)
+    assert plane.normalization * total == pytest.approx(1.0, rel=1e-14)
+    # interval masses between the box ends and the points 1 and 0.5 widths
+    # 1/sqrt(sharpness) below and above the center that lie inside the box
+    width = 1.0 / math.sqrt(sharpness)
+    cuts = [x for x in (center - width, center + 0.5 * width) if 0.0 < x < 1.0]
+    ends = np.array([0.0] + cuts + [1.0])
+    masses = interval_mass(bump, ends[:-1], ends[1:])
+    for k, (a, b) in enumerate(zip(ends[:-1].tolist(), ends[1:].tolist())):
+        reference = bump.normalization * _gauss_reference(a, b, center, sharpness)
+        assert masses[k] == pytest.approx(reference, rel=1e-14)
+        assert interval_mass(bump, a, b) == masses[k]  # a scalar pair gives the array's value
 
 
 def test_cost_spec_restricted():
