@@ -38,8 +38,9 @@ from .quadrature import build_grid
 SURROGATE_T = 1.0 - 1e-4  # fixed-t stand-in for the baseline in 2-D
 SNAPSHOT_ROWS = 1024  # CSV rows per block; bounds the writers' temporaries
 # (field, accepted types, what a refusal asks for) of every field, checked
-# first, so that an ill-typed value is refused by its key.  A bool is refused
-# wherever a number is asked for (JSON true is not 1).
+# first, so that an ill-typed value is refused by its key; the list fields
+# then check each element the same way.  A bool is refused wherever a number
+# is asked for (JSON true is not 1).
 _REAL = (int, float)
 _NONE = type(None)
 _FIELD_TYPES = (
@@ -61,6 +62,16 @@ _FIELD_TYPES = (
     ("run_newton", bool, "true or false"),
     ("out_dir", str, "a string"),
 )
+_ELEMENT_TYPES = (
+    ("n_list", int, "integers"),
+    ("dt_list", _REAL, "real numbers"),
+    ("anchor", _REAL, "real numbers"),
+    ("snapshot_times", _REAL, "real numbers"),
+)
+
+
+def _typed(value, kinds):
+    return isinstance(value, kinds) and (kinds is bool or not isinstance(value, bool))
 
 
 @dataclass
@@ -86,9 +97,13 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, kinds, what in _FIELD_TYPES:
             value = getattr(self, name)
-            if not isinstance(value, kinds) or (isinstance(value, bool) and kinds is not bool):
+            if not _typed(value, kinds):
                 raise ConfigError(f"{name} must be {what}, got {value!r}")
-        self.n_list = tuple(int(n) for n in self.n_list)
+        for name, kinds, what in _ELEMENT_TYPES:
+            value = getattr(self, name)
+            if value is not None and not all(_typed(v, kinds) for v in value):
+                raise ConfigError(f"{name} must be a list of {what}, got {value!r}")
+        self.n_list = tuple(self.n_list)
         self.dt_list = tuple(float(dt) for dt in self.dt_list)
         self.snapshot_times = tuple(float(t) for t in self.snapshot_times)
         if not self.n_list or not self.dt_list:
@@ -415,57 +430,47 @@ def _parse_list(text, cast):
 
 
 def _build_config(args):
+    # the run flags default to SUPPRESS: `args` holds exactly the flags given,
+    # each under the field it sets
+    settings = dict(vars(args))
+    del settings["command"]
+    path = settings.pop("config", None)
     base = {}
-    if args.config:
+    if path is not None:
         try:
-            base = json.loads(Path(args.config).read_text())
+            base = json.loads(Path(path).read_text())
         except OSError as exc:
-            raise ConfigError(f"cannot read {args.config}: {exc.strerror}") from None
+            raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
         unknown = set(base) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    overrides = {
-        "variant": args.problem,
-        "dim": args.dim,
-        "n_list": _parse_list(args.n, int) if args.n else None,
-        "dt_list": _parse_list(args.dt, float) if args.dt else None,
-        "seed": args.seed,
-        "cost_exponent": args.cost_exp,
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "quad_panels": args.quad_panels,
-        "quad_order": args.quad_order,
-        "snapshot_times": _parse_list(args.snapshots, float) if args.snapshots else None,
-        "out_dir": args.out,
-    }
-    if args.density:
-        overrides["density"] = {"kind": args.density}
-    if args.newton:
-        overrides["run_newton"] = True
-    merged = dict(base)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
+    for name, cast in (("n_list", int), ("dt_list", float), ("snapshot_times", float)):
+        if name in settings:
+            settings[name] = _parse_list(settings[name], cast)
+    if "density" in settings:
+        settings["density"] = {"kind": settings["density"]}
     try:
-        return ExperimentConfig(**merged)
+        return ExperimentConfig(**{**base, **settings})
     except TypeError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def _add_run_flags(sub):
     sub.add_argument("--config", help="JSON experiment configuration")
-    sub.add_argument("--problem", choices=["p1", "p2", "p3", "p4"])
+    sub.add_argument("--problem", choices=["p1", "p2", "p3", "p4"], dest="variant")
     sub.add_argument("--dim", type=int, choices=[1, 2])
-    sub.add_argument("--n", help="comma-separated target counts, e.g. 2,4,8")
-    sub.add_argument("--dt", help="comma-separated step sizes, e.g. 1e-1,1e-2")
+    sub.add_argument("--n", help="comma-separated target counts, e.g. 2,4,8", dest="n_list")
+    sub.add_argument("--dt", help="comma-separated step sizes, e.g. 1e-1,1e-2", dest="dt_list")
     sub.add_argument("--seed", type=int)
     sub.add_argument("--density", choices=["uniform", "gauss"])
-    sub.add_argument("--cost-exp", type=float, choices=[2.0, 3.0], dest="cost_exp")
+    sub.add_argument("--cost-exp", type=float, choices=[2.0, 3.0], dest="cost_exponent")
     sub.add_argument("--alpha", type=float)
     sub.add_argument("--beta", type=float)
-    sub.add_argument("--quad-panels", type=int, dest="quad_panels")
-    sub.add_argument("--quad-order", type=int, dest="quad_order")
-    sub.add_argument("--snapshots", help="comma-separated snapshot times")
-    sub.add_argument("--newton", action="store_true", help="add the baseline block")
-    sub.add_argument("--out", help="output directory")
+    sub.add_argument("--quad-panels", type=int)
+    sub.add_argument("--quad-order", type=int)
+    sub.add_argument("--snapshots", help="comma-separated snapshot times", dest="snapshot_times")
+    sub.add_argument("--newton", action="store_true", help="add the baseline block", dest="run_newton")
+    sub.add_argument("--out", help="output directory", dest="out_dir")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -481,7 +486,9 @@ def main(argv=None):
         description="semi-discrete transport solver along the regularization path",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    _add_run_flags(commands.add_parser("run", help="execute a (dt x N) sweep"))
+    _add_run_flags(
+        commands.add_parser("run", help="execute a (dt x N) sweep", argument_default=argparse.SUPPRESS)
+    )
     verify = commands.add_parser("verify", help="run the acceptance criteria")
     verify.add_argument(
         "--criteria", help="comma-separated criterion ids (default: all)"

@@ -195,10 +195,10 @@ def integrate_homotopy(
     snapshot_times : lattice times at which to export cell fields.
 
     Returns a Trajectory whose report holds the t=1 residual, its sup-norm,
-    the grid it was evaluated on (`grid` with 4x panels in 1-D; in 2-D the
-    boosted stage grid, 2x panels, whose cells the run already holds; so
-    label-based cell masses do not dominate the reported error), and the wall
-    time of the integration loop plus terminal evaluation.
+    the grid it was evaluated on (the boosted stage grid, BOOST_FACTOR x the
+    panels of `grid`, whose cell operands the run already holds; 1-D cells
+    under quadratic cost are exact intervals that read only its box), and
+    the wall time of the integration loop plus terminal evaluation.
     """
     steps = lattice_steps(dt)
     if tableau is None:
@@ -237,20 +237,15 @@ def integrate_homotopy(
         if k + 1 in snap_set:
             snapshots.append((t1, capture_snapshot(flow.base, psi, t1)))
 
-    if problem.dim == 1:
-        report_grid = refine_grid(grid, 4)
-        residual = unregularized_residual(problem, psi, report_grid)
-    else:  # the boosted grid is the report grid: its cells are built already
-        boosted = flow.boosted
-        report_grid = boosted.grid
-        residual = unregularized_residual(
-            problem, psi, report_grid, boosted.kernel.cells, boosted.rho_cells
-        )
+    boosted = flow.boosted  # the report grid: its cells are built already
+    residual = unregularized_residual(
+        problem, psi, boosted.grid, boosted.kernel.cells, boosted.rho_cells
+    )
     report = TerminalReport(
         psi=psi,
         residual=residual,
         error_sup=float(np.abs(residual).max()),
         runtime_seconds=time.perf_counter() - start,
-        grid=report_grid,
+        grid=boosted.grid,
     )
     return Trajectory(states=states, snapshots=snapshots, report=report)

@@ -293,15 +293,17 @@ def grid_labels(weights, cells):
     return cells._sweep(np.asarray(weights, dtype=float))
 
 
-def cell_operands(targets, density, grid, cost_exponent=2.0):
+def cell_operands(targets, density, grid, cost_exponent=2.0, grid_cells=None):
     """Cell-mass operands of `targets` under `density` over the box of `grid`.
 
     The only place the route is decided: IntervalCells for 1-D targets with
-    quadratic cost, GridCells otherwise.
+    quadratic cost, GridCells otherwise (`grid_cells`, when already built).
     """
     if targets.dim == 1 and cost_exponent == 2.0:
         return IntervalCells(targets, Domain(lower=grid.lower, upper=grid.upper), density)
-    return GridCells.build(targets, grid, density, cost_exponent)
+    if grid_cells is None:
+        grid_cells = GridCells.build(targets, grid, density, cost_exponent)
+    return grid_cells
 
 
 def _interval_masses(cells, starts, ends):
@@ -395,12 +397,12 @@ def unregularized_residual(problem, psi, grid, mu_cells=None, rho_cells=None):
     used everywhere).  For p4 the penalty term is also a cell mass: rho-cells
     of -psi under the quadratic inner cost, against mu-cells of psi under the
     outer cost.  `mu_cells` and `rho_cells` pass operands already built on
-    `grid` (a residual system's); the missing ones are built here.
+    `grid` (a residual system's); the missing ones are built here.  Where the
+    mu route is exact intervals, `mu_cells` may be grid cells (a kernel's)
+    and intervals are used instead.
     """
     psi = np.asarray(psi, dtype=float)
-    exponent = problem.cost.exponent
-    if mu_cells is None:
-        mu_cells = cell_operands(problem.targets, problem.mu, grid, exponent)
+    mu_cells = cell_operands(problem.targets, problem.mu, grid, problem.cost.exponent, mu_cells)
     mu_mass = power_cell_measures(psi - problem.offsets, mu_cells)
     if problem.variant == "p4":
         if rho_cells is None:

@@ -128,16 +128,27 @@ def uniform_density(domain):
     return DensitySpec(kind=DENSITY_UNIFORM, normalization=1.0 / domain.volume)
 
 
-def _erf(x):
-    """The error function of a float, or elementwise of a float array."""
-    if np.ndim(x) == 0:
-        return math.erf(x)
-    return np.array([math.erf(v) for v in x.ravel().tolist()]).reshape(x.shape)
+def _erf_gap(a, b):
+    """erf(b) - erf(a) of two floats.  Where both lie on one side of 0 the
+    erf values are near the same +-1 and their difference cancels, so it is
+    taken between the erfc values of the side away from 0."""
+    if a >= 0.0 and b >= 0.0:
+        return math.erfc(a) - math.erfc(b)
+    if a <= 0.0 and b <= 0.0:
+        return math.erfc(-b) - math.erfc(-a)
+    return math.erf(b) - math.erf(a)
 
 
 def _gauss_axis_integral(lo, hi, c, s):
+    """Integral of exp(-s (x - c)^2) over [lo, hi], of floats or elementwise
+    of float arrays."""
     half = 0.5 * np.sqrt(np.pi / s)
-    return half * (_erf(np.sqrt(s) * (hi - c)) - _erf(np.sqrt(s) * (lo - c)))
+    a, b = np.sqrt(s) * (lo - c), np.sqrt(s) * (hi - c)
+    if np.ndim(a) == 0 and np.ndim(b) == 0:
+        return half * _erf_gap(a, b)
+    a, b = np.broadcast_arrays(a, b)
+    gaps = [_erf_gap(u, v) for u, v in zip(a.ravel().tolist(), b.ravel().tolist())]
+    return half * np.array(gaps).reshape(a.shape)
 
 
 def gaussian_bump_density(domain, center=None, sharpness=10.0, normalization=None):
@@ -395,21 +406,23 @@ def _validate_density(spec, rules, label):
 def build_problem(config):
     """Build a validated ProblemSpec from a plain configuration mapping.
 
-    Expected keys: variant, dim, density, cost_exponent, and one target
+    Keys: `variant` (one of VARIANTS, exactly), `dim` (1 or 2, default 1;
+    the domain is the unit box), `density`, `cost_exponent`, and one target
     source among `targets` (explicit list), `parabola` (bool, with
-    n_targets), or `n_targets` + `seed` (random sampling in `target_box`,
-    defaulting per variant).  p3 additionally takes `anchor`, p4 takes `rho`.
+    n_targets), or `n_targets` + `seed` (random sampling in the variant's
+    `default_target_box`).  p3 additionally takes `anchor`, p4 takes `rho`.
+    Any other key is refused.
     """
-    variant = str(config.get("variant", "")).lower()
+    unknown = set(config) - {
+        "variant", "dim", "density", "cost_exponent", "targets", "parabola",
+        "n_targets", "seed", "anchor", "rho",
+    }
+    if unknown:
+        raise ConfigError(f"unknown problem keys: {sorted(unknown)}")
+    variant = config.get("variant")
     if variant not in VARIANTS:
         raise ConfigError(f"config must name a variant among {VARIANTS}")
-
-    if "domain" in config:
-        dom_cfg = config["domain"]
-        domain = Domain(lower=tuple(dom_cfg["lower"]), upper=tuple(dom_cfg["upper"]))
-    else:
-        dim = int(config.get("dim", 1))
-        domain = unit_domain(dim)
+    domain = unit_domain(int(config.get("dim", 1)))
 
     if config.get("targets") is not None:
         targets = TargetSet(points=np.asarray(config["targets"], dtype=float))
@@ -422,11 +435,7 @@ def build_problem(config):
             raise ConfigError(
                 "config needs explicit targets, a parabola layout, or n_targets + seed"
             )
-        if "target_box" in config:
-            tb = config["target_box"]
-            box = Domain(lower=tuple(tb["lower"]), upper=tuple(tb["upper"]))
-        else:
-            box = default_target_box(variant, domain)
+        box = default_target_box(variant, domain)
         targets = sample_targets(
             int(config["n_targets"]), domain.dim, box, int(config["seed"])
         )

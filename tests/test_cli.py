@@ -25,6 +25,7 @@ from otpath import (
     unregularized_residual,
 )
 from otpath.acceptance import run_acceptance
+from otpath.homotopy import BOOST_FACTOR
 from otpath.laguerre import CellField
 from otpath.cli import (
     G17_SLOT,
@@ -95,9 +96,10 @@ def test_summary_matches_stored_state(tmp_path):
     run_experiment(config)
     report = json.loads((tmp_path / "p1_1d_n3_dt0.1.json").read_text())
     problem = build_problem(config.problem_config(3))
-    # the report names the grid its residual was evaluated on
+    # the report names the grid its residual was evaluated on: the boosted
+    # stage grid
     used = report["report_grid"]
-    assert used == {"panels_per_axis": 4 * config.grid().panels_per_axis, "order": 8}
+    assert used == {"panels_per_axis": BOOST_FACTOR * config.grid().panels_per_axis, "order": 8}
     grid = build_grid(unit_domain(1), used["panels_per_axis"], used["order"])
     residual = unregularized_residual(problem, np.array(report["psi_final"]), grid)
     recomputed = float(np.abs(residual).max())
@@ -444,10 +446,18 @@ BAD_INPUTS = [
     pytest.param(["run", "--boost-after", "0.5"], None, 1, None, id="boost-after-flag"),
     pytest.param(["run"], {"boost_after": 0.9}, 1, "boost_after", id="config-boost-after"),
     pytest.param(["run"], {"variant": "p7"}, 1, "variant", id="config-variant-unknown"),
+    pytest.param(["run"], {"variant": "P3"}, 1, "variant among", id="config-variant-case"),
     pytest.param(["run"], {"dim": 3}, 1, None, id="config-dim-3"),
     pytest.param(["run"], {"quad_panels": 0}, 1, None, id="config-quad-panels-0"),
     pytest.param(["run"], {"quad_order": 2.5}, 1, None, id="config-quad-order-float"),
-    pytest.param(["run"], {"n_list": ["x"]}, 1, None, id="config-n-not-int"),  # bare ValueError
+    pytest.param(["run"], {"n_list": ["x"]}, 1, "n_list must be a list of integers, got ['x']",
+                 id="config-n-not-int"),
+    pytest.param(["run"], {"n_list": [2.5]}, 1, "n_list must be a list of integers, got [2.5]",
+                 id="config-n-float-element"),
+    pytest.param(["run"], {"n_list": [True]}, 1, "n_list must be a list of integers, got [True]",
+                 id="config-n-bool-element"),
+    pytest.param(["run"], {"variant": "p3", "anchor": [True]}, 1,
+                 "anchor must be a list of real numbers, got [True]", id="config-anchor-bool-element"),
     pytest.param(["run"], {"n_list": []}, 1, "n_list", id="config-n-empty"),
     pytest.param(["run"], "not json", 1, None, id="config-not-json"),
     # wrong-typed values, refused where the config becomes problems

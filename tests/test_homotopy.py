@@ -20,6 +20,7 @@ from otpath import (
     unit_domain,
     unregularized_residual,
 )
+from otpath.homotopy import BOOST_FACTOR
 from otpath.linsolve import solve_dual_system
 from otpath.model import cost_matrix
 
@@ -166,8 +167,8 @@ def test_trajectory_lattice_and_finiteness(grid1, p1_1d):
     assert np.all(np.diff(times) > 0)
     assert np.isfinite(traj.psi_matrix).all()
     assert len(traj.states) == 11
-    # the terminal residual is evaluated on the 4x refinement in 1-D
-    assert traj.report.grid.panels_per_axis == 4 * grid1.panels_per_axis
+    # the terminal residual is evaluated on the boosted stage grid
+    assert traj.report.grid.panels_per_axis == BOOST_FACTOR * grid1.panels_per_axis
     assert traj.report.residual.shape == (4,)
 
 
@@ -332,6 +333,27 @@ def test_2d_terminal_residual_equals_a_fresh_one_on_the_refined_grid(config):
     assert report.grid.n_nodes == refined.n_nodes
     assert np.array_equal(report.residual, fresh)
     assert report.error_sup == float(np.abs(fresh).max())
+
+
+@pytest.mark.parametrize(
+    "variant, exponent", [("p1", 2.0), ("p4", 2.0), ("p1", 3.0)], ids=["p1", "p4", "p1-cubic"]
+)
+def test_1d_terminal_residual_is_read_on_the_boosted_grid(grid1, variant, exponent):
+    # as in 2-D, a fresh residual on the boosted grid is the run's to the bit;
+    # under quadratic cost the interval cells read only the box, so a finer
+    # grid, such as 4x, gives it too
+    config = {"variant": variant, "dim": 1, "n_targets": 4, "seed": 4, "cost_exponent": exponent}
+    if variant == "p4":
+        config["rho"] = {"kind": "gauss"}
+    prob = build_problem(config)
+    report = integrate_homotopy(prob, 1e-1, grid1).report
+    boosted = refine_grid(grid1, BOOST_FACTOR)
+    assert report.grid.panels_per_axis == boosted.panels_per_axis
+    assert np.array_equal(report.residual, unregularized_residual(prob, report.psi, boosted))
+    if exponent == 2.0:
+        old = unregularized_residual(prob, report.psi, refine_grid(grid1, 4))
+        assert np.array_equal(report.residual, old)
+        assert report.error_sup == float(np.abs(old).max())
 
 
 def test_bad_steps_rejected(grid1, p1_1d):

@@ -76,6 +76,24 @@ def test_missing_pieces_rejected():
         build_problem({"variant": "p5", "dim": 1, "n_targets": 2, "seed": 0})
 
 
+@pytest.mark.parametrize(
+    "extra, needle",
+    [
+        ({"cost_exp": 3}, "unknown problem keys: ['cost_exp']"),
+        ({"domain": {"lower": [0.0], "upper": [2.0]}}, "unknown problem keys: ['domain']"),
+        ({"target_box": {"lower": [0.0], "upper": [1.0]}}, "unknown problem keys: ['target_box']"),
+        ({"variant": "P1"}, "variant among ('p1', 'p2', 'p3', 'p4')"),
+    ],
+    ids=["typo", "domain", "target-box", "variant-case"],
+)
+def test_build_problem_refuses_keys_it_does_not_read(extra, needle):
+    # a misspelt or retired key would otherwise run a different problem
+    # silently, and the variant is taken exactly as the CLI compares it
+    with pytest.raises(ConfigError) as refused:
+        build_problem({"variant": "p1", "dim": 1, "n_targets": 2, "seed": 0, **extra})
+    assert needle in str(refused.value)
+
+
 def test_anchor_and_rho_only_where_meaningful():
     with pytest.raises(ConfigError):
         build_problem(
@@ -275,12 +293,14 @@ def _gauss_reference(lo, hi, center, sharpness):
 
 
 # (center, sharpness) on [0, 1]: centers inside, and outside by under one
-# 1/sqrt(sharpness), so that the box keeps a fair share of the bump's mass
+# 1/sqrt(sharpness), so that the box keeps a fair share of the bump's mass;
+# then centers far outside, where the box and each interval hold a sliver of
+# it and a difference of two erf values near the same +-1 would cancel
 ERF_CASES = [
     (c, s)
     for s in (0.1, 1.0, 10.0, 300.0, 4e3)
     for c in (0.5, 0.37, 1.0 + 0.7 / math.sqrt(s), -0.4 / math.sqrt(s))
-]
+] + [(-1.0, 10.0), (2.0, 10.0), (-0.3, 100.0)]
 
 
 @pytest.mark.parametrize("center, sharpness", ERF_CASES)
@@ -293,11 +313,12 @@ def test_gauss_closed_forms_match_high_order_quadrature(center, sharpness):
     plane = gaussian_bump_density(box, center=(center, 0.2), sharpness=sharpness)
     total = axis * _gauss_reference(-1.0, 2.0, 0.2, sharpness)
     assert plane.normalization * total == pytest.approx(1.0, rel=1e-14)
-    # interval masses between the box ends and the points 1 and 0.5 widths
-    # 1/sqrt(sharpness) below and above the center that lie inside the box
+    # interval masses between the box ends, its midpoint, and the points 1 and
+    # 0.5 widths 1/sqrt(sharpness) below and above the center that lie inside
+    # the box
     width = 1.0 / math.sqrt(sharpness)
-    cuts = [x for x in (center - width, center + 0.5 * width) if 0.0 < x < 1.0]
-    ends = np.array([0.0] + cuts + [1.0])
+    cuts = {x for x in (0.5, center - width, center + 0.5 * width) if 0.0 < x < 1.0}
+    ends = np.array([0.0] + sorted(cuts) + [1.0])
     masses = interval_mass(bump, ends[:-1], ends[1:])
     for k, (a, b) in enumerate(zip(ends[:-1].tolist(), ends[1:].tolist())):
         reference = bump.normalization * _gauss_reference(a, b, center, sharpness)
