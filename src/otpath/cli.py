@@ -31,16 +31,17 @@ from .homotopy import (
     rk3_tableau,
     snapshot_steps,
 )
-from .model import DEFAULT_ORDER, DEFAULT_PANELS, build_problem, unit_domain
+from .model import DEFAULT_ORDER, DEFAULT_PANELS, _typed, build_problem, unit_domain
 from .newton import fixed_t_oracle, newton_1d
 from .quadrature import build_grid
 
 SURROGATE_T = 1.0 - 1e-4  # fixed-t stand-in for the baseline in 2-D
 SNAPSHOT_ROWS = 1024  # CSV rows per block; bounds the writers' temporaries
-# (field, accepted types, what a refusal asks for) of every field, checked
-# first, so that an ill-typed value is refused by its key; the list fields
-# then check each element the same way.  A bool is refused wherever a number
-# is asked for (JSON true is not 1).
+# (field, accepted types, what a refusal asks for) of every field the config
+# reads itself, checked first, so that an ill-typed value is refused by its
+# key; the list fields then check each element the same way.  A bool is
+# refused wherever a number is asked for (JSON true is not 1).  `seed` only
+# passes through: `build_problem` checks it in the same words.
 _REAL = (int, float)
 _NONE = type(None)
 _FIELD_TYPES = (
@@ -48,7 +49,6 @@ _FIELD_TYPES = (
     ("dim", int, "an integer"),
     ("n_list", (list, tuple), "a list"),
     ("dt_list", (list, tuple), "a list"),
-    ("seed", int, "an integer"),
     ("density", dict, "a mapping"),
     ("cost_exponent", _REAL, "a real number"),
     ("anchor", (list, tuple, _NONE), "a list"),
@@ -68,10 +68,6 @@ _ELEMENT_TYPES = (
     ("anchor", _REAL, "real numbers"),
     ("snapshot_times", _REAL, "real numbers"),
 )
-
-
-def _typed(value, kinds):
-    return isinstance(value, kinds) and (kinds is bool or not isinstance(value, bool))
 
 
 @dataclass
@@ -108,6 +104,10 @@ class ExperimentConfig:
         self.snapshot_times = tuple(float(t) for t in self.snapshot_times)
         if not self.n_list or not self.dt_list:
             raise ConfigError("n_list and dt_list must each name at least one value")
+        for name in ("n_list", "dt_list"):  # a repeat would solve again into the same files
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} must not repeat a value, got {list(values)}")
         if self.dim not in DEFAULT_PANELS:
             raise ConfigError(f"dim must be one of {sorted(DEFAULT_PANELS)}, got {self.dim}")
         for name in ("quad_panels", "quad_order"):

@@ -44,18 +44,10 @@ W1 = U_j U_k (P, n1), W2 = V_j V_k (P, n2) and dD_d = D_d,j - D_d,k,
 
 where Z_jk = sum w pi_j pi_k (C_j - C_k).  Z is antisymmetric and
 spread_j = sum_k Z_jk, a sum of exact per-pair cost differences with no
-mean to cancel against.  No (N, M) array is formed.  Every BLAS product is
-split into row blocks that keep m*n*k within GEMM_SMALL (see below); R is
-the untransposed right operand, which OpenBLAS takes on that small-matrix
-kernel (with R transposed it took the blocked path, which holds about
-0.7 MB more resident memory).  Here the split saves memory, not time: for
-[W1; W1*dD1] @ R at N = 12, one product took 111 us against 192 us split
-on 20,736 nodes and 422 us against 889 us on 82,944 (2-core Xeon), but on
-the 2-D p1 parabola benchmark it cut the solve by only about 3%, within
-run-to-run spread, and raised the peak RSS from 85.3 to 86.3 MB (three
-alternating pairs).  D1 and D2 are the per-axis tables that the source
-density's `laguerre.GridCells` holds as its cost; the tables built from
-them (dD, the pairs) are built on the route's first call.
+mean to cancel against.  No (N, M) array is formed.  D1 and D2 are the
+per-axis tables that the source density's `laguerre.GridCells` holds as its
+cost; the tables built from them (dD, the pairs) are built on the route's
+first call.
 
 Range guard.  The per-axis shifts can undershoot the per-node maximum: the
 gap g(p, q) = max_j alpha(p) + max_j beta(q) - max_j (alpha + beta)(p, q)
@@ -77,19 +69,16 @@ quadratic cost that the cells hold as per-axis tables, chunks formed from
 those tables, so a refused stage builds no (N, M) matrix.  The one-off
 passes (`node_weights` for snapshots, the labels, the 2-D terminal
 residual) read the same chunks.  `evaluate` passes over the nodes in
-chunks of CHUNK_NODES columns, so the temporaries stay in cache, and
-accumulates S and spread with piw = pi*w.  Passes per chunk: the
+chunks of `laguerre.CHUNK_NODES` columns, so the temporaries stay in
+cache, and accumulates S and spread with piw = pi*w.  Passes per chunk: the
 exponents are formed as a/(1-t) - (t/(1-t))*C (one scale and one row
 shift), shifted by their per-node maximum, exponentiated, and normalized by
-multiplying with the reciprocal of the per-node sum.  Then piw, S, pi.C and
-spread (two `einsum` contractions, which form no product array) follow.
-Shifting by the maximum is required: the raw exponentials overflow for t
-close to 1.
-S is summed over column blocks of the chunk (`_gram_block`): OpenBLAS takes
-an (N, k) @ (k, N) product with N*N*k <= GEMM_SMALL on its small-matrix
-kernel and a larger one on a path that costs about twice as much per
-column, so from N = 12 to 22 a whole chunk is split into blocks that stay
-under that bound.
+multiplying with the reciprocal of the per-node sum.  Then piw, S (one
+product piw @ pi^T), pi.C and spread (two `einsum` contractions, which form
+no product array) follow.  Shifting by the maximum is required: the raw
+exponentials overflow for t close to 1.  Each chunk allocates its own
+temporaries; the malloc thresholds set at import (`otpath.__init__`) serve
+them from the heap, so a chunk reuses the pages the one before it freed.
 
 1-D stays chunked, for two reasons.  There the pairs cost more than the
 rows: P = N(N+1)/2 pair rows of the one axis against N rows of the sweep.
@@ -106,16 +95,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteValueError
-from .laguerre import CHUNK_NODES, GridCells
+from .laguerre import GridCells
 
-# GEMM_SMALL bounds m*n*k for OpenBLAS's small-matrix dgemm kernel (see the
-# module docstring).  For the chunked Gram product it is a speed bound: N = 12,
-# k = 8192 on a 2-core Xeon: 196 us in one product, 100 us in 6944-column
-# blocks.  Blocks narrower than MIN_GRAM_BLOCK lose that gain to per-call
-# cost: past N = 22 one product is as fast.  For the separable route's pair
-# product it bounds memory instead (one product is faster there).
-GEMM_SMALL = 100**3
-MIN_GRAM_BLOCK = 2048
 # MAX_AXIS_GAP bounds how far the per-axis shifts of the separable route may
 # undershoot the per-node maximum (see the module docstring): the node sums
 # then stay above exp(-300) and w / sum^2 below w * exp(600), far from both
@@ -154,30 +135,11 @@ def _check_time(t):
         raise ValueError(f"kernel derivatives require t in [0, 1), got {t}")
 
 
-def _gram_block(n, width):
-    """Columns per Gram product for N = `n` targets and chunks of `width`
-    nodes: the widest block that keeps n*n*block within GEMM_SMALL, or the
-    whole chunk when that block would be narrower than MIN_GRAM_BLOCK."""
-    block = GEMM_SMALL // (n * n)
-    return block if MIN_GRAM_BLOCK <= block < width else width
-
-
 def _gap_bound(alpha, beta, peaks):
     """Upper bound on how far the sum of the per-axis maxima `peaks` of
     `alpha` (N, n1) and `beta` (N, n2) over the targets exceeds the per-node
     maximum of alpha + beta."""
     return min((peaks[0] - alpha.min(axis=0)).max(), (peaks[1] - beta.min(axis=0)).max())
-
-
-def _small_products(x, y):
-    """x @ y, in row blocks of x that keep each product within GEMM_SMALL."""
-    rows = max(1, GEMM_SMALL // (x.shape[1] * y.shape[1]))
-    if rows >= x.shape[0]:
-        return x @ y
-    out = np.empty((x.shape[0], y.shape[1]))
-    for lo in range(0, x.shape[0], rows):
-        np.matmul(x[lo : lo + rows], y, out=out[lo : lo + rows])
-    return out
 
 
 @dataclass(frozen=True)
@@ -210,12 +172,12 @@ class _PairTables:
         )
 
 
-def _softmax(a, t, cost, out=None, peak=None):
-    """Target-major softmax weights for the (N, m) cost block `cost`; `out`
-    (N, m) and `peak` (m,) are optional scratch buffers."""
+def _softmax(a, t, cost, out=None):
+    """Target-major softmax weights for the (N, m) cost block `cost`, written
+    into `out` (N, m) if given."""
     out = np.multiply(cost, -t / (1.0 - t), out=out)
     out += (a / (1.0 - t))[:, None]
-    peak = np.max(out, axis=0, out=peak)
+    peak = np.max(out, axis=0)
     out -= peak
     np.exp(out, out=out)
     total = np.sum(out, axis=0, out=peak)
@@ -305,14 +267,14 @@ class KernelEvaluator:
         u = np.exp(np.subtract(alpha, peaks[0], out=alpha), out=alpha)
         v = np.exp(np.subtract(beta, peaks[1], out=beta), out=beta)
         # R = w / total**2 with the node sums total = U^T V, (n1, n2)
-        r = _small_products(u.T, v)
+        r = u.T @ v
         np.divide(pairs.w, np.multiply(r, r, out=r), out=r)
         # pair rows (j, k >= j): W1 = U_j U_k then W1 * dD1, and W2 = V_j V_k
         stack = np.empty((2 * p, u.shape[1]))
         np.multiply(u[pairs.j], u[pairs.k], out=stack[:p])
         np.multiply(stack[:p], pairs.dd1, out=stack[p:])
         w2 = np.multiply(v[pairs.j], v[pairs.k])
-        t12 = _small_products(stack, r)
+        t12 = stack @ r
         t1, t2 = t12[:p], t12[p:]
         s_pairs = np.einsum("pi,pi->p", w2, t1)
         t2 += np.multiply(t1, pairs.dd2, out=t1)
@@ -327,25 +289,15 @@ class KernelEvaluator:
 
     def _chunked(self, a, t):
         """The three blocks from one chunked sweep over the (N, M) cost."""
-        n, m = self.n, self.cells.node_mass.size
-        width = min(m, CHUNK_NODES)
-        block = _gram_block(n, width)
-        # scratch reused by every chunk: fresh large temporaries per chunk
-        # cost more in page faults than the arithmetic on them
-        pi_buf, piw_buf, peak_buf = np.empty((n, width)), np.empty((n, width)), np.empty(width)
-        outer = np.zeros((n, n))
-        spread = np.zeros(n)
+        outer = np.zeros((self.n, self.n))
+        spread = np.zeros(self.n)
         for lo, cost in self.cells.blocks():
-            k = cost.shape[1]
-            w = self.cells.node_mass[lo : lo + k]
-            pi = _softmax(a, t, cost, out=pi_buf[:, :k], peak=peak_buf[:k])
-            piw = np.multiply(pi, w, out=piw_buf[:, :k])
-            for b in range(0, k, block):
-                outer += piw[:, b : b + block] @ pi[:, b : b + block].T
+            w = self.cells.node_mass[lo : lo + cost.shape[1]]
+            pi = _softmax(a, t, cost)
+            piw = pi * w
+            outer += piw @ pi.T
             mean_cost = np.einsum("jm,jm->m", pi, cost)
-            # pi is not needed past here: its buffer takes C_j - pi.C
-            dev = np.subtract(cost, mean_cost, out=pi)
-            spread += np.einsum("jm,jm->j", dev, piw)
+            spread += np.einsum("jm,jm->j", cost - mean_cost, piw)
         return _blocks(outer, spread, a, t)
 
 

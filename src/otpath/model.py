@@ -403,6 +403,12 @@ def _validate_density(spec, rules, label):
         raise ConfigError(f"{label} density must be strictly positive on the domain")
 
 
+def _typed(value, kinds):
+    """Whether `value` is of `kinds`; a bool counts only where bool is asked
+    for (JSON true is not the number 1)."""
+    return isinstance(value, kinds) and (kinds is bool or not isinstance(value, bool))
+
+
 def build_problem(config):
     """Build a validated ProblemSpec from a plain configuration mapping.
 
@@ -411,7 +417,9 @@ def build_problem(config):
     source among `targets` (explicit list), `parabola` (bool, with
     n_targets), or `n_targets` + `seed` (random sampling in the variant's
     `default_target_box`).  p3 additionally takes `anchor`, p4 takes `rho`.
-    Any other key is refused.
+    Any other key is refused, and so is a `dim`, `n_targets` or `seed` that
+    is not an integer, or an `anchor` coordinate that is not a real number
+    (a bool is neither: JSON true is not 1).
     """
     unknown = set(config) - {
         "variant", "dim", "density", "cost_exponent", "targets", "parabola",
@@ -419,6 +427,9 @@ def build_problem(config):
     }
     if unknown:
         raise ConfigError(f"unknown problem keys: {sorted(unknown)}")
+    for key in ("dim", "n_targets", "seed"):
+        if key in config and not _typed(config[key], (int, np.integer)):
+            raise ConfigError(f"{key} must be an integer, got {config[key]!r}")
     variant = config.get("variant")
     if variant not in VARIANTS:
         raise ConfigError(f"config must name a variant among {VARIANTS}")
@@ -452,7 +463,9 @@ def build_problem(config):
 
     anchor = ()
     if config.get("anchor") is not None:
-        anchor = tuple(float(a) for a in np.atleast_1d(config["anchor"]))
+        anchor = np.atleast_1d(config["anchor"]).tolist()
+        if not all(_typed(a, (int, float)) for a in anchor):
+            raise ConfigError(f"anchor must be a list of real numbers, got {config['anchor']!r}")
     rho = None
     if config.get("rho") is not None:
         rho = _density_from_config(config["rho"], domain)

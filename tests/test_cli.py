@@ -459,6 +459,11 @@ BAD_INPUTS = [
     pytest.param(["run"], {"variant": "p3", "anchor": [True]}, 1,
                  "anchor must be a list of real numbers, got [True]", id="config-anchor-bool-element"),
     pytest.param(["run"], {"n_list": []}, 1, "n_list", id="config-n-empty"),
+    # a repeated value would solve the same cell again into the same files
+    pytest.param(["run", "--n", "2,2"], None, 1, "n_list must not repeat a value, got [2, 2]",
+                 id="n-repeat"),
+    pytest.param(["run"], {"dt_list": [0.25, 0.25]}, 1,
+                 "dt_list must not repeat a value, got [0.25, 0.25]", id="config-dt-repeat"),
     pytest.param(["run"], "not json", 1, None, id="config-not-json"),
     # wrong-typed values, refused where the config becomes problems
     pytest.param(["run"], {"density": 5}, 1, "density must be a mapping", id="config-density-number"),

@@ -10,14 +10,8 @@ from otpath import (
     unit_domain,
 )
 from otpath import laguerre
-from otpath.kernel import (
-    CHUNK_NODES,
-    MAX_AXIS_GAP,
-    _blocks,
-    _gap_bound,
-    _gram_block,
-    _small_products,
-)
+from otpath.kernel import MAX_AXIS_GAP, _blocks, _gap_bound
+from otpath.laguerre import CHUNK_NODES
 from otpath.model import cost_matrix
 from conftest import central_diff, central_diff_scalar_arg
 
@@ -277,8 +271,8 @@ _DOCSTRING_GRIDS = (
 @pytest.mark.parametrize("variant", ["p1", "p3"])
 @pytest.mark.parametrize(
     "dim, panels, order, n",
-    # N = 6 takes one Gram product per chunk; N = 12 and 16 take blocks
-    # narrower than a chunk, N = 24 and 1 one product again
+    # every N, 12 and 16 included, takes one Gram product per chunk of up to
+    # CHUNK_NODES = 8,192 nodes
     [pytest.param(*g, 6, id="-".join(map(str, g))) for g in _DOCSTRING_GRIDS]
     + [
         pytest.param(*g, n, id="-".join(map(str, g)) + f"-n{n}")
@@ -302,17 +296,6 @@ def test_evaluate_matches_unchunked_docstring_formulas(dim, panels, order, n, va
         # rounding of one n-term sum of entries no larger than col / (1-t)
         row_scale = terms[0] / (1.0 - t)
         assert np.abs(ev.hess.sum(axis=1)).max() <= n * np.finfo(float).eps * row_scale
-
-
-@pytest.mark.parametrize(
-    "n, block",
-    [(1, 8192), (11, 8192), (12, 6944), (16, 3906), (22, 2066), (23, 8192), (32, 8192)],
-)
-def test_gram_block_splits_only_past_the_small_gemm_bound(n, block):
-    # 11 * 11 * 8192 fits the small path; for 23 the block, 1,890 columns,
-    # would be narrower than MIN_GRAM_BLOCK
-    assert _gram_block(n, CHUNK_NODES) == block
-    assert _gram_block(n, 512) == 512
 
 
 def _routes(ke, psi, t):
@@ -375,7 +358,7 @@ def _loop_separable(ke, a, t):
     n, p = ke.n, pairs.j.size
     u = np.exp(alpha - alpha.max(axis=0))
     v = np.exp(beta - beta.max(axis=0))
-    r = _small_products(u.T, v)
+    r = u.T @ v
     np.divide(pairs.w, np.multiply(r, r, out=r), out=r)
     stack = np.empty((2 * p, u.shape[1]))
     w2 = np.empty((p, v.shape[1]))
@@ -386,7 +369,7 @@ def _loop_separable(ke, a, t):
         np.multiply(v[j], v[j:], out=w2[lo:hi])
         lo = hi
     np.multiply(stack[:p], pairs.dd1, out=stack[p:])
-    t12 = _small_products(stack, r)
+    t12 = stack @ r
     t1, t2 = t12[:p], t12[p:]
     s_pairs = np.einsum("pi,pi->p", w2, t1)
     t2 += np.multiply(t1, pairs.dd2, out=t1)

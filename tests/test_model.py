@@ -94,6 +94,25 @@ def test_build_problem_refuses_keys_it_does_not_read(extra, needle):
     assert needle in str(refused.value)
 
 
+@pytest.mark.parametrize(
+    "extra, needle",
+    [
+        ({"n_targets": 2.5, "seed": 0.9}, "n_targets must be an integer, got 2.5"),
+        ({"seed": 0.9}, "seed must be an integer, got 0.9"),
+        ({"n_targets": "3"}, "n_targets must be an integer, got '3'"),
+        ({"dim": True}, "dim must be an integer, got True"),
+        ({"variant": "p3", "anchor": [True]}, "anchor must be a list of real numbers, got [True]"),
+    ],
+    ids=["n-float", "seed-float", "n-text", "dim-bool", "anchor-bool"],
+)
+def test_build_problem_refuses_values_it_would_cast(extra, needle):
+    # int() and float() would quietly build another problem: N = 2 and
+    # seed 0, a 1-D box, the anchor 1.0
+    with pytest.raises(ConfigError) as refused:
+        build_problem({"variant": "p1", "dim": 1, "n_targets": 2, "seed": 0, **extra})
+    assert str(refused.value) == needle
+
+
 def test_anchor_and_rho_only_where_meaningful():
     with pytest.raises(ConfigError):
         build_problem(
