@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError
 from .homotopy import integrate_homotopy, rk3_tableau
 from .laguerre import cell_operands, power_cell_measures, triple_intersection_check
 from .model import (
@@ -371,14 +372,20 @@ CRITERIA = {
 
 
 def run_acceptance(ids=None):
-    if ids is None:
-        ids = sorted(CRITERIA)
-    results = []
+    """Run the criteria `ids` in the order given (default: all).  A selection
+    that names none, repeats one or names an unknown one is refused before
+    any criterion runs: none would pass the gate vacuously, a repeat would
+    count twice."""
+    ids = sorted(CRITERIA) if ids is None else list(ids)
+    if not ids:
+        raise ConfigError("criteria must name at least one criterion")
+    if len(set(ids)) < len(ids):
+        raise ConfigError(f"criteria must not repeat a value, got {ids}")
     for cid in ids:
         if cid not in CRITERIA:
-            from .errors import ConfigError
-
             raise ConfigError(f"unknown acceptance criterion {cid}")
+    results = []
+    for cid in ids:
         start = time.perf_counter()
         result = CRITERIA[cid]()
         results.append(replace(result, seconds=time.perf_counter() - start))

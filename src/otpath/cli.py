@@ -500,7 +500,7 @@ def main(argv=None):
             return 0
         from .acceptance import run_acceptance
 
-        results = run_acceptance(_parse_list(args.criteria, int) if args.criteria else None)
+        results = run_acceptance(None if args.criteria is None else _parse_list(args.criteria, int))
     except ValueError as exc:  # ConfigError, or a bare ValueError on bad input
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

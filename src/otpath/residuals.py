@@ -60,21 +60,25 @@ class ResidualSystem:
     sweep (and, for p4, the measure Jacobian) between the residual,
     Jacobian, and time derivative.  `deflate` is set for p4 alone, whose
     Jacobian is singular (see `_penalty`).  For p4 the rho cells' operands
-    are built here once, apart from the kernel's; grid cells hold their own
-    (N, M) cost matrix from the start, because their label sweeps run at
-    every stage.
+    are held apart from the kernel's: `rho_cells`, when given, are operands
+    already built on `grid`, as `cell_operands` returns them.  Otherwise
+    they are built here once, and grid cells then hold their own (N, M)
+    cost matrix, because a system's label sweeps run at every stage it
+    serves.
     """
 
-    def __init__(self, problem, grid):
+    def __init__(self, problem, grid, rho_cells=None):
         self.problem = problem
         self.grid = grid
         self.kernel = KernelEvaluator(problem, grid)
         self.rho_cells = None
         self.deflate = problem.variant == "p4"
         if problem.variant == "p4":
-            self.rho_cells = cell_operands(problem.targets, problem.rho, grid)
-            if isinstance(self.rho_cells, GridCells):
-                self.rho_cells = self.rho_cells.with_matrix(grid)
+            if rho_cells is None:
+                rho_cells = cell_operands(problem.targets, problem.rho, grid)
+                if isinstance(rho_cells, GridCells):
+                    rho_cells = rho_cells.with_matrix(grid)
+            self.rho_cells = rho_cells
 
     def _check_time(self, t):
         if self.problem.scales_penalty:

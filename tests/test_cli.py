@@ -24,6 +24,7 @@ from otpath import (
     unit_domain,
     unregularized_residual,
 )
+from otpath import acceptance
 from otpath.acceptance import run_acceptance
 from otpath.homotopy import BOOST_FACTOR
 from otpath.laguerre import CellField
@@ -412,6 +413,14 @@ def test_main_verify_fast_criteria(capsys):
     assert main(["verify", "--criteria", "99"]) == 1
 
 
+def test_verify_refuses_a_selection_before_running_any(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setitem(acceptance.CRITERIA, 1, lambda: ran.append(1))
+    for criteria in ("1,99", "1,1"):
+        assert main(["verify", "--criteria", criteria]) == 1
+    assert ran == [] and capsys.readouterr().out == ""
+
+
 def test_verify_lines_end_in_wall_seconds(capsys):
     # the timing suffix is appended; the rest of each line is unchanged
     assert main(["verify", "--criteria", "1,6"]) == 0
@@ -495,6 +504,13 @@ BAD_INPUTS = [
     pytest.param(["run", "--config", "{tmp}/missing.json"], None, 1, None, id="config-missing"),
     pytest.param(["verify", "--criteria", "1,x"], None, 1, None, id="criteria-not-int"),
     pytest.param(["verify", "--criteria", "99"], None, 1, None, id="criteria-unknown"),
+    # an empty selection would pass the gate with no criterion run
+    pytest.param(["verify", "--criteria", ","], None, 1, "criteria must name at least one criterion",
+                 id="criteria-empty"),
+    pytest.param(["verify", "--criteria", ""], None, 1, "criteria must name at least one criterion",
+                 id="criteria-blank"),
+    pytest.param(["verify", "--criteria", "1,1"], None, 1, "criteria must not repeat a value, got [1, 1]",
+                 id="criteria-repeat"),
     # refused by the argument parser itself
     pytest.param(["run", "--dim", "3"], None, 1, None, id="dim-3"),
     pytest.param(["run", "--seed", "x"], None, 1, None, id="seed-not-int"),

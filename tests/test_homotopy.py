@@ -20,6 +20,8 @@ from otpath import (
     unit_domain,
     unregularized_residual,
 )
+from otpath import homotopy, laguerre
+from otpath.cli import write_trajectory_csv
 from otpath.homotopy import BOOST_FACTOR
 from otpath.linsolve import solve_dual_system
 from otpath.model import cost_matrix
@@ -271,8 +273,9 @@ def test_non_finite_snapshot_time_refused(grid2, t_snap):
 def test_one_cost_matrix_per_grid(monkeypatch, config, snapshot_times, matrices):
     # p1 stages take the separable route, and the snapshots and the terminal
     # residual stream the per-axis tables: no (N, M) matrix at all.  The p4
-    # rho cells sweep at every stage and keep one matrix per grid (stage and
-    # boosted), which the terminal residual reads too.
+    # rho cells of the stage grid sweep at every stage and the equal-mass
+    # start, and keep one matrix; the boosted grid's rho cells serve only the
+    # stages past BOOST_AFTER and the terminal residual, and stream.
     grid = build_grid(unit_domain(2), 12, 4)
     prob = build_problem(config)
     built = []
@@ -287,17 +290,19 @@ def test_one_cost_matrix_per_grid(monkeypatch, config, snapshot_times, matrices)
             monkeypatch.setattr(module, "cost_matrix", counting)
     traj = integrate_homotopy(prob, 0.25, grid, snapshot_times=snapshot_times)
     assert len(traj.snapshots) == len(snapshot_times)
-    assert sorted(built) == [grid.n_nodes, 4 * grid.n_nodes] * matrices
+    assert built == [grid.n_nodes] * matrices
 
 
 def test_2d_p4_run_holds_per_axis_grids_and_chunk_local_sweeps():
     # Without snapshots no solve path reads the (M, 2) nodes or (M,) weights
-    # of either grid.  What grows with the grid: per node of the base and
-    # boosted grids, the rho cells' (N, M) matrices and two node-mass
-    # vectors, 8 (N + 2) bytes; the labels of one sweep and the kernel's
-    # scratch may add two floats more.  0.5 MB covers what does not grow
-    # with the grid.  Full-length nodes, weights and sweep minima, as the
-    # grids and sweeps once held, exceed the bound by over 1.5 MB.
+    # of either grid.  What grows with the grid: per node of the base grid,
+    # the rho cells' (N, M) matrix and two node-mass vectors, 8 (N + 2)
+    # bytes; per node of the boosted grid, whose rho cells stream their
+    # per-axis tables, the two node-mass vectors alone.  The labels of one
+    # sweep and the kernel's scratch may add two floats more per node.
+    # 0.5 MB covers what does not grow with the grid.  A boosted (N, M)
+    # matrix, as the boosted rho cells once held, exceeds the bound by over
+    # 1 MB, and full-length nodes, weights and sweep minima by more.
     grid = build_grid(unit_domain(2), 24, 6)
     prob = build_problem({"variant": "p4", "dim": 2, "n_targets": 3, "seed": 4, "rho": {"kind": "gauss"}})
     integrate_homotopy(prob, 0.25, grid)  # the process-wide caches fill here
@@ -310,8 +315,31 @@ def test_2d_p4_run_holds_per_axis_grids_and_chunk_local_sweeps():
         tracemalloc.stop()
     for held in (grid, report.grid):  # the base and the boosted (report) grid
         assert "nodes" not in vars(held) and "weights" not in vars(held)
-    nodes = grid.n_nodes + report.grid.n_nodes
-    assert peak <= 8 * (prob.n + 4) * nodes + 2**19
+    assert peak <= 8 * ((prob.n + 4) * grid.n_nodes + 4 * report.grid.n_nodes) + 2**19
+
+
+def test_2d_p4_boosted_rho_cells_streamed_or_on_the_matrix_agree(monkeypatch, tmp_path):
+    # the boosted rho cells stream chunks of their per-axis tables, the float
+    # sums of the (N, M) matrix: a run whose boosted cells hold the matrix
+    # (with dt = 0.1 three stages are past BOOST_AFTER) gives the same bits
+    grid = build_grid(unit_domain(2), 12, 4)
+    prob = build_problem({"variant": "p4", "dim": 2, "n_targets": 5, "seed": 4, "rho": {"kind": "gauss"}})
+    streamed = integrate_homotopy(prob, 0.1, grid)
+    held = []
+
+    def on_matrix(targets, density, boosted):
+        cells = laguerre.cell_operands(targets, density, boosted).with_matrix(boosted)
+        held.append(cells)
+        return cells
+
+    monkeypatch.setattr(homotopy, "cell_operands", on_matrix)
+    matrix = integrate_homotopy(prob, 0.1, grid)
+    assert [cells.cost.shape[1] for cells in held] == [4 * grid.n_nodes]
+    assert np.array_equal(streamed.psi_matrix, matrix.psi_matrix)
+    assert streamed.report.error_sup == matrix.report.error_sup
+    for name, traj in (("streamed", streamed), ("matrix", matrix)):
+        write_trajectory_csv(tmp_path / f"{name}.csv", traj)
+    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "matrix.csv").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -548,8 +548,8 @@ def test_cell_operands_keep_no_evaluation(dom1, dom2, monkeypatch):
     systems = []
 
     class Recording(ResidualSystem):
-        def __init__(self, problem, grid):
-            super().__init__(problem, grid)
+        def __init__(self, problem, grid, rho_cells=None):
+            super().__init__(problem, grid, rho_cells)
             systems.append([(c, _held(c)) for c in (self.kernel.cells, self.rho_cells)])
 
     monkeypatch.setattr(homotopy, "ResidualSystem", Recording)
@@ -558,10 +558,31 @@ def test_cell_operands_keep_no_evaluation(dom1, dom2, monkeypatch):
     )
     integrate_homotopy(prob, 0.25, build_grid(dom2, 8, 4), snapshot_times=(0.5, 1.0))
     assert len(systems) == 2
+    # the base rho cells hold their matrix, the boosted ones their tables
+    assert [rho_cells.tables is None for _, (rho_cells, _) in systems] == [True, False]
     for (kernel_cells, kernel_held), (rho_cells, rho_held) in systems:
-        assert kernel_cells.cost is None and rho_cells.tables is None
+        assert kernel_cells.cost is None
         _assert_holds(kernel_cells, kernel_held)
         _assert_holds(rho_cells, rho_held)
+
+
+@pytest.mark.parametrize("panels, order", [(24, 6), (31, 5), (1, 3)])
+def test_streamed_blocks_are_the_matrix_columns(panels, order):
+    # every chunk formed from the per-axis tables is the matrix's block to
+    # the bit, for targets in and far outside the box, chunks cutting axis
+    # rows (24x6, 31x5) and a grid smaller than one chunk
+    dom = Domain(lower=(-0.5, 0.25), upper=(1.5, 1.0))
+    grid = build_grid(dom, panels, order)
+    for seed, spread in ((0, 1.0), (1, 1e3)):
+        box = Domain(lower=(-spread, -spread), upper=(spread, spread))
+        targets = sample_targets(5, 2, box, seed)
+        cells = GridCells.build(targets, grid, uniform_density(dom))
+        matrix = cost_matrix(targets.points, grid.nodes, 2.0, grid.axes)
+        covered = 0
+        for lo, block in cells.blocks():
+            assert np.array_equal(block, matrix[:, lo : lo + block.shape[1]])
+            covered += block.shape[1]
+        assert cells.tables is not None and covered == grid.n_nodes
 
 
 @pytest.mark.parametrize("kind", ["uniform", "gauss"])
