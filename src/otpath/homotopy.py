@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, NonFiniteValueError, SolverError
 from .kernel import DualState
-from .laguerre import CellField, cell_operands, grid_labels, unregularized_residual
+from .laguerre import CellField, grid_labels, unregularized_residual
 from .linsolve import solve_dual_system
 from .quadrature import QuadratureGrid, refine_grid
 from .residuals import ResidualSystem
@@ -135,23 +135,13 @@ class _Flow:
 
     Near t = 1 the kernel integrands concentrate on cell boundaries; from
     BOOST_AFTER on the stage systems are assembled on a grid refined by
-    BOOST_FACTOR to keep quadrature error below the step error.
-
-    The base system's p4 rho cells hold their (N, M) matrix, since every
-    stage before BOOST_AFTER and the equal-mass start sweep them.  The
-    boosted grid is BOOST_FACTOR**dim times larger and its rho cells serve
-    only the stages past BOOST_AFTER and the terminal residual, so they are
-    the operands `cell_operands` builds: on a 2-D grid these stream chunks
-    from the per-axis tables, the same float sums as the matrix.
+    BOOST_FACTOR to keep quadrature error below the step error.  The
+    boosted system also serves the terminal residual.
     """
 
     def __init__(self, problem, grid):
         self.base = ResidualSystem(problem, grid)
-        boosted = refine_grid(grid, BOOST_FACTOR)
-        rho_cells = None
-        if problem.variant == "p4":
-            rho_cells = cell_operands(problem.targets, problem.rho, boosted)
-        self.boosted = ResidualSystem(problem, boosted, rho_cells)
+        self.boosted = ResidualSystem(problem, refine_grid(grid, BOOST_FACTOR))
 
     def rhs(self, psi, t):
         system = self.boosted if t >= BOOST_AFTER else self.base

@@ -22,15 +22,13 @@ operands keep no evaluation between calls.  The grid Jacobian is a central
 difference formed from the nodes that change owner, not from 2N label sweeps.
 
 Grid cost: every `GridCells` holds its own target-major cost of the targets
-at the nodes, set at construction.  For quadratic cost on a 2-D tensor grid
-that is the per-axis tables (y_jd - x_d)^2, N*(n1 + n2) numbers, from which
-each chunk of nodes is formed as the same float sum as the (N, M) matrix;
-every other cost is the matrix.  Operands that sweep at every stage (the p4
-rho cells of the stage grid) are made to hold the matrix from the start
-(`with_matrix`).  The boosted grid's p4 rho cells, swept only past
-homotopy.BOOST_AFTER and by the terminal residual, the once-per-run passes
-(snapshot labels and weights, the mu cells of the 2-D terminal residual)
-and the kernel's refused stages stream the tables.
+at the nodes, in the one form `_node_cost` sets from the grid's dimension
+and the cost exponent.  For quadratic cost on a 2-D tensor grid that is the
+per-axis tables (y_jd - x_d)^2, N*(n1 + n2) numbers, from which each chunk
+of nodes is formed as the same float sum as the (N, M) matrix; every other
+cost is the matrix.  So no pass of a 2-D quadratic run builds the matrix:
+the p4 rho cells at every stage, the snapshots, the terminal residual and
+the kernel's refused stages all stream the tables.
 
 Grid passes: a `GridCells` sweeps its cost in chunks of nodes, one row at a
 time, each pass vectorized along the nodes.  Per node of the chunk it keeps
@@ -188,12 +186,11 @@ class GridCells:
 
     `cost` is given as the (N, M) matrix or as the per-axis tables (d1, d2)
     of a `_node_cost`, and held as `cost` or `tables`, the other None.  The
-    label sweeps read the matrix, or stream chunks of it from the tables;
-    `with_matrix` gives the same operands on the matrix, for callers that
-    sweep at every stage.  The two constants of the measure Jacobian are
-    fixed at construction: its central-difference step and the largest
-    |cost|, which bounds the rounding slack of its boundary-node filter.
-    Nothing is assigned after construction.
+    label sweeps read the matrix, or stream chunks of it from the tables.
+    The two constants of the measure Jacobian are fixed at construction: its
+    central-difference step and the largest |cost|, which bounds the rounding
+    slack of its boundary-node filter.  Nothing is assigned after
+    construction.
     """
 
     def __init__(self, targets, cost, node_mass, spacing):
@@ -225,12 +222,6 @@ class GridCells:
         spacing = max((hi - lo) / counts for lo, hi in zip(grid.lower, grid.upper))
         cost = _node_cost(targets, grid, cost_exponent)
         return cls(targets=targets, cost=cost, node_mass=_node_mass(grid, density), spacing=spacing)
-
-    def with_matrix(self, grid):
-        """These operands holding the (N, M) matrix of their quadratic cost on
-        `grid` (the grid they were built on) instead of its tables."""
-        cost = cost_matrix(self.targets.points, None, 2.0, grid.axes)
-        return GridCells(targets=self.targets, cost=cost, node_mass=self.node_mass, spacing=self.spacing)
 
     def blocks(self):
         """(lo, block) per chunk of CHUNK_NODES nodes: the (N, k) cost of

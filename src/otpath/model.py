@@ -355,18 +355,38 @@ def parabola_targets(n):
     return TargetSet(points=np.column_stack([s, (s / np.e) ** 2]))
 
 
-def _density_from_config(cfg, domain):
+def _density_from_config(cfg, domain, key):
+    """The density of the mapping `cfg`, the config's `key`: `kind` alone
+    ("uniform", the default), or "gauss" with optional `center` (a point of
+    finite coordinates) and positive finite `sharpness` and `normalization`.
+    Any other key, and a value that is not a real number (a bool is none),
+    are refused."""
     kind = cfg.get("kind", DENSITY_UNIFORM)
+    if kind not in (DENSITY_UNIFORM, DENSITY_GAUSS):
+        raise ConfigError(f"unknown density kind {kind!r}")
+    keys = {"kind"} if kind == DENSITY_UNIFORM else {"kind", "center", "sharpness", "normalization"}
+    unknown = set(cfg) - keys
+    if unknown:
+        raise ConfigError(f"unknown {key} keys for kind {kind!r}: {sorted(unknown)}")
     if kind == DENSITY_UNIFORM:
         return uniform_density(domain)
-    if kind == DENSITY_GAUSS:
-        return gaussian_bump_density(
-            domain,
-            center=cfg.get("center"),
-            sharpness=cfg.get("sharpness", 10.0),
-            normalization=cfg.get("normalization"),
-        )
-    raise ConfigError(f"unknown density kind {kind!r}")
+
+    def real(value):
+        return _typed(value, (int, float)) and math.isfinite(value)
+
+    if "center" in cfg:
+        center = np.atleast_1d(np.asarray(cfg["center"], dtype=object))  # ragged lists too
+        if not all(map(real, center.tolist())):
+            raise ConfigError(f"{key} center must be a list of finite real numbers, got {cfg['center']!r}")
+    for name in ("sharpness", "normalization"):
+        if name in cfg and not (real(cfg[name]) and cfg[name] > 0):
+            raise ConfigError(f"{key} {name} must be a positive finite real number, got {cfg[name]!r}")
+    return gaussian_bump_density(
+        domain,
+        center=cfg.get("center"),
+        sharpness=cfg.get("sharpness", 10.0),
+        normalization=cfg.get("normalization"),
+    )
 
 
 def _validate_density(spec, rules, label):
@@ -451,7 +471,7 @@ def build_problem(config):
             int(config["n_targets"]), domain.dim, box, int(config["seed"])
         )
 
-    mu = _density_from_config(config.get("density", {}), domain)
+    mu = _density_from_config(config.get("density", {}), domain, "density")
     # one rule on the domain checks both densities
     rules = [
         quadrature.axis_rule(lo, hi, DEFAULT_PANELS[domain.dim], DEFAULT_ORDER[domain.dim])
@@ -468,7 +488,7 @@ def build_problem(config):
             raise ConfigError(f"anchor must be a list of real numbers, got {config['anchor']!r}")
     rho = None
     if config.get("rho") is not None:
-        rho = _density_from_config(config["rho"], domain)
+        rho = _density_from_config(config["rho"], domain, "rho")
         _validate_density(rho, rules, "rho")
 
     return ProblemSpec(

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NonFiniteValueError
 from .kernel import KernelEvaluator
-from .laguerre import GridCells, cell_operands, measure_jacobian
+from .laguerre import cell_operands, measure_jacobian
 
 
 @dataclass(frozen=True)
@@ -59,26 +59,18 @@ class ResidualSystem:
     Shares one kernel evaluator across calls; `full` shares the softmax
     sweep (and, for p4, the measure Jacobian) between the residual,
     Jacobian, and time derivative.  `deflate` is set for p4 alone, whose
-    Jacobian is singular (see `_penalty`).  For p4 the rho cells' operands
-    are held apart from the kernel's: `rho_cells`, when given, are operands
-    already built on `grid`, as `cell_operands` returns them.  Otherwise
-    they are built here once, and grid cells then hold their own (N, M)
-    cost matrix, because a system's label sweeps run at every stage it
-    serves.
+    Jacobian is singular (see `_penalty`).  For p4 the rho cells are the
+    operands `cell_operands` builds on `grid`, held apart from the kernel's.
     """
 
-    def __init__(self, problem, grid, rho_cells=None):
+    def __init__(self, problem, grid):
         self.problem = problem
         self.grid = grid
         self.kernel = KernelEvaluator(problem, grid)
         self.rho_cells = None
         self.deflate = problem.variant == "p4"
         if problem.variant == "p4":
-            if rho_cells is None:
-                rho_cells = cell_operands(problem.targets, problem.rho, grid)
-                if isinstance(rho_cells, GridCells):
-                    rho_cells = rho_cells.with_matrix(grid)
-            self.rho_cells = rho_cells
+            self.rho_cells = cell_operands(problem.targets, problem.rho, grid)
 
     def _check_time(self, t):
         if self.problem.scales_penalty:

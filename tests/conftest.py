@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from otpath import build_grid, build_problem, unit_domain
+from otpath.laguerre import GridCells
+from otpath.model import cost_matrix
 
 
 @pytest.fixture(scope="session")
@@ -48,3 +50,10 @@ def central_diff(f, x, step=1e-5):
 
 def central_diff_scalar_arg(f, t, step=1e-5):
     return (np.asarray(f(t + step)) - np.asarray(f(t - step))) / (2.0 * step)
+
+
+def on_matrix(cells, grid, exponent=2.0):
+    """The same grid-cell operands on an explicit (N, M) matrix, the per-node
+    sum of `cost_matrix`: every pass reads that matrix."""
+    cost = cost_matrix(cells.targets.points, grid.nodes, exponent)
+    return GridCells(targets=cells.targets, cost=cost, node_mass=cells.node_mass, spacing=cells.spacing)

@@ -488,6 +488,30 @@ BAD_INPUTS = [
                  id="config-center-number"),
     pytest.param(["run"], {"density": {"kind": "gauss", "sharpness": "x"}}, 1, None,
                  id="config-sharpness-text"),
+    # a density mapping takes only its kind's keys, each a finite real number
+    pytest.param(["run"], {"density": {"kind": "gauss", "sharpnes": 50}}, 1,
+                 "unknown density keys for kind 'gauss': ['sharpnes']", id="config-density-key-typo"),
+    pytest.param(["run"], {"density": {"kind": "uniform", "sharpness": 3}}, 1,
+                 "unknown density keys for kind 'uniform': ['sharpness']", id="config-uniform-key"),
+    pytest.param(["run"], {"variant": "p4", "rho": {"kind": "gauss", "centre": [0.5]}}, 1,
+                 "unknown rho keys for kind 'gauss': ['centre']", id="config-rho-key-typo"),
+    pytest.param(["run"], {"density": {"kind": "gauss", "sharpness": True}}, 1,
+                 "density sharpness must be a positive finite real number, got True",
+                 id="config-sharpness-bool"),
+    pytest.param(["run"], {"density": {"kind": "gauss", "sharpness": 0}}, 1,
+                 "density sharpness must be a positive finite real number, got 0", id="config-sharpness-0"),
+    pytest.param(["run"], {"density": {"kind": "gauss", "sharpness": float("inf")}}, 1,
+                 "density sharpness must be a positive finite real number, got inf", id="config-sharpness-inf"),
+    pytest.param(["run"], {"variant": "p4", "rho": {"kind": "gauss", "normalization": float("nan")}}, 1,
+                 "rho normalization must be a positive finite real number, got nan",
+                 id="config-rho-normalization-nan"),
+    pytest.param(["run"], {"density": {"kind": "gauss", "center": [float("nan")]}}, 1,
+                 "density center must be a list of finite real numbers, got [nan]", id="config-center-nan"),
+    pytest.param(["run"], {"density": {"kind": "gauss", "center": [True]}}, 1,
+                 "density center must be a list of finite real numbers, got [True]", id="config-center-bool"),
+    pytest.param(["run"], {"density": {"kind": "gauss", "center": [[1], [1, 2]]}}, 1,
+                 "density center must be a list of finite real numbers, got [[1], [1, 2]]",
+                 id="config-center-ragged"),
     pytest.param(["run"], {"alpha": [0.1]}, 1, "alpha must be a real number", id="config-alpha-list"),
     pytest.param(["run"], {"seed": 1.5}, 1, "seed must be an integer, got 1.5", id="config-seed-float"),
     pytest.param(["run"], {"seed": [1]}, 1, "seed must be an integer, got [1]", id="config-seed-list"),

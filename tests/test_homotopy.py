@@ -1,3 +1,4 @@
+import json
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -20,11 +21,12 @@ from otpath import (
     unit_domain,
     unregularized_residual,
 )
-from otpath import homotopy, laguerre
-from otpath.cli import write_trajectory_csv
+from otpath import laguerre, residuals
+from otpath.cli import ExperimentConfig, run_experiment, write_trajectory_csv
 from otpath.homotopy import BOOST_FACTOR
 from otpath.linsolve import solve_dual_system
 from otpath.model import cost_matrix
+from conftest import on_matrix
 
 
 def _slope(problem, psi, t, grid):
@@ -262,22 +264,9 @@ def test_non_finite_snapshot_time_refused(grid2, t_snap):
         integrate_homotopy(prob, 0.25, grid2, snapshot_times=(t_snap,))
 
 
-@pytest.mark.parametrize(
-    "config, snapshot_times, matrices",
-    [
-        ({"variant": "p1", "dim": 2, "targets": parabola_targets(4).points.tolist()}, (0.5, 1.0), 0),
-        ({"variant": "p4", "dim": 2, "n_targets": 3, "seed": 4, "rho": {"kind": "gauss"}}, (), 1),
-    ],
-    ids=["p1-snapshots", "p4"],
-)
-def test_one_cost_matrix_per_grid(monkeypatch, config, snapshot_times, matrices):
-    # p1 stages take the separable route, and the snapshots and the terminal
-    # residual stream the per-axis tables: no (N, M) matrix at all.  The p4
-    # rho cells of the stage grid sweep at every stage and the equal-mass
-    # start, and keep one matrix; the boosted grid's rho cells serve only the
-    # stages past BOOST_AFTER and the terminal residual, and stream.
-    grid = build_grid(unit_domain(2), 12, 4)
-    prob = build_problem(config)
+def _count_cost_matrices(monkeypatch):
+    """The node counts of every (N, M) matrix `model.cost_matrix` builds from
+    here on, in every otpath module that calls it."""
     built = []
 
     def counting(*args):
@@ -288,21 +277,52 @@ def test_one_cost_matrix_per_grid(monkeypatch, config, snapshot_times, matrices)
     for name, module in list(sys.modules.items()):
         if name.startswith("otpath") and getattr(module, "cost_matrix", None) is cost_matrix:
             monkeypatch.setattr(module, "cost_matrix", counting)
+    return built
+
+
+@pytest.mark.parametrize(
+    "config, snapshot_times",
+    [
+        ({"variant": "p1", "dim": 2, "targets": parabola_targets(4).points.tolist()}, (0.5, 1.0)),
+        ({"variant": "p4", "dim": 2, "n_targets": 3, "seed": 4, "rho": {"kind": "gauss"}}, ()),
+    ],
+    ids=["p1-snapshots", "p4"],
+)
+def test_one_cost_matrix_per_grid(monkeypatch, config, snapshot_times):
+    # p1 stages take the separable route; the p4 rho cells of both grids,
+    # the snapshots and the terminal residual stream the per-axis tables:
+    # no (N, M) matrix at all
+    grid = build_grid(unit_domain(2), 12, 4)
+    prob = build_problem(config)
+    built = _count_cost_matrices(monkeypatch)
     traj = integrate_homotopy(prob, 0.25, grid, snapshot_times=snapshot_times)
     assert len(traj.snapshots) == len(snapshot_times)
-    assert built == [grid.n_nodes] * matrices
+    assert built == []
+
+
+def test_no_cost_matrix_in_a_2d_p4_newton_run(monkeypatch, tmp_path):
+    # `otpath run --newton` also solves the fixed-t surrogate, on a residual
+    # system of its own: its rho cells stream the tables too
+    config = ExperimentConfig(
+        variant="p4", dim=2, n_list=(3,), dt_list=(0.25,), seed=4, quad_panels=12,
+        quad_order=4, run_newton=True, out_dir=str(tmp_path),
+    )
+    built = _count_cost_matrices(monkeypatch)
+    run_experiment(config)
+    report = json.loads((tmp_path / "p4_2d_n3_dt0.25.json").read_text())
+    assert report["newton_baseline"]["method"].startswith("fixed_t_oracle")
+    assert built == []
 
 
 def test_2d_p4_run_holds_per_axis_grids_and_chunk_local_sweeps():
     # Without snapshots no solve path reads the (M, 2) nodes or (M,) weights
-    # of either grid.  What grows with the grid: per node of the base grid,
-    # the rho cells' (N, M) matrix and two node-mass vectors, 8 (N + 2)
-    # bytes; per node of the boosted grid, whose rho cells stream their
-    # per-axis tables, the two node-mass vectors alone.  The labels of one
-    # sweep and the kernel's scratch may add two floats more per node.
-    # 0.5 MB covers what does not grow with the grid.  A boosted (N, M)
-    # matrix, as the boosted rho cells once held, exceeds the bound by over
-    # 1 MB, and full-length nodes, weights and sweep minima by more.
+    # of either grid.  What grows with the grid: per node of either grid,
+    # whose rho cells stream their per-axis tables, two node-mass vectors;
+    # the labels of one sweep and the set-up and kernel scratch may add two
+    # floats more per node.  0.5 MB covers what does not grow with the
+    # grid.  The stage grid's (N, M) matrix, as its rho cells once held,
+    # exceeds the bound, and full-length nodes, weights and sweep minima by
+    # more.
     grid = build_grid(unit_domain(2), 24, 6)
     prob = build_problem({"variant": "p4", "dim": 2, "n_targets": 3, "seed": 4, "rho": {"kind": "gauss"}})
     integrate_homotopy(prob, 0.25, grid)  # the process-wide caches fill here
@@ -315,26 +335,27 @@ def test_2d_p4_run_holds_per_axis_grids_and_chunk_local_sweeps():
         tracemalloc.stop()
     for held in (grid, report.grid):  # the base and the boosted (report) grid
         assert "nodes" not in vars(held) and "weights" not in vars(held)
-    assert peak <= 8 * ((prob.n + 4) * grid.n_nodes + 4 * report.grid.n_nodes) + 2**19
+    assert peak <= 8 * 4 * (grid.n_nodes + report.grid.n_nodes) + 2**19
 
 
 def test_2d_p4_boosted_rho_cells_streamed_or_on_the_matrix_agree(monkeypatch, tmp_path):
-    # the boosted rho cells stream chunks of their per-axis tables, the float
-    # sums of the (N, M) matrix: a run whose boosted cells hold the matrix
-    # (with dt = 0.1 three stages are past BOOST_AFTER) gives the same bits
+    # the rho cells of both grids stream chunks of their per-axis tables,
+    # the float sums of the (N, M) matrix: a run whose rho cells hold the
+    # matrix (with dt = 0.1 three stages are past BOOST_AFTER) gives the
+    # same bits
     grid = build_grid(unit_domain(2), 12, 4)
     prob = build_problem({"variant": "p4", "dim": 2, "n_targets": 5, "seed": 4, "rho": {"kind": "gauss"}})
     streamed = integrate_homotopy(prob, 0.1, grid)
     held = []
 
-    def on_matrix(targets, density, boosted):
-        cells = laguerre.cell_operands(targets, density, boosted).with_matrix(boosted)
+    def matrix_operands(targets, density, system_grid):
+        cells = on_matrix(laguerre.cell_operands(targets, density, system_grid), system_grid)
         held.append(cells)
         return cells
 
-    monkeypatch.setattr(homotopy, "cell_operands", on_matrix)
+    monkeypatch.setattr(residuals, "cell_operands", matrix_operands)
     matrix = integrate_homotopy(prob, 0.1, grid)
-    assert [cells.cost.shape[1] for cells in held] == [4 * grid.n_nodes]
+    assert [cells.cost.shape[1] for cells in held] == [grid.n_nodes, 4 * grid.n_nodes]
     assert np.array_equal(streamed.psi_matrix, matrix.psi_matrix)
     assert streamed.report.error_sup == matrix.report.error_sup
     for name, traj in (("streamed", streamed), ("matrix", matrix)):

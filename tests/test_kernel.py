@@ -13,7 +13,7 @@ from otpath import laguerre
 from otpath.kernel import MAX_AXIS_GAP, _blocks, _gap_bound
 from otpath.laguerre import CHUNK_NODES
 from otpath.model import cost_matrix
-from conftest import central_diff, central_diff_scalar_arg
+from conftest import central_diff, central_diff_scalar_arg, on_matrix
 
 
 def _random_problem(n, dim=1, seed=0, variant="p1"):
@@ -457,10 +457,10 @@ def test_a_refused_2d_stage_streams_the_tables(monkeypatch):
     psi, t = np.array([0.3, -0.1]), 0.999
     alpha, beta = ke._axis_exponents(psi, t)
     assert _gap_bound(alpha, beta, (alpha.max(axis=0), beta.max(axis=0))) > MAX_AXIS_GAP
-    on_matrix = KernelEvaluator(far, grid)
-    on_matrix.cells = on_matrix.cells.with_matrix(grid)
-    ref = on_matrix._chunked(psi, t)
-    cost = on_matrix.cells.cost
+    matrix = KernelEvaluator(far, grid)
+    matrix.cells = on_matrix(matrix.cells, grid)
+    ref = matrix._chunked(psi, t)
+    cost = matrix.cells.cost
     expo = (psi[:, None] - t * cost) / (1.0 - t)
     peak = expo.max(axis=0)
     lse = peak + np.log(np.exp(expo - peak).sum(axis=0))

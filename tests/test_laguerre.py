@@ -32,6 +32,7 @@ from otpath.kernel import _softmax
 from otpath.model import cost_matrix, density_eval
 from otpath.quadrature import refine_grid
 from otpath.residuals import ResidualSystem
+from conftest import on_matrix
 
 
 def _interval_diagram(psi, targets, domain):
@@ -459,17 +460,19 @@ def test_p4_2d_grid_cells_bit_identical_to_bincount(dom2):
         {"variant": "p4", "dim": 2, "n_targets": 6, "seed": 4, "rho": {"kind": "gauss"}}
     )
     system = ResidualSystem(prob, grid)
-    # the kernel's cells stream their tables; the rho cells hold their own matrix
+    # the kernel's and the rho cells stream tables of their own; the same
+    # rho cells on the matrix give the same bits
     cost = cost_matrix(prob.targets.points, grid.nodes, 2.0, grid.axes)
-    assert system.kernel.cells.cost is None and system.rho_cells.tables is None
-    assert np.array_equal(system.rho_cells.cost, cost)
+    assert system.kernel.cells.cost is None and system.rho_cells.cost is None
+    held = on_matrix(system.rho_cells, grid)
+    assert np.array_equal(held.cost, cost)
     step = _fd_step(system.rho_cells)
     rng = np.random.default_rng(8)
     for _ in range(3):
         xi = rng.uniform(-0.1, 0.1, 6)
         expected = _bincount_masses(xi, prob.targets, grid, prob.rho)
         totals = _bincount_jacobian(xi, prob.targets, grid, prob.rho, step)
-        for cells in (cell_operands(prob.targets, prob.rho, grid), system.rho_cells):
+        for cells in (cell_operands(prob.targets, prob.rho, grid), system.rho_cells, held):
             assert np.array_equal(power_cell_measures(xi, cells), expected)
             masses, jac = measure_jacobian(xi, cells)
             assert np.array_equal(masses, expected)
@@ -481,7 +484,9 @@ def test_p4_2d_grid_cells_bit_identical_to_bincount(dom2):
          "cost_exponent": 3}
     )
     cubic_cells = ResidualSystem(cubic, grid).rho_cells  # the inner cost stays quadratic
-    assert np.array_equal(cubic_cells.cost, cost)
+    assert cubic_cells.cost is None
+    for got, ref in zip(cubic_cells.tables, system.rho_cells.tables):
+        assert np.array_equal(got, ref)
 
 
 def test_grid_jacobian_runs_at_most_one_label_sweep(dom2, monkeypatch):
@@ -526,7 +531,7 @@ def test_cell_operands_keep_no_evaluation(dom1, dom2, monkeypatch):
     grid = build_grid(dom2, 8, 4)
     targets = sample_targets(5, 2, dom2, seed=2)
     planar = GridCells.build(targets, grid, gaussian_bump_density(dom2))
-    held = planar.with_matrix(grid)
+    held = on_matrix(planar, grid)
     cost = cost_matrix(targets.points, grid.nodes, 2.0, grid.axes)
     assert planar.cost is None and held.tables is None and np.array_equal(held.cost, cost)
     for cells in (interval, planar, held):
@@ -548,8 +553,8 @@ def test_cell_operands_keep_no_evaluation(dom1, dom2, monkeypatch):
     systems = []
 
     class Recording(ResidualSystem):
-        def __init__(self, problem, grid, rho_cells=None):
-            super().__init__(problem, grid, rho_cells)
+        def __init__(self, problem, grid):
+            super().__init__(problem, grid)
             systems.append([(c, _held(c)) for c in (self.kernel.cells, self.rho_cells)])
 
     monkeypatch.setattr(homotopy, "ResidualSystem", Recording)
@@ -558,10 +563,8 @@ def test_cell_operands_keep_no_evaluation(dom1, dom2, monkeypatch):
     )
     integrate_homotopy(prob, 0.25, build_grid(dom2, 8, 4), snapshot_times=(0.5, 1.0))
     assert len(systems) == 2
-    # the base rho cells hold their matrix, the boosted ones their tables
-    assert [rho_cells.tables is None for _, (rho_cells, _) in systems] == [True, False]
     for (kernel_cells, kernel_held), (rho_cells, rho_held) in systems:
-        assert kernel_cells.cost is None
+        assert kernel_cells.cost is None and rho_cells.cost is None
         _assert_holds(kernel_cells, kernel_held)
         _assert_holds(rho_cells, rho_held)
 
@@ -594,7 +597,7 @@ def test_measure_jacobian_same_bits_from_tables_and_matrix(dom2, kind):
     rng = np.random.default_rng(7)
     for seed in range(3):
         tables = GridCells.build(sample_targets(6, 2, dom2, seed), grid, density)
-        matrix = tables.with_matrix(grid)
+        matrix = on_matrix(tables, grid)
         for scale in (0.02, 0.2):
             weights = rng.uniform(-scale, scale, 6)
             weights[seed] -= 1.0 if scale == 0.2 else 0.0  # an empty or small cell
@@ -700,21 +703,24 @@ def test_p4_stage_jacobian_sweeps_the_rho_matrix_once(dom2):
     prob = build_problem(
         {"variant": "p4", "dim": 2, "n_targets": 6, "seed": 4, "rho": {"kind": "gauss"}}
     )
-    system = ResidualSystem(prob, build_grid(dom2, 24, 6))
+    grid = build_grid(dom2, 24, 6)
+    system = ResidualSystem(prob, grid)
     rho = system.rho_cells
-    counted = rho.cost.view(_ReadCounter)
+    cost = cost_matrix(prob.targets.points, grid.nodes, 2.0)
+    counted = cost.view(_ReadCounter)
     counted.reads = []
     system.rho_cells = GridCells(
         targets=rho.targets, cost=counted, node_mass=rho.node_mass, spacing=rho.spacing
     )
     psi = np.random.default_rng(2).uniform(-0.05, 0.05, 6)
     jac = system.full(psi, 0.5).jac
-    n, m = rho.cost.shape
+    n, m = cost.shape
     swept = sum(size for gather, size in counted.reads if not gather)
     gathers = [size for gather, size in counted.reads if gather]
     assert swept == n * m
     assert len(gathers) == 1 and gathers[0] < n * m // 2
-    assert np.array_equal(jac, ResidualSystem(prob, build_grid(dom2, 24, 6)).full(psi, 0.5).jac)
+    # the same bits as the streamed rho cells
+    assert np.array_equal(jac, ResidualSystem(prob, grid).full(psi, 0.5).jac)
 
 
 def test_grid_jacobian_single_target_is_zero(dom2):
@@ -770,13 +776,6 @@ def test_grid_jacobian_on_exact_ties():
 _STREAM_GRIDS = ((8, 4), (20, 5), (24, 6))
 
 
-def _with_matrix(cells, grid, exponent=2.0):
-    """The same operands on an explicit (N, M) matrix, the per-node sum of
-    `cost_matrix`: every pass reads that matrix."""
-    cost = cost_matrix(cells.targets.points, grid.nodes, exponent)
-    return GridCells(targets=cells.targets, cost=cost, node_mass=cells.node_mass, spacing=cells.spacing)
-
-
 @pytest.mark.parametrize("panels, order", _STREAM_GRIDS)
 def test_streamed_passes_match_the_matrix_route(panels, order):
     # labels, sweeps, masses and softmax weights formed chunk by chunk
@@ -786,7 +785,7 @@ def test_streamed_passes_match_the_matrix_route(panels, order):
     prob = build_problem({"variant": "p3", "dim": 2, "n_targets": 7, "seed": 6, "anchor": [0.4, 0.6]})
     ke = KernelEvaluator(prob, grid)
     cells = ke.cells
-    matrix = _with_matrix(cells, grid)
+    matrix = on_matrix(cells, grid)
     rng = np.random.default_rng(panels)
     for _ in range(3):
         weights = rng.uniform(-0.3, 0.3, prob.n)
@@ -803,10 +802,6 @@ def test_streamed_passes_match_the_matrix_route(panels, order):
             whole = _softmax(psi - prob.offsets, t, matrix.cost).T
             assert np.array_equal(ke.node_weights(psi, t), whole)
     assert cells.cost is None  # every pass above streamed, and no matrix was kept
-    # the same operands holding the matrix of `cost_matrix` on the tables
-    held = cells.with_matrix(grid)
-    assert np.array_equal(held.cost, matrix.cost)
-    assert np.array_equal(grid_labels(weights, held), expected)
 
 
 @pytest.mark.parametrize("exponent", [2.0, 3.0])
@@ -830,10 +825,10 @@ def test_streamed_terminal_residual_matches_the_matrix_route(monkeypatch, varian
     psi = np.random.default_rng(1).uniform(-0.1, 0.1, prob.n)
     streamed = unregularized_residual(prob, psi, grid)
     assert len(built) == (exponent == 3.0)  # the cubic mu cells hold a matrix
-    mu = _with_matrix(GridCells.build(prob.targets, grid, prob.mu, exponent), grid, exponent)
+    mu = on_matrix(GridCells.build(prob.targets, grid, prob.mu, exponent), grid, exponent)
     rho = None
     if variant == "p4":
-        rho = _with_matrix(GridCells.build(prob.targets, grid, prob.rho), grid)
+        rho = on_matrix(GridCells.build(prob.targets, grid, prob.rho), grid)
     assert np.array_equal(streamed, unregularized_residual(prob, psi, grid, mu, rho))
 
 

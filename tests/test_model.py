@@ -209,7 +209,10 @@ def _grid_check(config):
     """The source-density check `build_problem` once made at every node of
     the default rule on the domain: (warned, error type or None)."""
     domain = unit_domain(config["dim"])
-    spec = model._density_from_config(config["density"], domain)
+    try:
+        spec = model._density_from_config(config["density"], domain, "density")
+    except ConfigError:  # a value refused before any node is read
+        return False, ConfigError
     grid = build_grid(domain, model.DEFAULT_PANELS[domain.dim], model.DEFAULT_ORDER[domain.dim])
     values = density_eval(spec, grid.nodes)
     if not np.all(np.isfinite(values)):
@@ -236,9 +239,9 @@ def _per_axis_check(config):
         ({"kind": "uniform"}, (False, None)),
         ({"kind": "gauss"}, (False, None)),
         ({"kind": "gauss", "center": (0.1, 0.9), "sharpness": 30.0}, (False, None)),
-        ({"kind": "gauss", "normalization": float("nan")}, (False, NonFiniteValueError)),
-        ({"kind": "gauss", "normalization": float("inf")}, (False, NonFiniteValueError)),
-        ({"kind": "gauss", "sharpness": float("nan")}, (False, NonFiniteValueError)),
+        ({"kind": "gauss", "normalization": float("nan")}, (False, ConfigError)),
+        ({"kind": "gauss", "normalization": float("inf")}, (False, ConfigError)),
+        ({"kind": "gauss", "sharpness": float("nan")}, (False, ConfigError)),
         ({"kind": "gauss", "normalization": 1.5}, (True, None)),  # a wrong constant
         ({"kind": "gauss", "sharpness": 4e3}, (False, ConfigError)),  # underflows at the corners
         ({"kind": "gauss", "sharpness": 1e5, "normalization": 1.0}, (True, ConfigError)),
