@@ -35,7 +35,7 @@ from .model import DEFAULT_ORDER, DEFAULT_PANELS, _typed, build_problem, unit_do
 from .newton import fixed_t_oracle, newton_1d
 from .quadrature import build_grid
 
-SURROGATE_T = 1.0 - 1e-4  # fixed-t stand-in for the baseline in 2-D
+SURROGATE_T = 1.0 - 1e-4  # fixed-t stand-in where newton_1d refuses the problem
 SNAPSHOT_ROWS = 1024  # CSV rows per block; bounds the writers' temporaries
 # (field, accepted types, what a refusal asks for) of every field the config
 # reads itself, checked first, so that an ill-typed value is refused by its
@@ -332,8 +332,8 @@ def _newton_block(problem, grid):
         report = newton_1d(problem)
         method = "newton_1d"
     except ConfigError:
-        # exact cell geometry in 2-D is out of scope; a converged fixed-t
-        # solve just below the endpoint stands in, and says so
+        # every other problem (2-D, and 1-D p3, p4 or cubic cost): a fixed-t
+        # solve just below the endpoint stands in and says so; it may fail
         report = fixed_t_oracle(problem, SURROGATE_T, tol=1e-8, grid=grid)
         method = f"fixed_t_oracle_surrogate(t={SURROGATE_T})"
     sup = float(report.residual_sup)
@@ -441,6 +441,8 @@ def _build_config(args):
             base = json.loads(Path(path).read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+        if not isinstance(base, dict):
+            raise ConfigError(f"config file must hold a JSON object, got {json.dumps(base)}")
         unknown = set(base) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")

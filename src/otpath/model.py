@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import quadrature
-from .errors import ConfigError, NonFiniteValueError
+from .errors import ConfigError
 
 VARIANTS = ("p1", "p2", "p3", "p4")
 
@@ -156,9 +155,10 @@ def gaussian_bump_density(domain, center=None, sharpness=10.0, normalization=Non
 
     With normalization=None the constant is computed in closed form (product
     of per-axis error-function integrals), so the density integrates to 1 to
-    machine precision.  An explicit constant (e.g. a rounded literature value)
-    is stored verbatim; `build_problem` re-checks its integral and warns if it
-    is off by more than 1e-3.
+    machine precision; a bump whose integral on the box underflows, or whose
+    reciprocal overflows, is refused.  An explicit constant (e.g. a rounded
+    literature value) is stored verbatim; `build_problem` re-checks its
+    integral and warns if it is off by more than 1e-3.
     """
     if center is None:
         center = tuple(domain.center)
@@ -169,6 +169,10 @@ def gaussian_bump_density(domain, center=None, sharpness=10.0, normalization=Non
         total = 1.0
         for lo, hi, c in zip(domain.lower, domain.upper, center):
             total *= _gauss_axis_integral(lo, hi, c, sharpness)
+        if not (total > 0.0 and math.isfinite(1.0 / float(total))):
+            raise ConfigError(
+                f"gauss density at {center} with sharpness {sharpness:g} has no mass on the domain"
+            )
         normalization = 1.0 / total
     return DensitySpec(
         kind=DENSITY_GAUSS,
@@ -389,30 +393,25 @@ def _density_from_config(cfg, domain, key):
     )
 
 
-def _validate_density(spec, rules, label):
-    """Check `spec` on the tensor rule whose per-axis (nodes, weights) are
-    `rules` (the default rule on the domain) without forming its nodes.
+def _validate_density(spec, domain, label):
+    """Check `spec` on the box `domain` in closed form.
 
     Both density kinds are the normalization times a product of per-axis
-    factors (1, or exp(-sharpness * (x_d - c_d)^2)), so the rule's mass is
-    the normalization times the product of the per-axis rule sums, and the
-    density is least at the node farthest from the center.  That node's
-    value must be finite and strictly positive; the mass must be 1 within
-    1e-3 (a warning otherwise).
+    factors (1, or exp(-sharpness * (x_d - c_d)^2)), so the mass on the box
+    is the normalization times the box volume or the product of the per-axis
+    error-function integrals, and the density is least at the corner
+    farthest from the center.  The mass must be 1 within 1e-3 (a warning
+    otherwise); the least value must be strictly positive.
     """
-    mass = spec.normalization
-    far = []
-    for d, (x, w) in enumerate(rules):
-        if spec.kind == DENSITY_GAUSS:
-            gap = x - spec.center[d]
-            mass *= float(np.sum(w * np.exp(-spec.sharpness * gap * gap)))
-            far.append(float(x[np.argmax(np.abs(gap))]))
-        else:
-            mass *= float(np.sum(w))
-            far.append(float(x[0]))
-    least = density_eval(spec, np.array(far))
-    if not np.isfinite(least):
-        raise NonFiniteValueError(f"{label} density is non-finite at x={tuple(far)}")
+    if spec.kind == DENSITY_GAUSS:
+        mass, far = spec.normalization, 0.0
+        for lo, hi, c in zip(domain.lower, domain.upper, spec.center):
+            mass *= _gauss_axis_integral(lo, hi, c, spec.sharpness)
+            gap = max(c - lo, hi - c)
+            far += gap * gap  # a float product overflows to inf, a power raises
+        least = spec.normalization * math.exp(-spec.sharpness * far)
+    else:
+        mass, least = spec.normalization * domain.volume, spec.normalization
     if abs(mass - 1.0) > 1e-3:
         warnings.warn(
             f"{label} density integrates to {mass:.6f}, not 1; "
@@ -472,12 +471,7 @@ def build_problem(config):
         )
 
     mu = _density_from_config(config.get("density", {}), domain, "density")
-    # one rule on the domain checks both densities
-    rules = [
-        quadrature.axis_rule(lo, hi, DEFAULT_PANELS[domain.dim], DEFAULT_ORDER[domain.dim])
-        for lo, hi in zip(domain.lower, domain.upper)
-    ]
-    _validate_density(mu, rules, "source")
+    _validate_density(mu, domain, "source")
 
     cost = CostSpec(exponent=float(config.get("cost_exponent", 2)))
 
@@ -489,7 +483,7 @@ def build_problem(config):
     rho = None
     if config.get("rho") is not None:
         rho = _density_from_config(config["rho"], domain, "rho")
-        _validate_density(rho, rules, "rho")
+        _validate_density(rho, domain, "rho")
 
     return ProblemSpec(
         variant=variant,

@@ -406,6 +406,29 @@ def test_main_config_file_with_overrides(tmp_path):
     assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, config, stem, grid, problem",
+    [
+        (["--problem", "p3", "--density", "gauss"], {}, "p3_1d_n3_dt0.25", (64, 8),
+         {"variant": "p3", "dim": 1, "n_targets": 3, "seed": 0, "density": {"kind": "gauss"}, "anchor": [0.5]}),
+        (["--quad-panels", "8", "--quad-order", "4"], {"dim": 2, "parabola": True}, "p1_2d_n3_dt0.25", (8, 4),
+         {"variant": "p1", "dim": 2, "n_targets": 3, "parabola": True}),
+    ],
+    ids=["p3-gauss-flags", "parabola-2d-config"],
+)
+def test_run_builds_the_problem_it_was_given(tmp_path, argv, config, stem, grid, problem):
+    # the flag and the config key reach build_problem: the report holds the
+    # solve of the problem built from the mapping they stand for
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--n", "3", "--dt", "0.25", "--out", str(out), *argv]) == 0
+    report = json.loads((out / f"{stem}.json").read_text())
+    traj = integrate_homotopy(build_problem(problem), 0.25, build_grid(unit_domain(problem["dim"]), *grid))
+    assert report["psi_final"] == traj.report.psi.tolist()
+    assert report["error_sup"] == traj.report.error_sup
+
+
 def test_main_verify_fast_criteria(capsys):
     assert main(["verify", "--criteria", "1,6"]) == 0
     out = capsys.readouterr().out
@@ -474,6 +497,11 @@ BAD_INPUTS = [
     pytest.param(["run"], {"dt_list": [0.25, 0.25]}, 1,
                  "dt_list must not repeat a value, got [0.25, 0.25]", id="config-dt-repeat"),
     pytest.param(["run"], "not json", 1, None, id="config-not-json"),
+    # the file's top level is the mapping of ExperimentConfig fields
+    pytest.param(["run"], "null", 1, "config file must hold a JSON object, got null", id="config-json-null"),
+    pytest.param(["run"], "5", 1, "config file must hold a JSON object, got 5", id="config-json-number"),
+    pytest.param(["run"], '"abc"', 1, 'config file must hold a JSON object, got "abc"', id="config-json-string"),
+    pytest.param(["run"], "[1, 2]", 1, "config file must hold a JSON object, got [1, 2]", id="config-json-list"),
     # wrong-typed values, refused where the config becomes problems
     pytest.param(["run"], {"density": 5}, 1, "density must be a mapping", id="config-density-number"),
     pytest.param(["run"], {"dim": [1]}, 1, "dim must be an integer", id="config-dim-list"),
@@ -512,6 +540,15 @@ BAD_INPUTS = [
     pytest.param(["run"], {"density": {"kind": "gauss", "center": [[1], [1, 2]]}}, 1,
                  "density center must be a list of finite real numbers, got [[1], [1, 2]]",
                  id="config-center-ragged"),
+    pytest.param(["run"], {"density": {"kind": "cauchy"}}, 1, "unknown density kind 'cauchy'",
+                 id="config-density-kind-unknown"),
+    # a bump whose mass on the box underflows has no normalization
+    pytest.param(["run"], {"density": {"kind": "gauss", "center": [3.0], "sharpness": 1000}}, 1,
+                 "gauss density at (3.0,) with sharpness 1000 has no mass on the domain",
+                 id="config-density-far-off"),
+    pytest.param(["run"], {"variant": "p4", "rho": {"kind": "gauss", "center": [40.0]}}, 1,
+                 "gauss density at (40.0,) with sharpness 10 has no mass on the domain", id="config-rho-far-off"),
+    pytest.param(["run"], {"parabola": True}, 1, "the parabola layout is two-dimensional", id="config-parabola-1d"),
     pytest.param(["run"], {"alpha": [0.1]}, 1, "alpha must be a real number", id="config-alpha-list"),
     pytest.param(["run"], {"seed": 1.5}, 1, "seed must be an integer, got 1.5", id="config-seed-float"),
     pytest.param(["run"], {"seed": [1]}, 1, "seed must be an integer, got [1]", id="config-seed-list"),

@@ -74,6 +74,8 @@ def test_missing_pieces_rejected():
         build_problem({"variant": "p1", "dim": 1, "n_targets": 2, "seed": 0, "cost_exponent": 4})
     with pytest.raises(ConfigError):
         build_problem({"variant": "p5", "dim": 1, "n_targets": 2, "seed": 0})
+    with pytest.raises(ConfigError, match="needs explicit targets, a parabola layout, or n_targets"):
+        build_problem({"variant": "p1", "dim": 1, "n_targets": 2})
 
 
 @pytest.mark.parametrize(
@@ -185,8 +187,8 @@ def test_density_checks_keep_their_order():
 
 
 def test_build_problem_validates_on_one_grid(monkeypatch):
-    # mu and rho are each evaluated once, at one node of one shared rule; the
-    # rule is two per-axis rules, and no 2-D grid is built
+    # mu and rho are checked in closed form on the box: no rule is built
+    # and no density value is evaluated, and model does not load quadrature
     calls = {"density_eval": 0, "build_grid": 0, "axis_rule": 0}
 
     def counted(owner, name):
@@ -199,10 +201,11 @@ def test_build_problem_validates_on_one_grid(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(model, "density_eval")
-    counted(model.quadrature, "build_grid")
-    counted(model.quadrature, "axis_rule")
+    counted(quadrature, "build_grid")
+    counted(quadrature, "axis_rule")
     build_problem({"variant": "p4", "dim": 2, "n_targets": 6, "seed": 4, "rho": {"kind": "gauss"}})
-    assert calls == {"density_eval": 2, "build_grid": 0, "axis_rule": 2}
+    assert calls == {"density_eval": 0, "build_grid": 0, "axis_rule": 0}
+    assert not hasattr(model, "quadrature")
 
 
 def _grid_check(config):
@@ -227,7 +230,7 @@ def _per_axis_check(config):
         try:
             build_problem(config)
             error = None
-        except (ConfigError, NonFiniteValueError) as exc:
+        except ConfigError as exc:
             error = type(exc)
     return any("integrates" in str(w.message) for w in caught), error
 
@@ -245,13 +248,16 @@ def _per_axis_check(config):
         ({"kind": "gauss", "normalization": 1.5}, (True, None)),  # a wrong constant
         ({"kind": "gauss", "sharpness": 4e3}, (False, ConfigError)),  # underflows at the corners
         ({"kind": "gauss", "sharpness": 1e5, "normalization": 1.0}, (True, ConfigError)),
+        # no mass on the box: refused before a normalization is formed
+        ({"kind": "gauss", "center": (3.0, 3.0), "sharpness": 1e3}, (False, ConfigError)),
+        ({"kind": "gauss", "center": (40.0, 40.0), "normalization": 1.0}, (True, ConfigError)),
     ],
     ids=["uniform", "gauss", "off-center", "nan-constant", "inf-constant", "nan-sharpness",
-         "wrong-constant", "underflow", "steep-and-wrong"],
+         "wrong-constant", "underflow", "steep-and-wrong", "far-off", "far-off-constant"],
 )
 def test_per_axis_density_check_agrees_with_the_grid_check(dim, density, outcome):
-    # the product of the per-axis rule sums and the value at the node
-    # farthest from the center refuse and warn where every node did
+    # the closed-form mass on the box and the value at its corner farthest
+    # from the center refuse and warn where every node of the default rule did
     if "center" in density:
         density = {**density, "center": density["center"][:dim]}
     config = {"variant": "p1", "dim": dim, "targets": [[0.2] * dim, [0.6] * dim], "density": density}
