@@ -24,24 +24,45 @@ difference formed from the nodes that change owner, not from 2N label sweeps.
 Grid cost: every `GridCells` holds its own target-major cost of the targets
 at the nodes, in the one form `_node_cost` sets from the grid's dimension
 and the cost exponent.  For quadratic cost on a 2-D tensor grid that is the
-per-axis tables (y_jd - x_d)^2, N*(n1 + n2) numbers, from which each chunk
-of nodes is formed as the same float sum as the (N, M) matrix; every other
+per-axis tables (y_jd - x_d)^2, N*(n1 + n2) numbers, from which any node's
+column is formed as the same float sum as the (N, M) matrix; every other
 cost is the matrix.  So no pass of a 2-D quadratic run builds the matrix:
-the p4 rho cells at every stage, the snapshots, the terminal residual and
-the kernel's refused stages all stream the tables.
+the kernel's refused stages stream the tables in chunks, and the p4 rho
+cells at every stage, the snapshots and the terminal residual label them
+row by row.
 
-Grid passes: a `GridCells` sweeps its cost in chunks of nodes, one row at a
-time, each pass vectorized along the nodes.  Per node of the chunk it keeps
-the running minimum of cost - weights with its label and, for the measure
-Jacobian alone, the runner-up value.  A row takes over a node only when
-strictly smaller, so ties go to the lowest index exactly as `np.argmin`
-resolves them, and the masses are the bincount of those labels.  The nodes
-whose runner-up lies within the Jacobian's step of the minimum are the only
-ones that can change owner; each chunk hands on just those, with their two
-values, and the Jacobian gathers just their columns.  So a sweep keeps one
-full-length array, the labels, and chunk-sized scratch.  `grid_labels`
-returns the labels of that sweep, for callers that want the labels
-themselves (snapshots), so the tie rule lives in the sweep alone.
+Grid passes: one pass per call labels every node.  Its float part takes the
+cost in blocks of nodes, one row at a time, each vectorized along the
+nodes.  Per node of the block it keeps the running minimum of
+cost - weights with its label and, for the measure Jacobian alone, the
+runner-up value and label.  A row takes over a node only when strictly
+smaller, so ties go to the lowest index exactly as `np.argmin` resolves
+them, and the masses are the bincount of those labels.  The nodes whose
+runner-up lies within the Jacobian's step of the minimum are the only ones
+that can change owner; each block hands on just those, with their cost
+columns, values and runner-up labels, so the Jacobian reads no cost again.
+`grid_labels` returns the labels of that pass, for callers that want the
+labels themselves (snapshots), so the tie rule lives in the pass alone.
+
+Row diagrams: on the per-axis tables most nodes are labelled before any
+float comparison.  On axis row p, target j's value at node (p, q) is
+(y_j2 - x_q)^2 + d1[j, p] - w_j; two targets differ by a linear function of
+x_q, so each owns one interval of the row, a 1-D power diagram of the
+second coordinates with row weights w_j - d1[j, p].  Its bisectors come
+from the formula of `IntervalCells.diagram`, batched over the rows:
+O(n1 N^2) work.  A node more than margin / (2 |y_j2 - y_k2|) inside j's
+side of the bisector with every other k is one where j's exact value lies
+below every other by more than the margin.  The margin is the Jacobian's
+reach plus a slack of over 1e3 times the rounding of any value, of
+fl(best + reach) and of a bound, so at such a node the float comparison
+would pick j strictly and find no runner-up within reach: the node takes
+j's label, filled by run length, and is no boundary node.  Only the nodes
+between the runs, the boundary nodes and a thin guard beside them, go
+through the float pass, from their gathered columns.  Labels, boundary
+nodes, values, masses and Jacobian are thus those of the full sweep, bit
+for bit.  Where N^2 >= n2 the bisectors cost as much as the sweep, and the
+tables are swept in chunks as the matrix is, as they are where two targets
+share a second coordinate.
 
 A `GridCells` is built once per grid and then shared: the kernel holds the
 source-density cells, the residual system the rho cells, snapshots label
@@ -179,21 +200,111 @@ def _cost_blocks(cost):
         yield lo, rows.reshape(n, -1)[:, lo - p0 * n2 : hi - p0 * n2]
 
 
+class _RowDiagrams:
+    """The weight-free constants of the per-row power diagrams of a 2-D
+    tensor grid under quadratic cost, and the labelling they give.
+
+    On axis row p the value of target j at node (p, q) is
+    (y_j2 - x_q)^2 + d1[j, p] - w_j, so two targets differ by a linear
+    function of x_q and each target owns one interval of the row: the 1-D
+    power diagram of the second coordinates with row weights
+    W_j = w_j - d1[j, p].  `order` sorts the targets by second coordinate,
+    which must be at least the least normal float apart (no two parallel
+    lines, and every reciprocal below finite).  Per pair in that order,
+    `mid[k, j]` and `inv[k, j]` are (y_j + y_k) / 2 and 1 / (2 (y_k - y_j))
+    of the bisector formula of `IntervalCells.diagram` (`inv` 0 where
+    k = j), and `below[k, j]` and `above[k, j]` mark the targets k that
+    bound j's interval from the left and from the right; all four carry a
+    trailing axis of one, for the rows.  `axis` is the grid's second axis,
+    ascending, `tol` the rounding slack of a bound on it, and `rows` the
+    axis rows per chunk, which keeps the (N, N, rows) bounds within
+    CHUNK_NODES entries.
+    """
+
+    def __init__(self, coords, axis):
+        # the coordinates are distinct, so j's rank is the count of those below
+        self.order = np.empty(coords.size, dtype=np.intp)
+        self.order[(coords[:, None] < coords).sum(axis=0)] = np.arange(coords.size)
+        y = coords[self.order]
+        gap = np.subtract.outer(y, y)  # y_k - y_j at [k, j]
+        self.below, self.above = (gap < 0.0)[:, :, None], (gap > 0.0)[:, :, None]
+        np.fill_diagonal(gap, np.inf)
+        self.inv = (0.5 / gap)[:, :, None]
+        self.mid = np.add.outer(y, y)[:, :, None]
+        self.mid *= 0.5
+        self.axis = axis
+        self.tol = 1e-12 * (max(-y[0], y[-1]) + max(-axis[0], axis[-1]))
+        self.rows = max(1, CHUNK_NODES // y.size**2)
+        for held in (self.order, self.inv, self.mid, self.below, self.above):
+            held.setflags(write=False)
+
+    def runs(self, d1, weights, margin):
+        """(starts, ends, owners) of the runs of nodes, in node order, that
+        the row diagrams label for certain: each node from starts[r] to
+        ends[r] has owners[r] as its unique minimizer, with every other
+        target more than `margin` above it.
+
+        Target j keeps the nodes where it stays the minimizer when its value
+        rises by the margin against each other target in turn: the bisector
+        formula with W_j lowered by the margin, whose bound on x_q is pulled
+        into j's interval by margin / (2 |y_j - y_k|).  The bounds are then
+        moved in by `tol`, so their rounding cannot let a node through."""
+        n, n1 = d1.shape
+        n2 = self.axis.size
+        ws = weights[self.order][:, None]
+        d1 = d1[self.order]
+        bound = np.empty((n, n, min(self.rows, n1)))
+        parts = []
+        # a bound that overflows reads as an unbounded or empty interval, and
+        # one that is nan (from infinite weights) as an empty one
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p0 in range(0, n1, self.rows):
+                row_w = ws - d1[:, p0 : p0 + self.rows]
+                b = bound[..., : row_w.shape[1]]
+                np.subtract(row_w, row_w[:, None], out=b)  # W_j - W_k at [k, j, p]
+                b -= margin
+                b *= self.inv
+                b += self.mid
+                # (rows, N) per-row bounds, so the runs come out in node order
+                lo = np.max(b, axis=0, where=self.below, initial=-np.inf).T
+                hi = np.min(b, axis=0, where=self.above, initial=np.inf).T
+                lo += self.tol
+                hi -= self.tol
+                r, j = np.nonzero(lo < hi)
+                first = np.searchsorted(self.axis, lo[r, j], "right")
+                stop = np.searchsorted(self.axis, hi[r, j], "left")
+                held = first < stop
+                offset = (p0 + r[held]) * n2
+                parts.append((offset + first[held], offset + stop[held], self.order[j[held]]))
+        return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _ranges(starts, ends):
+    """The integers of the ranges starts[i] to ends[i], concatenated."""
+    lengths = ends - starts
+    return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
+
+
 class GridCells:
     """Operands of grid-label cell masses for one (grid, targets, density,
     cost): the targets, their target-major cost, the density-weighted node
     masses, and the largest node spacing of the grid.
 
     `cost` is given as the (N, M) matrix or as the per-axis tables (d1, d2)
-    of a `_node_cost`, and held as `cost` or `tables`, the other None.  The
-    label sweeps read the matrix, or stream chunks of it from the tables.
-    The two constants of the measure Jacobian are fixed at construction: its
-    central-difference step and the largest |cost|, which bounds the rounding
-    slack of its boundary-node filter.  Nothing is assigned after
-    construction.
+    of a `_node_cost`, and held as `cost` or `tables`, the other None.  With
+    the tables comes `axis`, the grid's second axis, and the row diagrams'
+    constants are fixed from it (`_diagrams`), unless N^2 >= n2 (there
+    the N^2 bounds per axis row cost as much as sweeping the row's N * n2
+    values) or two targets' second coordinates are closer than the least
+    normal float (parallel lines): then every row takes the float pass, as
+    the tables are swept in chunks like the matrix.  The two
+    constants of the measure Jacobian are fixed at construction too: its
+    central-difference step and the largest |cost|, which bounds the
+    rounding slack of its boundary-node filter and of the row diagrams'
+    margin.  Nothing is assigned after construction.
     """
 
-    def __init__(self, targets, cost, node_mass, spacing):
+    def __init__(self, targets, cost, node_mass, spacing, axis=None):
         self.targets = targets
         self.tables = None if isinstance(cost, np.ndarray) else tuple(cost)
         self.cost = cost if self.tables is None else None
@@ -204,11 +315,15 @@ class GridCells:
         pts = targets.points
         gaps = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
         self._fd_step = max(FD_STEP, 2.0 * spacing * float(gaps.max()))
+        self._diagrams = None
         # the cost is nonnegative; from the tables, the largest entry of
         # row j is fl(max d1_j + max d2_j), since rounding is monotone
         if self.tables is not None:
             d1, d2 = self.tables
             self._cost_max = float((d1.max(axis=1) + d2.max(axis=1)).max())
+            y = pts[:, 1]
+            if self.n**2 < d2.shape[1] and np.diff(np.sort(y)).min(initial=np.inf) >= np.finfo(float).tiny:
+                self._diagrams = _RowDiagrams(y, axis)
         else:
             self._cost_max = float(cost.max())
 
@@ -221,57 +336,111 @@ class GridCells:
         counts = grid.panels_per_axis * grid.order
         spacing = max((hi - lo) / counts for lo, hi in zip(grid.lower, grid.upper))
         cost = _node_cost(targets, grid, cost_exponent)
-        return cls(targets=targets, cost=cost, node_mass=_node_mass(grid, density), spacing=spacing)
+        return cls(targets, cost, _node_mass(grid, density), spacing, grid.axes[-1])
 
     def blocks(self):
         """(lo, block) per chunk of CHUNK_NODES nodes: the (N, k) cost of
         nodes lo to lo + k (see `_cost_blocks`)."""
         return _cost_blocks(self.tables or self.cost)
 
-    def _columns(self, nodes):
-        """The (N, k) cost at the node indices `nodes`: matrix columns, or
-        from the tables d1[:, p] + d2[:, q], the same float sum."""
-        if self.tables is None:
-            return self.cost[:, nodes]
-        d1, d2 = self.tables
-        p, q = np.divmod(nodes, d2.shape[1])
-        return np.take(d1, p, axis=1) + np.take(d2, q, axis=1)
-
     def _sweep(self, weights, reach=None):
-        """Labels from one chunked pass over the rows: per node the argmin of
-        cost - weights, from a running minimum that lives per chunk.  A row
-        takes a node only when strictly smaller, so ties go to the lowest
+        """Labels: per node the argmin of cost - weights, ties to the lowest
         index, as `np.argmin` resolves them.
 
-        With `reach`, the pass also keeps the chunk's running runner-up value
-        (+inf for one row) and returns (labels, nodes, best, second): the
-        boundary nodes, those whose runner-up lies within `reach` of their
-        minimum (second <= best + reach), with both values there.  No
-        per-node minimum outlives its chunk.
+        With `reach`, returns (labels, nodes, cost, best, second, runner):
+        the boundary nodes, those whose runner-up lies within `reach` of
+        their minimum (second <= best + reach), in node order, with their
+        (N, k) cost columns, both values and the runner-up's label (the
+        lowest index among the other rows).
+
+        The float pass takes the cost in blocks of at most CHUNK_NODES
+        nodes, one row at a time, keeping per node of the block the running
+        minimum with its label and, with `reach`, the running runner-up
+        value (+inf for one row) with its label; a row takes over a node
+        only when strictly smaller.  The blocks are the chunks of `blocks`,
+        or, where the row diagrams label the rest (`_row_labels`), the
+        columns of the nodes they leave.  A block hands on its boundary
+        nodes' columns.
         """
         n, m = self.n, self.node_mass.size
-        labels = np.zeros(m, dtype=np.intp)
+        if self._diagrams is None:
+            labels = np.zeros(m, dtype=np.intp)
+            blocks = ((slice(lo, lo + b.shape[1]), b) for lo, b in self.blocks())
+        else:
+            labels, blocks = self._row_labels(weights, reach)
         width = min(m, CHUNK_NODES)
         low_buf, cand, run_buf, upper = (np.empty(width) for _ in range(4))
+        took_buf, beat_buf = (np.empty(width, dtype=bool) for _ in range(2))
+        rlab_buf = None if reach is None else np.empty(width, dtype=np.intp)
         found = []
-        for lo, block in self.blocks():
+        for nodes, block in blocks:
             k = block.shape[1]
-            lab, low, c, run, hi = labels[lo : lo + k], low_buf[:k], cand[:k], run_buf[:k], upper[:k]
+            low, c, run, hi, took = low_buf[:k], cand[:k], run_buf[:k], upper[:k], took_buf[:k]
+            chunk = isinstance(nodes, slice)  # else the nodes a row pass left
+            lab = labels[nodes]  # a view of a chunk, a copy of the nodes left
+            lab.fill(0)
             np.subtract(block[0], weights[0], out=low)
-            run.fill(np.inf)
+            if reach is not None:
+                beat, rlab = beat_buf[:k], rlab_buf[:k]
+                rlab.fill(0)
+                run.fill(np.inf)
             for j in range(1, n):
                 np.subtract(block[j], weights[j], out=c)
-                lab[c < low] = j
+                np.less(c, low, out=took)
                 if reach is not None:
+                    # j is the runner-up where it beats the old one, and
+                    # the old owner is where j takes over
+                    np.copyto(rlab, j, where=np.less(c, run, out=beat))
+                    np.copyto(rlab, lab, where=took)
                     np.minimum(run, np.maximum(low, c, out=hi), out=run)
+                np.copyto(lab, j, where=took)
                 np.minimum(low, c, out=low)
+            if not chunk:
+                labels[nodes] = lab
             if reach is not None:
                 near = np.flatnonzero(run <= np.add(low, reach, out=c))
-                found.append((near + lo, low[near], run[near]))
+                at = near + nodes.start if chunk else nodes[near]
+                found.append((at, block[:, near], low[near], run[near], rlab[near]))
         if reach is None:
             return labels
-        nodes, best, second = (np.concatenate(part) for part in zip(*found))
-        return labels, nodes, best, second
+        nodes, cost, best, second, runner = (
+            part[0] if len(part) == 1 else np.concatenate(part, axis=-1) for part in zip(*found)
+        )
+        return labels, nodes, cost, best, second, runner
+
+    def _row_labels(self, weights, reach):
+        """Labels from the row diagrams, and the blocks of the nodes they
+        leave to the float pass: (nodes, (N, k) cost columns
+        fl(d1[:, p] + d2[:, q])), at least one block, possibly empty.
+
+        The diagrams' margin is `reach` (0 for labels alone) plus a slack of
+        1e-12 * (largest |cost| + largest |weight| + reach), over 1e3 times
+        the rounding of any value, of fl(best + reach) and of a bound.  So a
+        node of a run has the float label of the run's owner and is no
+        boundary node; a node between runs (-1 here) goes to the float pass.
+        """
+        d1, d2 = self.tables
+        width = 0.0 if reach is None else reach
+        margin = width + 1e-12 * (self._cost_max + np.abs(weights).max() + width)
+        starts, ends, owners = self._diagrams.runs(d1, weights, margin)
+        # the runs and the gaps between them; a run's length repeats its owner
+        cuts = np.empty(2 * starts.size + 2, dtype=np.intp)
+        cuts[0], cuts[-1] = 0, self.node_mass.size
+        cuts[1:-1:2], cuts[2:-1:2] = starts, ends
+        values = np.full(2 * starts.size + 1, -1, dtype=np.intp)
+        values[1::2] = owners
+        labels = np.repeat(values, np.diff(cuts))
+        gaps = _ranges(cuts[::2], cuts[1::2])
+
+        def blocks():
+            for lo in range(0, gaps.size or 1, CHUNK_NODES):  # once with no gap
+                nodes = gaps[lo : lo + CHUNK_NODES]
+                p, q = np.divmod(nodes, d2.shape[1])
+                cost = np.take(d1, p, axis=1)
+                cost += np.take(d2, q, axis=1)
+                yield nodes, cost
+
+        return labels, blocks()
 
     def _masses(self, labels):
         return np.bincount(labels, weights=self.node_mass, minlength=self.n)
@@ -283,13 +452,18 @@ def _node_mass(grid, density):
     of `grid.weights` and of `density_eval` on `grid.nodes`, so the same
     bits, without forming either on the grid.  Node p * n2 + q has squared
     distance fl(s1[p] + s2[q]) to a Gaussian's center, as the per-node sum
-    over the two axes forms it."""
+    over the two axes forms it.  The Gaussian factor is formed in place in
+    the squared distances, so one node-length array is held beside the
+    weights (each product is the same rounding in either order)."""
     weights = tensor_weights(grid.axis_weights)
     if density.kind == DENSITY_UNIFORM:
         return weights * density.normalization
     gaps = [(x - c) ** 2 for x, c in zip(grid.axes, density.center)]
-    sq = gaps[0] if len(gaps) == 1 else np.add.outer(*gaps).ravel()
-    return weights * (density.normalization * np.exp(-density.sharpness * sq))
+    mass = gaps[0] if len(gaps) == 1 else np.add.outer(*gaps).ravel()
+    np.multiply(mass, -density.sharpness, out=mass)
+    np.exp(mass, out=mass)
+    np.multiply(mass, density.normalization, out=mass)
+    return np.multiply(mass, weights, out=mass)
 
 
 def grid_labels(weights, cells):
@@ -363,19 +537,17 @@ def measure_jacobian(weights, cells):
     # change owner.  Rounding moves a perturbed value off its exact shift by
     # a few ulps of |cost| + |weights| + step; the slack is over 1e3 times that.
     reach = step + 1e-12 * (cells._cost_max + np.abs(weights).max() + step)
-    labels, nodes, best, second = cells._sweep(weights, reach)
+    labels, nodes, cost, best, second, runner = cells._sweep(weights, reach)
     masses = cells._masses(labels)
     owner = labels[nodes]
     pos = np.arange(nodes.size)
-    cost = cells._columns(nodes)
-    cand = cost - weights[:, None]
-    cand[owner, pos] = np.inf
-    runner = cand.argmin(axis=0)  # lowest index over the other rows
     # +step on row k: k takes the node iff fl(cost_k - fl(w_k + step)) beats
-    # the owner's value, ties going to the lower index as in the sweep.
+    # the owner's value, ties going to the lower index as in the sweep: a
+    # row above the owner must fall below `best`, one below it only reach
+    # it, that is, fall below the next float up.
     raised = cost - (weights + step)[:, None]
-    ranks = np.arange(n)[:, None]
-    gain = (raised < best) | ((raised == best) & (ranks < owner))
+    bar = np.where(np.arange(n)[:, None] < owner, np.nextafter(best, np.inf), best)
+    gain = raised < bar
     gain[owner, pos] = False
     # -step on the owner: it keeps the node iff it still beats the runner-up.
     lowered = cost[owner, pos] - (weights[owner] - step)
@@ -383,12 +555,12 @@ def measure_jacobian(weights, cells):
     # Column k of plus - minus: each moved node's mass enters row k with +
     # and the row it left (plus) or went to (minus) with -.  Every entry
     # sums its +step moves, then its -step moves, each in node order.
-    k, at = np.nonzero(gain)
+    k, at = np.divmod(np.flatnonzero(gain), nodes.size)
     mass = cells.node_mass[nodes]
-    rows = np.concatenate([k, owner[at], owner[lose], runner[lose]])
-    cols = np.concatenate([k, k, owner[lose], owner[lose]])
-    moved = np.concatenate([mass[at], -mass[at], mass[lose], -mass[lose]])
-    diff = np.bincount(rows * n + cols, weights=moved, minlength=n * n).reshape(n, n)
+    gained, lost, left = mass[at], mass[lose], owner[lose]
+    flat = np.concatenate([k * (n + 1), owner[at] * n + k, left * (n + 1), runner[lose] * n + left])
+    moved = np.concatenate([gained, -gained, lost, -lost])
+    diff = np.bincount(flat, weights=moved, minlength=n * n).reshape(n, n)
     jac = diff / (2.0 * step)
     return masses, 0.5 * (jac + jac.T)
 

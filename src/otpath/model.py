@@ -140,9 +140,11 @@ def _erf_gap(a, b):
 
 def _gauss_axis_integral(lo, hi, c, s):
     """Integral of exp(-s (x - c)^2) over [lo, hi], of floats or elementwise
-    of float arrays."""
+    of float arrays.  A scaled end that overflows is +-inf, where erf takes
+    its limit; a sharpness below about 1.75e-308 makes the integral inf."""
     half = 0.5 * np.sqrt(np.pi / s)
-    a, b = np.sqrt(s) * (lo - c), np.sqrt(s) * (hi - c)
+    with np.errstate(over="ignore"):
+        a, b = np.sqrt(s) * (lo - c), np.sqrt(s) * (hi - c)
     if np.ndim(a) == 0 and np.ndim(b) == 0:
         return half * _erf_gap(a, b)
     a, b = np.broadcast_arrays(a, b)
@@ -156,19 +158,26 @@ def gaussian_bump_density(domain, center=None, sharpness=10.0, normalization=Non
     With normalization=None the constant is computed in closed form (product
     of per-axis error-function integrals), so the density integrates to 1 to
     machine precision; a bump whose integral on the box underflows, or whose
-    reciprocal overflows, is refused.  An explicit constant (e.g. a rounded
-    literature value) is stored verbatim; `build_problem` re-checks its
-    integral and warns if it is off by more than 1e-3.
+    reciprocal overflows, is refused, and so, whatever the constant, is a
+    sharpness so small that an axis integral overflows.  An explicit
+    constant (e.g. a rounded literature value) is stored verbatim;
+    `build_problem` re-checks its integral and warns if it is off by more
+    than 1e-3.
     """
     if center is None:
         center = tuple(domain.center)
     center = tuple(float(c) for c in center)
     if len(center) != domain.dim:
         raise ConfigError("density center dimension does not match the domain")
+    total = 1.0
+    for lo, hi, c in zip(domain.lower, domain.upper, center):
+        integral = _gauss_axis_integral(lo, hi, c, sharpness)
+        if not math.isfinite(integral):
+            raise ConfigError(
+                f"gauss density sharpness {sharpness:g} is too small: its integral over the domain overflows"
+            )
+        total *= integral
     if normalization is None:
-        total = 1.0
-        for lo, hi, c in zip(domain.lower, domain.upper, center):
-            total *= _gauss_axis_integral(lo, hi, c, sharpness)
         if not (total > 0.0 and math.isfinite(1.0 / float(total))):
             raise ConfigError(
                 f"gauss density at {center} with sharpness {sharpness:g} has no mass on the domain"

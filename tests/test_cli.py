@@ -548,6 +548,17 @@ BAD_INPUTS = [
                  id="config-density-far-off"),
     pytest.param(["run"], {"variant": "p4", "rho": {"kind": "gauss", "center": [40.0]}}, 1,
                  "gauss density at (40.0,) with sharpness 10 has no mass on the domain", id="config-rho-far-off"),
+    # an axis integral that overflows, with or without an explicit constant
+    pytest.param(["run"], {"density": {"kind": "gauss", "sharpness": 1e-308, "normalization": 1.0}}, 1,
+                 "gauss density sharpness 1e-308 is too small: its integral over the domain overflows",
+                 id="config-density-sharpness-tiny"),
+    pytest.param(["run"], {"variant": "p4", "rho": {"kind": "gauss", "sharpness": 1e-308}}, 1,
+                 "gauss density sharpness 1e-308 is too small: its integral over the domain overflows",
+                 id="config-rho-sharpness-tiny"),
+    # the scaled box ends overflow: refused without a warning line
+    pytest.param(["run"], {"density": {"kind": "gauss", "center": [1e308]}}, 1,
+                 "gauss density at (1e+308,) with sharpness 10 has no mass on the domain",
+                 id="config-density-center-huge"),
     pytest.param(["run"], {"parabola": True}, 1, "the parabola layout is two-dimensional", id="config-parabola-1d"),
     pytest.param(["run"], {"alpha": [0.1]}, 1, "alpha must be a real number", id="config-alpha-list"),
     pytest.param(["run"], {"seed": 1.5}, 1, "seed must be an integer, got 1.5", id="config-seed-float"),

@@ -348,25 +348,33 @@ def test_jacobian_constants_fixed_at_build(dim, exponent):
 
 
 def test_sweep_keeps_labels_and_boundary_minima(dom2):
-    # the labels do not depend on `reach`; with it, the boundary nodes and
-    # their minimum and runner-up equal a whole-matrix reference, though
-    # the sweep keeps both values per chunk only
+    # the labels do not depend on `reach`; with it, the boundary nodes, their
+    # minimum and runner-up, cost columns and runner-up label equal a
+    # whole-matrix reference, though the chunked sweep keeps both values per
+    # chunk only and the row pass compares in floats near cell boundaries only
     targets = sample_targets(6, 2, dom2, seed=5)
     grid = build_grid(dom2, 24, 6)  # 20,736 nodes: three chunks
     cells = GridCells.build(targets, grid, gaussian_bump_density(dom2))
+    matrix = on_matrix(cells, grid)
+    cost = cost_matrix(targets.points, None, 2.0, grid.axes)
     rng = np.random.default_rng(4)
     for _ in range(3):
         weights = rng.uniform(-0.2, 0.2, 6)
-        shifted = cost_matrix(targets.points, None, 2.0, grid.axes) - weights[:, None]
+        shifted = cost - weights[:, None]
         values = np.sort(shifted, axis=0)
-        labels = cells._sweep(weights)
-        assert np.array_equal(labels, np.argmin(shifted, axis=0))
-        for reach in (0.0, 1e-3, 0.05):
-            got, nodes, best, second = cells._sweep(weights, reach)
-            assert np.array_equal(got, labels)
-            expected = np.flatnonzero(values[1] <= values[0] + reach)
-            assert np.array_equal(nodes, expected)
-            assert np.array_equal(best, values[0, expected]) and np.array_equal(second, values[1, expected])
+        for swept in (cells, matrix):
+            labels = swept._sweep(weights)
+            assert np.array_equal(labels, np.argmin(shifted, axis=0))
+            for reach in (0.0, 1e-3, 0.05):
+                got, nodes, columns, best, second, runner = swept._sweep(weights, reach)
+                assert np.array_equal(got, labels)
+                expected = np.flatnonzero(values[1] <= values[0] + reach)
+                assert np.array_equal(nodes, expected)
+                assert np.array_equal(best, values[0, expected]) and np.array_equal(second, values[1, expected])
+                assert np.array_equal(columns, cost[:, expected])
+                others = shifted[:, expected]
+                others[labels[expected], np.arange(expected.size)] = np.inf
+                assert np.array_equal(runner, np.argmin(others, axis=0))
 
 
 def test_grid_labels_match_argmin_on_exact_ties():
@@ -699,7 +707,7 @@ class _ReadCounter(np.ndarray):
 
 def test_p4_stage_jacobian_sweeps_the_rho_matrix_once(dom2):
     # masses and Jacobian at one point: one pass over the (N, M) matrix,
-    # plus one gather of the columns of the boundary nodes
+    # whose chunks hand on the boundary nodes' columns, so none is read again
     prob = build_problem(
         {"variant": "p4", "dim": 2, "n_targets": 6, "seed": 4, "rho": {"kind": "gauss"}}
     )
@@ -718,7 +726,7 @@ def test_p4_stage_jacobian_sweeps_the_rho_matrix_once(dom2):
     swept = sum(size for gather, size in counted.reads if not gather)
     gathers = [size for gather, size in counted.reads if gather]
     assert swept == n * m
-    assert len(gathers) == 1 and gathers[0] < n * m // 2
+    assert gathers == []
     # the same bits as the streamed rho cells
     assert np.array_equal(jac, ResidualSystem(prob, grid).full(psi, 0.5).jac)
 
@@ -768,6 +776,88 @@ def test_grid_jacobian_on_exact_ties():
                 tied += np.count_nonzero(raised == (cost - weights[:, None]).min(axis=0))
                 _assert_matches_moved_node_reference(weights, cells, cost)
     assert tied > 0
+
+
+def _assert_row_pass_is_the_sweep(weights, cells, grid):
+    """The label pass of `cells` against the chunked sweep of the same cells
+    on the matrix, bit for bit: labels, boundary nodes with their columns,
+    values and runner-up labels at three reaches, masses and Jacobian; the
+    Jacobian also against the moved-node reference."""
+    matrix = on_matrix(cells, grid)
+    labels = grid_labels(weights, cells)
+    assert np.array_equal(labels, np.argmin(matrix.cost - weights[:, None], axis=0))
+    assert np.array_equal(labels, grid_labels(weights, matrix))
+    for reach in (0.0, cells._fd_step, 0.05):
+        for got, ref in zip(cells._sweep(weights, reach), matrix._sweep(weights, reach)):
+            assert np.array_equal(got, ref)
+    assert np.array_equal(power_cell_measures(weights, cells), power_cell_measures(weights, matrix))
+    masses, jac = measure_jacobian(weights, cells)
+    ref_masses, ref_jac = measure_jacobian(weights, matrix)
+    assert np.array_equal(masses, ref_masses) and np.array_equal(jac, ref_jac)
+    assert np.array_equal(jac, _moved_node_jacobian(weights, cells, matrix.cost))
+    return labels
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 12])
+def test_row_pass_matches_the_sweep_on_random_cells(n):
+    # p4 rho cells and p1 kernel cells on the base grid and the boosted one;
+    # N = 12 on the 144 nodes of a base axis row takes the chunked sweep
+    base = build_grid(unit_domain(2), 24, 6)
+    rng = np.random.default_rng(n)
+    for grid in (base, refine_grid(base, homotopy.BOOST_FACTOR)):
+        p4 = build_problem({"variant": "p4", "dim": 2, "n_targets": n, "seed": 4, "rho": {"kind": "gauss"}})
+        p1 = build_problem({"variant": "p1", "dim": 2, "n_targets": n, "seed": 9})
+        for cells in (ResidualSystem(p4, grid).rho_cells, KernelEvaluator(p1, grid).cells):
+            assert (cells._diagrams is not None) == (n * n < grid.axes[1].size)
+            for scale in (0.02, 0.3):
+                _assert_row_pass_is_the_sweep(rng.uniform(-scale, scale, n), cells, grid)
+
+
+def test_row_pass_edge_cases():
+    dom = unit_domain(2)
+    grid = build_grid(dom, 8, 4)  # 32 nodes per axis row: the row pass up to N = 5
+    density = gaussian_bump_density(dom)
+
+    def cells_of(points):
+        return GridCells.build(TargetSet(points=np.array(points, dtype=float)), grid, density)
+
+    rng = np.random.default_rng(6)
+    # two targets share a second coordinate: parallel lines on every row,
+    # so every row takes the float pass
+    shared = cells_of([[0.2, 0.5], [0.8, 0.5], [0.5, 0.1], [0.4, 0.9]])
+    assert shared._diagrams is None
+    for weights in ([0.0, 0.0, 0.0, 0.0], [0.05, 0.0, 0.0, 0.0], [0.0, 0.36, 0.0, 0.0]):
+        _assert_row_pass_is_the_sweep(np.array(weights), shared, grid)
+    for _ in range(20):
+        _assert_row_pass_is_the_sweep(rng.uniform(-0.2, 0.2, 4), shared, grid)
+    # targets outside the box, an empty cell, and one cell that swallows
+    # whole rows (here every row)
+    outside = cells_of([[-0.5, 1.7], [1.4, -0.3], [0.5, 0.5], [2.0, 0.4]])
+    assert outside._diagrams is not None
+    for _ in range(10):
+        _assert_row_pass_is_the_sweep(rng.uniform(-0.5, 0.5, 4), outside, grid)
+    labels = _assert_row_pass_is_the_sweep(np.array([0.0, 0.0, -10.0, 0.0]), outside, grid)
+    assert not np.any(labels == 2)
+    labels = _assert_row_pass_is_the_sweep(np.array([0.0, 0.0, 5.0, 0.0]), outside, grid)
+    assert np.all(labels == 2)
+    rows = grid_labels(np.array([0.0, 0.0, 0.6, -0.3]), outside).reshape(32, 32)
+    assert np.all(rows == rows[:, :1], axis=1).any()  # some row has one owner
+    # six targets on 32 nodes per axis row: N^2 > n2, so the tables are
+    # swept in chunks like the matrix, with the same bits
+    many = cells_of(rng.uniform(0.0, 1.0, (6, 2)))
+    assert many._diagrams is None
+    weights = rng.uniform(-0.2, 0.2, 6)
+    reach = many._fd_step
+    for got, ref in zip(many._sweep(weights, reach), on_matrix(many, grid)._sweep(weights, reach)):
+        assert np.array_equal(got, ref)
+    # nodes exactly on a bisector go to the lower index: on the 3x5 grid the
+    # middle node of each axis is 0.5, and (0.75 - 0.5)^2 = (0.25 - 0.5)^2
+    mid = build_grid(dom, 3, 5)
+    for points in ([[0.3, 0.75], [0.3, 0.25], [0.9, 0.9]], [[0.3, 0.25], [0.3, 0.75], [0.9, 0.9]]):
+        cells = GridCells.build(TargetSet(points=np.array(points)), mid, density)
+        assert cells._diagrams is not None and mid.axes[1][7] == 0.5
+        labels = _assert_row_pass_is_the_sweep(np.array([0.0, 0.0, -2.0]), cells, mid)
+        assert np.all(labels.reshape(15, 15)[:, 7] == 0)  # the third cell is empty
 
 
 # 1,024 nodes (one chunk); 10,000 (100 per axis row: the chunk boundary at
