@@ -26,6 +26,7 @@ from .errors import ConfigError, SolverError
 from .homotopy import (
     DEFAULT_ALPHA,
     DEFAULT_BETA,
+    _check_stage_times,
     integrate_homotopy,
     lattice_steps,
     rk3_tableau,
@@ -114,7 +115,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        for dt in self.dt_list:  # the integrator's own lattice checks, run up front
+        # the integrator's tableau, stage-time and lattice checks, run up front
+        _check_stage_times(rk3_tableau(self.alpha, self.beta))
+        for dt in self.dt_list:
             snapshot_steps(self.snapshot_times, lattice_steps(dt))
         # defaults the problem layer refuses to guess
         if self.variant == "p3" and self.anchor is None:

@@ -3,9 +3,9 @@
 The trajectory solves jacobian(psi, t) * psi'(t) = -dt(psi, t) from the
 closed-form start at t=0 to the unregularized optimum at t=1.  The stage
 times of the two-parameter tableau family are (0, alpha, beta) with
-alpha, beta < 1, so no stage ever evaluates the kernel at t = 1; variants
-whose right-hand side is singular at t=0 instead supply psi'(0) in closed
-form, which replaces the first stage of the first step only.
+alpha, beta in (0, 1), so no stage ever evaluates the kernel at t = 1;
+variants whose right-hand side is singular at t=0 instead supply psi'(0) in
+closed form, which replaces the first stage of the first step only.
 """
 
 import time
@@ -179,6 +179,16 @@ def snapshot_steps(snapshot_times, steps):
     return snap_set
 
 
+def _check_stage_times(tableau):
+    """Refuse stage times alpha, beta outside (0, 1): no stage lies before
+    t = 0, and none evaluates t = 1."""
+    alpha, beta = tableau.alpha, tableau.beta
+    if not (0.0 < alpha < 1.0 and 0.0 < beta < 1.0):
+        raise ConfigError(
+            f"stage times alpha and beta must lie in (0, 1), got alpha = {alpha}, beta = {beta}"
+        )
+
+
 def integrate_homotopy(
     problem,
     dt,
@@ -204,8 +214,7 @@ def integrate_homotopy(
     steps = lattice_steps(dt)
     if tableau is None:
         tableau = rk3_tableau(DEFAULT_ALPHA, DEFAULT_BETA)
-    if max(tableau.alpha, tableau.beta) >= 1.0:
-        raise ConfigError("stage times must stay below 1 so t=1 is never evaluated")
+    _check_stage_times(tableau)
 
     snap_set = snapshot_steps(snapshot_times, steps)
 

@@ -49,20 +49,26 @@ float comparison.  On axis row p, target j's value at node (p, q) is
 (y_j2 - x_q)^2 + d1[j, p] - w_j; two targets differ by a linear function of
 x_q, so each owns one interval of the row, a 1-D power diagram of the
 second coordinates with row weights w_j - d1[j, p].  Its bisectors come
-from the formula of `IntervalCells.diagram`, batched over the rows:
-O(n1 N^2) work.  A node more than margin / (2 |y_j2 - y_k2|) inside j's
-side of the bisector with every other k is one where j's exact value lies
-below every other by more than the margin.  The margin is the Jacobian's
-reach plus a slack of over 1e3 times the rounding of any value, of
-fl(best + reach) and of a bound, so at such a node the float comparison
-would pick j strictly and find no runner-up within reach: the node takes
-j's label, filled by run length, and is no boundary node.  Only the nodes
-between the runs, the boundary nodes and a thin guard beside them, go
-through the float pass, from their gathered columns.  Labels, boundary
-nodes, values, masses and Jacobian are thus those of the full sweep, bit
-for bit.  Where N^2 >= n2 the bisectors cost as much as the sweep, and the
-tables are swept in chunks as the matrix is, as they are where two targets
-share a second coordinate.
+from the formula of `IntervalCells.diagram`, for every row at once in each
+call (`_row_runs`): O(n1 N^2) work.  A node more than
+margin / (2 |y_j2 - y_k2|) inside j's side of the bisector with every other
+k is one where j's exact value lies below every other by more than the
+margin.  The margin is the Jacobian's reach plus a slack of over 1e3 times
+the rounding of any value, of fl(best + reach) and of a bound, so at such a
+node the float comparison would pick j strictly and find no runner-up
+within reach: the node takes j's label, filled by run length, and is no
+boundary node.  Only the nodes between the runs, the boundary nodes and a
+thin guard beside them, go through the float pass, from their gathered
+columns.  Labels, boundary nodes, values, masses and Jacobian are thus
+those of the full sweep, bit for bit.  Where two targets share a second
+coordinate the rows hold parallel lines, and the tables are swept in
+chunks as the matrix is.  Against that chunked sweep (one BLAS thread,
+random targets, N = 6 to 48 on 144- and 288-node axis rows) the row pass
+forms the masses in 0.3-0.8 of the time at every N; the Jacobian in
+0.6-0.93 up to N = 12 on 144-node rows and N = 32 on 288-node ones (even
+at 48), and in 1.03-1.23 from 17 to 48 on 144-node rows, where most nodes
+lie within its reach of a bisector (80% at N = 48) and take the float pass
+from gathered columns.
 
 A `GridCells` is built once per grid and then shared: the kernel holds the
 source-density cells, the residual system the rho cells, snapshots label
@@ -200,83 +206,49 @@ def _cost_blocks(cost):
         yield lo, rows.reshape(n, -1)[:, lo - p0 * n2 : hi - p0 * n2]
 
 
-class _RowDiagrams:
-    """The weight-free constants of the per-row power diagrams of a 2-D
-    tensor grid under quadratic cost, and the labelling they give.
+def _row_runs(coords, axis, d1, weights, margin):
+    """(starts, ends, owners) of the runs of nodes, in node order, that the
+    row diagrams (see the module docstring) label for certain: each node
+    from starts[r] to ends[r] has owners[r] as its unique minimizer, with
+    every other target more than `margin` above it.
 
-    On axis row p the value of target j at node (p, q) is
-    (y_j2 - x_q)^2 + d1[j, p] - w_j, so two targets differ by a linear
-    function of x_q and each target owns one interval of the row: the 1-D
-    power diagram of the second coordinates with row weights
-    W_j = w_j - d1[j, p].  `order` sorts the targets by second coordinate,
-    which must be at least the least normal float apart (no two parallel
-    lines, and every reciprocal below finite).  Per pair in that order,
-    `mid[k, j]` and `inv[k, j]` are (y_j + y_k) / 2 and 1 / (2 (y_k - y_j))
-    of the bisector formula of `IntervalCells.diagram` (`inv` 0 where
-    k = j), and `below[k, j]` and `above[k, j]` mark the targets k that
-    bound j's interval from the left and from the right; all four carry a
-    trailing axis of one, for the rows.  `axis` is the grid's second axis,
-    ascending, `tol` the rounding slack of a bound on it, and `rows` the
-    axis rows per chunk, which keeps the (N, N, rows) bounds within
-    CHUNK_NODES entries.
+    `coords` are the targets' second coordinates, at least the least normal
+    float apart (no parallel lines, every reciprocal below finite), and
+    `axis` the grid's second axis, ascending.  Target j keeps the nodes
+    where it stays the minimizer when its value rises by the margin against
+    each other target k in turn: the bisector formula with j's row weight
+    w_j - d1[j, p] lowered by the margin, whose bound on x_q is pulled into
+    j's interval by margin / (2 |y_j - y_k|).  The bounds are then moved in
+    by `tol`, the rounding slack of a bound on the axis, so their rounding
+    cannot let a node through.  The O(N^2) weight-free constants are formed
+    here, and the (N, N, n1) bounds of all rows at once.
     """
-
-    def __init__(self, coords, axis):
-        # the coordinates are distinct, so j's rank is the count of those below
-        self.order = np.empty(coords.size, dtype=np.intp)
-        self.order[(coords[:, None] < coords).sum(axis=0)] = np.arange(coords.size)
-        y = coords[self.order]
-        gap = np.subtract.outer(y, y)  # y_k - y_j at [k, j]
-        self.below, self.above = (gap < 0.0)[:, :, None], (gap > 0.0)[:, :, None]
-        np.fill_diagonal(gap, np.inf)
-        self.inv = (0.5 / gap)[:, :, None]
-        self.mid = np.add.outer(y, y)[:, :, None]
-        self.mid *= 0.5
-        self.axis = axis
-        self.tol = 1e-12 * (max(-y[0], y[-1]) + max(-axis[0], axis[-1]))
-        self.rows = max(1, CHUNK_NODES // y.size**2)
-        for held in (self.order, self.inv, self.mid, self.below, self.above):
-            held.setflags(write=False)
-
-    def runs(self, d1, weights, margin):
-        """(starts, ends, owners) of the runs of nodes, in node order, that
-        the row diagrams label for certain: each node from starts[r] to
-        ends[r] has owners[r] as its unique minimizer, with every other
-        target more than `margin` above it.
-
-        Target j keeps the nodes where it stays the minimizer when its value
-        rises by the margin against each other target in turn: the bisector
-        formula with W_j lowered by the margin, whose bound on x_q is pulled
-        into j's interval by margin / (2 |y_j - y_k|).  The bounds are then
-        moved in by `tol`, so their rounding cannot let a node through."""
-        n, n1 = d1.shape
-        n2 = self.axis.size
-        ws = weights[self.order][:, None]
-        d1 = d1[self.order]
-        bound = np.empty((n, n, min(self.rows, n1)))
-        parts = []
-        # a bound that overflows reads as an unbounded or empty interval, and
-        # one that is nan (from infinite weights) as an empty one
-        with np.errstate(over="ignore", invalid="ignore"):
-            for p0 in range(0, n1, self.rows):
-                row_w = ws - d1[:, p0 : p0 + self.rows]
-                b = bound[..., : row_w.shape[1]]
-                np.subtract(row_w, row_w[:, None], out=b)  # W_j - W_k at [k, j, p]
-                b -= margin
-                b *= self.inv
-                b += self.mid
-                # (rows, N) per-row bounds, so the runs come out in node order
-                lo = np.max(b, axis=0, where=self.below, initial=-np.inf).T
-                hi = np.min(b, axis=0, where=self.above, initial=np.inf).T
-                lo += self.tol
-                hi -= self.tol
-                r, j = np.nonzero(lo < hi)
-                first = np.searchsorted(self.axis, lo[r, j], "right")
-                stop = np.searchsorted(self.axis, hi[r, j], "left")
-                held = first < stop
-                offset = (p0 + r[held]) * n2
-                parts.append((offset + first[held], offset + stop[held], self.order[j[held]]))
-        return tuple(np.concatenate(part) for part in zip(*parts))
+    order = np.argsort(coords)
+    y = coords[order]
+    gap = y[:, None, None] - y[:, None]  # y_k - y_j at [k, j, 0]
+    # the targets k that bound j's interval from the left and from the right
+    below, above = gap < 0.0, gap > 0.0
+    tol = 1e-12 * (max(-y[0], y[-1]) + max(-axis[0], axis[-1]))
+    row_w = weights[order][:, None] - d1[order]
+    # a bound that overflows reads as an unbounded or empty interval, and
+    # one that is nan (from infinite weights) as an empty one; the k = j
+    # bounds (a division by zero) are masked out
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        b = np.subtract(row_w, row_w[:, None])  # W_j - W_k at [k, j, p]
+        b -= margin
+        b *= 0.5 / gap
+        b += 0.5 * (y[:, None, None] + y[:, None])
+        # (n1, N) per-row bounds, so the runs come out in node order
+        lo = np.max(b, axis=0, where=below, initial=-np.inf).T
+        hi = np.min(b, axis=0, where=above, initial=np.inf).T
+        lo += tol
+        hi -= tol
+        r, j = np.nonzero(lo < hi)
+    first = np.searchsorted(axis, lo[r, j], "right")
+    stop = np.searchsorted(axis, hi[r, j], "left")
+    held = first < stop
+    offset = r[held] * axis.size
+    return offset + first[held], offset + stop[held], order[j[held]]
 
 
 def _ranges(starts, ends):
@@ -292,16 +264,15 @@ class GridCells:
 
     `cost` is given as the (N, M) matrix or as the per-axis tables (d1, d2)
     of a `_node_cost`, and held as `cost` or `tables`, the other None.  With
-    the tables comes `axis`, the grid's second axis, and the row diagrams'
-    constants are fixed from it (`_diagrams`), unless N^2 >= n2 (there
-    the N^2 bounds per axis row cost as much as sweeping the row's N * n2
-    values) or two targets' second coordinates are closer than the least
-    normal float (parallel lines): then every row takes the float pass, as
-    the tables are swept in chunks like the matrix.  The two
-    constants of the measure Jacobian are fixed at construction too: its
-    central-difference step and the largest |cost|, which bounds the
-    rounding slack of its boundary-node filter and of the row diagrams'
-    margin.  Nothing is assigned after construction.
+    the tables comes `axis`, the grid's second axis, and every pass labels
+    row by row (`_row_runs`), whatever N, unless two targets' second
+    coordinates are closer than the least normal float (parallel lines):
+    then the tables are swept in chunks like the matrix (the measured
+    crossover is in the module docstring).  The two constants of the measure
+    Jacobian are fixed at construction: its central-difference step and the
+    largest |cost|, which bounds the rounding slack of its boundary-node
+    filter and of the row diagrams' margin.  Nothing is assigned after
+    construction.
     """
 
     def __init__(self, targets, cost, node_mass, spacing, axis=None):
@@ -315,15 +286,12 @@ class GridCells:
         pts = targets.points
         gaps = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
         self._fd_step = max(FD_STEP, 2.0 * spacing * float(gaps.max()))
-        self._diagrams = None
+        self._axis = axis
         # the cost is nonnegative; from the tables, the largest entry of
         # row j is fl(max d1_j + max d2_j), since rounding is monotone
         if self.tables is not None:
             d1, d2 = self.tables
             self._cost_max = float((d1.max(axis=1) + d2.max(axis=1)).max())
-            y = pts[:, 1]
-            if self.n**2 < d2.shape[1] and np.diff(np.sort(y)).min(initial=np.inf) >= np.finfo(float).tiny:
-                self._diagrams = _RowDiagrams(y, axis)
         else:
             self._cost_max = float(cost.max())
 
@@ -357,13 +325,14 @@ class GridCells:
         nodes, one row at a time, keeping per node of the block the running
         minimum with its label and, with `reach`, the running runner-up
         value (+inf for one row) with its label; a row takes over a node
-        only when strictly smaller.  The blocks are the chunks of `blocks`,
-        or, where the row diagrams label the rest (`_row_labels`), the
-        columns of the nodes they leave.  A block hands on its boundary
-        nodes' columns.
+        only when strictly smaller.  The blocks are the columns of the nodes
+        the row diagrams leave (`_row_labels`), or, for the matrix and for
+        parallel lines, the chunks of `blocks`.  A block hands on its
+        boundary nodes' columns.
         """
         n, m = self.n, self.node_mass.size
-        if self._diagrams is None:
+        y = None if self.tables is None else np.sort(self.targets.points[:, 1])
+        if y is None or np.diff(y).min(initial=np.inf) < np.finfo(float).tiny:
             labels = np.zeros(m, dtype=np.intp)
             blocks = ((slice(lo, lo + b.shape[1]), b) for lo, b in self.blocks())
         else:
@@ -422,7 +391,8 @@ class GridCells:
         d1, d2 = self.tables
         width = 0.0 if reach is None else reach
         margin = width + 1e-12 * (self._cost_max + np.abs(weights).max() + width)
-        starts, ends, owners = self._diagrams.runs(d1, weights, margin)
+        y = self.targets.points[:, 1]
+        starts, ends, owners = _row_runs(y, self._axis, d1, weights, margin)
         # the runs and the gaps between them; a run's length repeats its owner
         cuts = np.empty(2 * starts.size + 2, dtype=np.intp)
         cuts[0], cuts[-1] = 0, self.node_mass.size

@@ -446,8 +446,8 @@ def build_problem(config):
     n_targets), or `n_targets` + `seed` (random sampling in the variant's
     `default_target_box`).  p3 additionally takes `anchor`, p4 takes `rho`.
     Any other key is refused, and so is a `dim`, `n_targets` or `seed` that
-    is not an integer, or an `anchor` coordinate that is not a real number
-    (a bool is neither: JSON true is not 1).
+    is not an integer, a negative `seed`, or an `anchor` coordinate that is
+    not a real number (a bool is neither: JSON true is not 1).
     """
     unknown = set(config) - {
         "variant", "dim", "density", "cost_exponent", "targets", "parabola",
@@ -458,6 +458,8 @@ def build_problem(config):
     for key in ("dim", "n_targets", "seed"):
         if key in config and not _typed(config[key], (int, np.integer)):
             raise ConfigError(f"{key} must be an integer, got {config[key]!r}")
+    if config.get("seed", 0) < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {config['seed']!r}")
     variant = config.get("variant")
     if variant not in VARIANTS:
         raise ConfigError(f"config must name a variant among {VARIANTS}")

@@ -475,6 +475,13 @@ BAD_INPUTS = [
     pytest.param(["run", "--snapshots", "nan"], None, 1,
                  "snapshot time nan is not on the step lattice", id="snapshots-nan"),
     pytest.param(["run", "--alpha", "0"], None, 1, "tableau", id="alpha-0"),
+    # a stage time before t = 0 is refused by name before the output directory
+    pytest.param(["run", "--alpha", "-0.5", "--beta", "0.25", "--n", "2", "--dt", "0.25"], None, 1,
+                 "stage times alpha and beta must lie in (0, 1), got alpha = -0.5, beta = 0.25",
+                 id="alpha-negative"),
+    pytest.param(["run", "--beta", "-0.25", "--n", "2", "--dt", "0.25"], None, 1,
+                 "stage times alpha and beta must lie in (0, 1), got alpha = 0.125, beta = -0.25",
+                 id="beta-negative"),
     pytest.param(["run", "--boost-after", "0.5"], None, 1, None, id="boost-after-flag"),
     pytest.param(["run"], {"boost_after": 0.9}, 1, "boost_after", id="config-boost-after"),
     pytest.param(["run"], {"variant": "p7"}, 1, "variant", id="config-variant-unknown"),
@@ -563,6 +570,10 @@ BAD_INPUTS = [
     pytest.param(["run"], {"alpha": [0.1]}, 1, "alpha must be a real number", id="config-alpha-list"),
     pytest.param(["run"], {"seed": 1.5}, 1, "seed must be an integer, got 1.5", id="config-seed-float"),
     pytest.param(["run"], {"seed": [1]}, 1, "seed must be an integer, got [1]", id="config-seed-list"),
+    pytest.param(["run"], {"seed": -1}, 1, "seed must be a non-negative integer, got -1",
+                 id="config-seed-negative"),
+    pytest.param(["run", "--seed", "-1"], None, 1, "seed must be a non-negative integer, got -1",
+                 id="seed-negative"),
     pytest.param(["run"], {"cost_exponent": [2]}, 1, "cost_exponent must be a real number, got [2]",
                  id="config-cost-exponent-list"),
     # JSON true is not the number 1, nor 1 a bool

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -798,24 +800,41 @@ def _assert_row_pass_is_the_sweep(weights, cells, grid):
     return labels
 
 
-@pytest.mark.parametrize("n", [1, 2, 6, 12])
-def test_row_pass_matches_the_sweep_on_random_cells(n):
+def _spy_row_runs(monkeypatch):
+    """The (N, n1, n2) of every call of the row function from now on."""
+    calls = []
+    original = laguerre._row_runs
+
+    def recording(coords, axis, d1, weights, margin):
+        calls.append(d1.shape + axis.shape)
+        return original(coords, axis, d1, weights, margin)
+
+    monkeypatch.setattr(laguerre, "_row_runs", recording)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 12, 17, 24])
+def test_row_pass_matches_the_sweep_on_random_cells(n, monkeypatch):
     # p4 rho cells and p1 kernel cells on the base grid and the boosted one;
-    # N = 12 on the 144 nodes of a base axis row takes the chunked sweep
+    # every pass of the tables labels row by row, N = 17 and 24 on the 144
+    # nodes of a base axis row included
+    calls = _spy_row_runs(monkeypatch)
     base = build_grid(unit_domain(2), 24, 6)
     rng = np.random.default_rng(n)
     for grid in (base, refine_grid(base, homotopy.BOOST_FACTOR)):
         p4 = build_problem({"variant": "p4", "dim": 2, "n_targets": n, "seed": 4, "rho": {"kind": "gauss"}})
         p1 = build_problem({"variant": "p1", "dim": 2, "n_targets": n, "seed": 9})
         for cells in (ResidualSystem(p4, grid).rho_cells, KernelEvaluator(p1, grid).cells):
-            assert (cells._diagrams is not None) == (n * n < grid.axes[1].size)
+            calls.clear()
             for scale in (0.02, 0.3):
                 _assert_row_pass_is_the_sweep(rng.uniform(-scale, scale, n), cells, grid)
+            assert calls and set(calls) == {(n,) + tuple(a.size for a in grid.axes)}
 
 
-def test_row_pass_edge_cases():
+def test_row_pass_edge_cases(monkeypatch):
+    calls = _spy_row_runs(monkeypatch)
     dom = unit_domain(2)
-    grid = build_grid(dom, 8, 4)  # 32 nodes per axis row: the row pass up to N = 5
+    grid = build_grid(dom, 8, 4)  # 32 nodes per axis row
     density = gaussian_bump_density(dom)
 
     def cells_of(points):
@@ -825,39 +844,63 @@ def test_row_pass_edge_cases():
     # two targets share a second coordinate: parallel lines on every row,
     # so every row takes the float pass
     shared = cells_of([[0.2, 0.5], [0.8, 0.5], [0.5, 0.1], [0.4, 0.9]])
-    assert shared._diagrams is None
     for weights in ([0.0, 0.0, 0.0, 0.0], [0.05, 0.0, 0.0, 0.0], [0.0, 0.36, 0.0, 0.0]):
         _assert_row_pass_is_the_sweep(np.array(weights), shared, grid)
     for _ in range(20):
         _assert_row_pass_is_the_sweep(rng.uniform(-0.2, 0.2, 4), shared, grid)
+    assert calls == []
     # targets outside the box, an empty cell, and one cell that swallows
     # whole rows (here every row)
     outside = cells_of([[-0.5, 1.7], [1.4, -0.3], [0.5, 0.5], [2.0, 0.4]])
-    assert outside._diagrams is not None
     for _ in range(10):
         _assert_row_pass_is_the_sweep(rng.uniform(-0.5, 0.5, 4), outside, grid)
+    assert calls
     labels = _assert_row_pass_is_the_sweep(np.array([0.0, 0.0, -10.0, 0.0]), outside, grid)
     assert not np.any(labels == 2)
     labels = _assert_row_pass_is_the_sweep(np.array([0.0, 0.0, 5.0, 0.0]), outside, grid)
     assert np.all(labels == 2)
     rows = grid_labels(np.array([0.0, 0.0, 0.6, -0.3]), outside).reshape(32, 32)
     assert np.all(rows == rows[:, :1], axis=1).any()  # some row has one owner
-    # six targets on 32 nodes per axis row: N^2 > n2, so the tables are
-    # swept in chunks like the matrix, with the same bits
+    # six targets on 32 nodes per axis row (N^2 > n2) label row by row too,
+    # with the bits of the chunked sweep
     many = cells_of(rng.uniform(0.0, 1.0, (6, 2)))
-    assert many._diagrams is None
     weights = rng.uniform(-0.2, 0.2, 6)
     reach = many._fd_step
+    calls.clear()
     for got, ref in zip(many._sweep(weights, reach), on_matrix(many, grid)._sweep(weights, reach)):
         assert np.array_equal(got, ref)
+    assert calls == [(6, 32, 32)]
     # nodes exactly on a bisector go to the lower index: on the 3x5 grid the
     # middle node of each axis is 0.5, and (0.75 - 0.5)^2 = (0.25 - 0.5)^2
     mid = build_grid(dom, 3, 5)
     for points in ([[0.3, 0.75], [0.3, 0.25], [0.9, 0.9]], [[0.3, 0.25], [0.3, 0.75], [0.9, 0.9]]):
         cells = GridCells.build(TargetSet(points=np.array(points)), mid, density)
-        assert cells._diagrams is not None and mid.axes[1][7] == 0.5
+        assert mid.axes[1][7] == 0.5
+        calls.clear()
         labels = _assert_row_pass_is_the_sweep(np.array([0.0, 0.0, -2.0]), cells, mid)
         assert np.all(labels.reshape(15, 15)[:, 7] == 0)  # the third cell is empty
+        assert calls
+
+
+def test_row_pass_keeps_its_rounding_slack():
+    # two targets on one vertical line, 2^-30 apart, on the axis row p
+    # where d1 = 0: at node (p, q) target 1's exact value lies 1e-19 below
+    # target 0's, far under one rounding of either, and the float sweep
+    # gives the node to target 0.  The node lies 5e-11 inside target 1's
+    # side of the exact bisector, beyond the bounds' own slack of 1e-12
+    # times the largest |coordinate|, so only the margin's rounding slack
+    # (margin = reach + 1e-12 * (...)) keeps it out of target 1's run.
+    dom = unit_domain(2)
+    grid = build_grid(dom, 8, 4)
+    (x0, x1), p, q, a, delta = grid.axes, 5, 9, 0.5, 2.0**-30
+    x = Fraction(float(x1[q]))
+    omega = float((Fraction(a + delta) - x) ** 2 - (Fraction(a) - x) ** 2 + Fraction(1, 10**19))
+    advantage = (Fraction(a) - x) ** 2 - (Fraction(a + delta) - x) ** 2 + Fraction(omega)
+    assert 0.5e-19 < advantage < 2e-19 and advantage / (2 * Fraction(delta)) > 2e-11
+    points = np.array([[x0[p], a], [x0[p], a + delta]])
+    cells = GridCells.build(TargetSet(points=points), grid, gaussian_bump_density(dom))
+    labels = _assert_row_pass_is_the_sweep(np.array([0.0, omega]), cells, grid)
+    assert labels[p * x1.size + q] == 0
 
 
 # 1,024 nodes (one chunk); 10,000 (100 per axis row: the chunk boundary at
