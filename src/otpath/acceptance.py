@@ -341,19 +341,23 @@ def criterion_10_determinism():
                     n_list=(2, 3),
                     dt_list=(1e-1,),
                     seed=SEED,
+                    snapshot_times=(0.5, 1.0),
                     out_dir=str(d),
                 )
             )
-        for csv in sorted(dirs[0].glob("*_dt*.csv")):
+        # the trajectory CSVs and the snapshot (*_cells.csv) CSVs
+        written = sorted(dirs[0].glob("*_dt*.csv"))
+        cells = sum(csv.name.endswith("_cells.csv") for csv in written)
+        for csv in written:
             compared += 1
             if not filecmp.cmp(csv, dirs[1] / csv.name, shallow=False):
                 identical = False
     return CriterionResult(
         cid=10,
-        label="identical config and seed reproduce trajectory CSVs byte for byte",
-        measured=f"{compared} files compared, identical={identical}",
+        label="identical config and seed reproduce trajectory and snapshot CSVs byte for byte",
+        measured=f"{compared} files compared ({cells} snapshots), identical={identical}",
         threshold="byte-identical",
-        passed=identical and compared > 0,
+        passed=identical and compared > cells > 0,
     )
 
 

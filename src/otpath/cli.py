@@ -117,8 +117,14 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         # the integrator's tableau, stage-time and lattice checks, run up front
         _check_stage_times(rk3_tableau(self.alpha, self.beta))
+        named = {}  # two dt values on one lattice, or printed alike, share their files
         for dt in self.dt_list:
-            snapshot_steps(self.snapshot_times, lattice_steps(dt))
+            steps = lattice_steps(dt)
+            snapshot_steps(self.snapshot_times, steps)
+            for key, what in ((steps, "step lattice"), (f"{dt:g}", "file stem")):
+                if key in named:
+                    raise ConfigError(f"dt_list values {named[key]!r} and {dt!r} name one {what}")
+                named[key] = dt
         # defaults the problem layer refuses to guess
         if self.variant == "p3" and self.anchor is None:
             self.anchor = tuple(unit_domain(self.dim).center)
@@ -187,7 +193,8 @@ _PREFIX = np.array(
 ).view(np.uint64)
 _U32 = np.uint64(0xFFFFFFFF)
 _ONE, _N32, _N64 = np.uint64(1), np.uint64(32), np.uint64(64)
-_E8 = np.uint64(10**8)
+_E8, _E4 = np.uint64(10**8), np.uint32(10**4)
+_N52, _MANT, _HIDDEN = np.uint64(52), np.uint64(2**52 - 1), np.uint64(2**52)
 
 
 @functools.cache
@@ -207,71 +214,97 @@ def _group_words():
 
 def _scaled_digits(m, k, s):
     """round-half-even(m * 5**s * 2**(k + s)) for 53-bit m, when the shift
-    -(k + s) is between 1 and 63 and the result fits in 64 bits."""
-    f = _POW5[s]
-    m1, m0 = m >> _N32, m & _U32
-    f1, f0 = f >> _N32, f & _U32
-    low = m0 * f0
-    mid = m1 * f0 + m0 * f1  # < 2**54
-    lo = low + (mid << _N32)  # the low 64 bits, wrapping
-    hi = m1 * f1 + (mid >> _N32) + (lo < low)
-    shift = (-(k + s)).astype(np.uint64)
-    q = (hi << (_N64 - shift)) | (lo >> shift)
-    rest = lo & ((_ONE << shift) - _ONE)
-    half = _ONE << (shift - _ONE)
-    q += (rest > half) | ((rest == half) & (q & _ONE).astype(bool))
+    -(k + s) is between 1 and 63 and the result fits in 64 bits.  The limb
+    products and shifts are formed in place in five uint64 buffers."""
+    f0 = _POW5[s]
+    f1 = f0 >> _N32
+    f0 &= _U32
+    mid = m >> _N32  # m1
+    hi = mid * f1
+    mid *= f0
+    low = m & _U32  # m0
+    f1 *= low
+    mid += f1  # m1 * f0 + m0 * f1 < 2**54
+    low *= f0
+    lo = np.left_shift(mid, _N32, out=f0)
+    lo += low  # the low 64 bits, wrapping
+    hi += np.right_shift(mid, _N32, out=mid)
+    hi += lo < low
+    shift = np.add(k, s, out=low.view(np.int64))
+    shift = np.negative(shift, out=shift).view(np.uint64)
+    q = np.left_shift(hi, np.subtract(_N64, shift, out=f1), out=f1)
+    q |= np.right_shift(lo, shift, out=mid)
+    rest = np.left_shift(_ONE, shift, out=hi)
+    rest -= _ONE
+    rest &= lo
+    half = np.left_shift(_ONE, np.subtract(shift, _ONE, out=shift), out=shift)
+    up = rest == half
+    np.logical_and(up, np.bitwise_and(q, _ONE, out=lo), out=up)  # a tie, q odd
+    up |= rest > half
+    q += up
     return q
 
 
 def _g17_slots(values):
     """'%.17g' % v of every float in `values`, as (values.size, G17_SLOT)
-    NUL-padded uint8 slots (see G17_SLOT)."""
+    NUL-padded uint8 slots (see G17_SLOT).  The arithmetic runs in place:
+    beside the slots and a copy of the values, a call holds about eight
+    bytes per value in each of at most six buffers."""
     flat = np.ravel(values).astype(float, copy=False)
     slots = np.empty((flat.size, G17_SLOT), np.uint8)
-    v, a = flat, np.abs(flat)
-    fixed = (a >= 1e-4) & (a < 1e14)
+    a = np.abs(flat)
+    fixed = a >= 1e-4
+    fixed &= a < 1e14
     other = None if fixed.all() else np.flatnonzero(~fixed)
     if other is not None:
-        v, a = v[fixed], a[fixed]
-    mant, exp2 = np.frexp(a)
-    m = (mant * 2.0**53).astype(np.uint64)
-    k = exp2 - 53
-    s = 16 - np.floor(np.log10(a)).astype(np.int64)
+        a[other] = 0.5  # a stand-in below 1; '%.17g' writes these slots last
+    bits = a.view(np.uint64)
+    m = bits & _MANT  # a = m * 2**k, m a 53-bit integer
+    m |= _HIDDEN
+    k = np.right_shift(bits, _N52).view(np.int64)
+    k -= 1075
+    s = np.floor(np.log10(a, out=a), out=a).astype(np.int64)
+    del a, bits
+    s = np.subtract(16, s, out=s)
     q = _scaled_digits(m, k, s)
-    off = (q < 10**16).astype(np.int64) - (q >= 10**17)
-    redo = np.flatnonzero(off)
-    if redo.size:
-        s[redo] += off[redo]
+    under, over = np.flatnonzero(q < 10**16), np.flatnonzero(q >= 10**17)
+    if under.size or over.size:
+        s[under] += 1
+        s[over] -= 1
+        redo = np.concatenate([under, over])
         q[redo] = _scaled_digits(m[redo], k[redo], s[redo])
-    x = 16 - s  # decimal exponent of the rounded value, -4 to 13
+    x = np.subtract(16, s, out=s)  # decimal exponent of the rounded value, -4 to 13
+    big = np.flatnonzero(x >= 0)
+    exps = x[big]
     # q = d0 * 10**16 + g1 * 10**12 + g2 * 10**8 + g3 * 10**4 + g4; group j
     # loses its trailing zeros when every later group is zero
-    top, low = np.divmod(q, _E8)
-    d0, mid = np.divmod(top, _E8)
-    g1, g2 = np.divmod(mid.astype(np.uint32), 10000)
-    g3, g4 = np.divmod(low.astype(np.uint32), 10000)
-    out = slots if other is None else np.empty((q.size, G17_SLOT), np.uint8)
-    words, groups = out.view(np.uint32), _group_words()
-    out.view(np.uint64)[:, 0] = _PREFIX[np.clip(-x, 0, 4) + 5 * np.signbit(v)]
-    words[:, 2] = _LEAD[d0]
+    top, low = np.divmod(q, _E8, out=(m, k.view(np.uint64)))
+    d0, mid = np.divmod(top, _E8, out=(top, q))
+    g1, g2 = np.divmod(mid.astype(np.uint32), _E4)
+    g3, g4 = np.divmod(low.astype(np.uint32), _E4)
     tail = low == 0
-    words[:, 3] = groups[g1 + 10000 * (tail & (g2 == 0))]
-    words[:, 4] = groups[g2 + 10000 * tail]
-    words[:, 5] = groups[g3 + 10000 * (g4 == 0)]
-    words[:, 6] = groups[g4 + 10000]
+    words, groups = slots.view(np.uint32), _group_words()
+    lead = np.clip(np.negative(x, out=x), 0, 4, out=x)
+    np.add(lead, 5, out=lead, where=np.signbit(flat))
+    np.take(_PREFIX, lead, out=slots.view(np.uint64)[:, 0], mode="clip")
+    np.take(_LEAD, d0, out=words[:, 2], mode="clip")
+    np.add(g1, 10000, out=g1, where=tail & (g2 == 0))
+    np.add(g2, 10000, out=g2, where=tail)
+    np.add(g3, 10000, out=g3, where=g4 == 0)
+    g4 += 10000
+    for col, g in zip((3, 4, 5, 6), (g1, g2, g3, g4)):
+        np.take(groups, g, out=words[:, col], mode="clip")
     words[:, 7] = 0
     # at 1 and above: integer digits are kept, a fraction follows a point
-    big = np.flatnonzero(x >= 0)
-    for e in np.unique(x[big]):
-        rows = big[x[big] == e]
-        text = out[rows]
+    for e in np.unique(exps):
+        rows = big[exps == e]
+        text = slots[rows]
         np.maximum(text[:, 11 : 12 + e], ord("0"), out=text[:, 11 : 12 + e])
         frac = text[:, 12 + e : 28].any(axis=1)
         text[frac, 13 + e : 29] = text[frac, 12 + e : 28]
         text[frac, 12 + e] = ord(".")
-        out[rows] = text
+        slots[rows] = text
     if other is not None:
-        slots[fixed] = out
         strings = [b"%.17g" % u for u in flat[other].tolist()]
         slots[other] = np.array(strings, dtype=f"S{G17_SLOT}").view(np.uint8).reshape(-1, G17_SLOT)
     return slots
@@ -294,39 +327,51 @@ def _text_table(texts):
     return table.view(np.uint8).reshape(len(texts), -1)
 
 
+def _row_blocks(cell_field):
+    """(lo, hi, weights) per block of at most SNAPSHOT_ROWS nodes lo to hi:
+    the (hi - lo, N) softmax weights, cut from the kernel's chunks as they
+    are formed, or None at t = 1."""
+    m = cell_field.grid.n_nodes
+    if cell_field.t == 1.0:
+        for lo in range(0, m, SNAPSHOT_ROWS):
+            yield lo, min(lo + SNAPSHOT_ROWS, m), None
+        return
+    for lo, pi in cell_field.kernel._weight_blocks(cell_field.psi, cell_field.t):
+        for start in range(0, pi.shape[1], SNAPSHOT_ROWS):
+            part = pi[:, start : start + SNAPSHOT_ROWS]
+            yield lo + start, lo + start + part.shape[1], part.T
+
+
 def write_snapshot_csv(path, cell_field):
-    nodes, labels, weights, n = cell_field.nodes, cell_field.labels, cell_field.weights, cell_field.n
-    dim = nodes.shape[1]
+    grid, n = cell_field.grid, cell_field.n
     header = ",".join(
-        [f"x{k + 1}" for k in range(dim)]
+        [f"x{k + 1}" for k in range(grid.dim)]
         + ["label"]
         + [f"pi_{j + 1}" for j in range(n)]
     )
     # Every field is formatted as '%.17g' (like the trajectory CSV) into a
     # NUL-padded table row that ends in its separator; a block of rows is one
     # uint8 array written with its NULs deleted.  Labels are exported
-    # 1-based.  A grid has few distinct coordinates per axis, so each is
-    # formatted once (keyed by its bits: 0.0 and -0.0 stay apart), and at
-    # t = 1 the label and its one-hot weights are formatted once per label.
-    coords = []
-    for k in range(dim):
-        column = np.ascontiguousarray(nodes[:, k]).view(np.int64)
-        bits, index = np.unique(column, return_inverse=True)
-        coords.append((_text_table(["%.17g," % v for v in bits.view(float).tolist()]), index))
-    if weights is None:
+    # 1-based.  Each axis coordinate is formatted once, and node p * n2 + q
+    # reads entries p and q of the per-axis tables; at t = 1 the label and
+    # its one-hot weights are formatted once per label.
+    axes = [_text_table(["%.17g," % v for v in x.tolist()]) for x in grid.axes]
+    n2 = grid.axes[-1].size
+    if cell_field.t == 1.0:
         one_hot = ",".join(["%d"] + ["%.17g"] * n) + "\n"
         rows = np.column_stack([np.arange(1.0, n + 1.0), np.eye(n)]).tolist()
         tails = _text_table([one_hot % tuple(row) for row in rows])
     else:
         tails = _text_table([f"{j + 1}," for j in range(n)])
+    labels = cell_field.labels
     with open(path, "wb") as out:
         out.write(header.encode() + b"\n")
-        for start in range(0, labels.size, SNAPSHOT_ROWS):
-            part = slice(start, start + SNAPSHOT_ROWS)
-            columns = [table[index[part]] for table, index in coords]
-            columns.append(tails[labels[part]])
+        for lo, hi, weights in _row_blocks(cell_field):
+            index = np.divmod(np.arange(lo, hi), n2) if grid.dim == 2 else (slice(lo, hi),)
+            columns = [table[i] for table, i in zip(axes, index)]
+            columns.append(tails[labels[lo:hi]])
             if weights is not None:
-                columns.append(_g17_rows(weights[part]))
+                columns.append(_g17_rows(weights))
             out.write(np.concatenate(columns, axis=1).tobytes().translate(None, b"\0"))
 
 
@@ -368,6 +413,13 @@ def run_experiment(config):
         raise ConfigError(
             "the quadrature grid does not fit in memory; lower quad_panels or quad_order"
         ) from None
+    for dt in config.dt_list:
+        try:  # every lattice state is kept: a trajectory that cannot be allocated is refused
+            np.empty((lattice_steps(dt) + 1, max(config.n_list)))
+        except (ValueError, MemoryError):
+            raise ConfigError(
+                f"dt={dt!r} takes too many steps for its trajectory to fit in memory; raise dt"
+            ) from None
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file at, or on the way to, the output path

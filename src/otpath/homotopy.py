@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, NonFiniteValueError, SolverError
 from .kernel import DualState
-from .laguerre import CellField, grid_labels, unregularized_residual
+from .laguerre import CellField, unregularized_residual
 from .linsolve import solve_dual_system
 from .quadrature import QuadratureGrid, refine_grid
 from .residuals import ResidualSystem
@@ -150,13 +150,10 @@ class _Flow:
 
 
 def capture_snapshot(system, psi, t):
-    """Cell field on the system's grid: hard labels at every t, plus the
-    softmax weights for t < 1, both from the kernel's cells."""
-    psi = np.asarray(psi, dtype=float)
-    kernel = system.kernel
-    labels = grid_labels(psi - kernel.offsets, kernel.cells)
-    weights = kernel.node_weights(psi, t) if t < 1.0 else None
-    return CellField(nodes=system.grid.nodes, labels=labels, n=kernel.n, weights=weights)
+    """Cell field of the system's kernel at (psi, t): the labels at every t,
+    plus the softmax weights for t < 1, formed from the kernel's grid and
+    cells when read (see `CellField`)."""
+    return CellField(kernel=system.kernel, psi=psi, t=float(t))
 
 
 def lattice_steps(dt):

@@ -67,12 +67,14 @@ node axis.  It reads the cost chunk by chunk from the source density's
 `laguerre.GridCells` (`blocks`): columns of the matrix, or, for a 2-D
 quadratic cost that the cells hold as per-axis tables, chunks formed from
 those tables, so a refused stage builds no (N, M) matrix.  The one-off
-passes (`node_weights` for snapshots, the labels, the 2-D terminal
-residual) read the same chunks.  `evaluate` passes over the nodes in
-chunks of `laguerre.CHUNK_NODES` columns, so the temporaries stay in
-cache, and accumulates S and spread with piw = pi*w.  Passes per chunk: the
-exponents are formed as a/(1-t) - (t/(1-t))*C (one scale and one row
-shift), shifted by their per-node maximum, exponentiated, and normalized by
+passes (the labels, the 2-D terminal residual) read the same chunks, and so
+do the snapshot weights: `_weight_blocks` yields the softmax of one chunk at
+a time, the snapshot writer formats each before the next is formed, and
+`node_weights` fills the whole (M, N) array from it.  `evaluate` passes over
+the nodes in chunks of `laguerre.CHUNK_NODES` columns, so the temporaries
+stay in cache, and accumulates S and spread with piw = pi*w.  Passes per
+chunk: the exponents are formed as a/(1-t) - (t/(1-t))*C (one scale and one
+row shift), shifted by their per-node maximum, exponentiated, and normalized by
 multiplying with the reciprocal of the per-node sum.  Then piw, S (one
 product piw @ pi^T), pi.C and spread (two `einsum` contractions, which form
 no product array) follow.  Shifting by the maximum is required: the raw
@@ -214,12 +216,19 @@ class KernelEvaluator:
         return psi - self.offsets
 
     def node_weights(self, psi, t):
-        """(M, N) softmax weights at every quadrature node, chunk by chunk."""
-        a = self._depth(psi, t)
+        """(M, N) softmax weights at every quadrature node, filled from
+        `_weight_blocks`."""
         out = np.empty((self.n, self.cells.node_mass.size))
-        for lo, cost in self.cells.blocks():
-            _softmax(a, t, cost, out=out[:, lo : lo + cost.shape[1]])
+        for lo, pi in self._weight_blocks(psi, t):
+            out[:, lo : lo + pi.shape[1]] = pi
         return out.T
+
+    def _weight_blocks(self, psi, t):
+        """(lo, pi) per chunk of the cells' `blocks`: the (N, k) softmax
+        weights of nodes lo to lo + k, each chunk formed when the one before
+        it has been taken.  psi and t are checked on the call."""
+        a = self._depth(psi, t)
+        return ((lo, _softmax(a, t, cost)) for lo, cost in self.cells.blocks())
 
     def value(self, psi, t):
         """Dual transport value -(1-t) * integral of log-sum-exp.

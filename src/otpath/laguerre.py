@@ -84,7 +84,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteValueError
 from .model import (
     DENSITY_UNIFORM,
     Domain,
@@ -101,18 +101,52 @@ CHUNK_NODES = 8192  # nodes per sweep chunk: (N, CHUNK_NODES) temporaries stay i
 
 @dataclass(frozen=True)
 class CellField:
-    """Per-node cell labels on a grid of the N = `n` targets, optionally with
-    softmax weights."""
+    """The cells of a run at homotopy time `t`: per node of the kernel's
+    grid, the label of the target whose cell holds it and, for t < 1, the
+    softmax weights over the N targets.
 
-    nodes: np.ndarray
-    labels: np.ndarray
-    n: int
-    weights: np.ndarray = None
+    It holds the dual weights `psi`, `t` and the `kernel` (a
+    `KernelEvaluator`) whose grid and cells the run already holds, and no
+    array whose size grows with the node count.  `labels`, `weights` and
+    `nodes` are formed on each read.  `cli.write_snapshot_csv` reads the
+    labels once, and neither weights nor nodes: it streams the weights
+    chunk by chunk and takes coordinates from per-axis text tables.
+    """
+
+    kernel: object
+    psi: np.ndarray
+    t: float
 
     def __post_init__(self):
-        self.labels.setflags(write=False)
-        if self.weights is not None:
-            self.weights.setflags(write=False)
+        psi = np.array(self.psi, dtype=float)  # a copy the run cannot change
+        psi.setflags(write=False)
+        object.__setattr__(self, "psi", psi)
+        if not 0.0 <= self.t <= 1.0:
+            raise ValueError(f"a cell field needs t in [0, 1], got {self.t}")
+        if not np.all(np.isfinite(psi)):
+            raise NonFiniteValueError("dual weights contain non-finite entries")
+
+    @property
+    def n(self):
+        return self.kernel.n
+
+    @property
+    def grid(self):
+        return self.kernel.grid
+
+    @property
+    def nodes(self):
+        return self.grid.nodes
+
+    @property
+    def labels(self):
+        """Per-node label: the argmin of cost - (psi - offsets) (`grid_labels`)."""
+        return grid_labels(self.psi - self.kernel.offsets, self.kernel.cells)
+
+    @property
+    def weights(self):
+        """(M, N) softmax weights for t < 1, else None."""
+        return None if self.t == 1.0 else self.kernel.node_weights(self.psi, self.t)
 
 
 class IntervalCells:

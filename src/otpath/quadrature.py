@@ -10,8 +10,9 @@ per process and shared read-only by every grid of that order.  A grid holds
 its per-axis coordinates `axes` and weights `axis_weights` alone: node
 p * n2 + q is (x1[p], x2[q]) with weight w1[p] * w2[q].  The (M, dim)
 `nodes` and (M,) `weights` are formed from them on first read and then kept;
-the solve paths (`model.cost_matrix`, `laguerre.GridCells`, the kernel) work
-per axis and read neither, so in 2-D only the snapshots form `nodes`.
+the solve paths (`model.cost_matrix`, `laguerre.GridCells`, the kernel) and
+the snapshot writer (`cli.write_snapshot_csv`, from per-axis coordinate text)
+work per axis and read neither, so no path of a run forms 2-D `nodes`.
 """
 
 import functools

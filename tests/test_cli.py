@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,9 @@ import otpath.cli as cli
 from otpath import (
     ConfigError,
     DualState,
+    KernelEvaluator,
     NearSingularJacobianError,
+    QuadratureGrid,
     NonFiniteValueError,
     ResidualSystem,
     Trajectory,
@@ -21,13 +24,14 @@ from otpath import (
     build_problem,
     capture_snapshot,
     integrate_homotopy,
+    parabola_targets,
     unit_domain,
     unregularized_residual,
 )
 from otpath import acceptance
 from otpath.acceptance import run_acceptance
 from otpath.homotopy import BOOST_FACTOR
-from otpath.laguerre import CellField
+from otpath.laguerre import CHUNK_NODES, CellField
 from otpath.cli import (
     G17_SLOT,
     ExperimentConfig,
@@ -174,7 +178,14 @@ def test_snapshot_bytes_in_2d(tmp_path):
 
 
 def test_snapshot_bytes_in_1d_and_with_two_digit_labels(tmp_path):
-    fields = [CellField(nodes=np.array([[0.0], [-0.0], [0.25]]), labels=np.array([0, 1, 0]), n=2)]
+    # a hand-built 1-D rule with nodes at 0.0 and -0.0, which print apart
+    signed = QuadratureGrid(
+        panels_per_axis=1, order=3, lower=(-0.0,), upper=(0.25,),
+        axes=(np.array([0.0, -0.0, 0.25]),), axis_weights=(np.full(3, 0.25 / 3),),
+    )
+    two = KernelEvaluator(build_problem({"variant": "p1", "dim": 1, "targets": [[0.0], [0.25]]}), signed)
+    fields = [CellField(kernel=two, psi=np.zeros(2), t=t) for t in (0.4, 1.0)]
+    assert fields[1].nodes[1, 0] == 0.0 and np.signbit(fields[1].nodes[1, 0])
     p3_1d = build_problem({"variant": "p3", "dim": 1, "n_targets": 4, "seed": 4, "anchor": [0.5]})
     system = ResidualSystem(p3_1d, build_grid(unit_domain(1), 5, 3))
     fields += [capture_snapshot(system, np.array([0.1, -0.2, 0.05, 0.0]), t) for t in (0.4, 1.0)]
@@ -189,6 +200,44 @@ def test_snapshot_bytes_in_1d_and_with_two_digit_labels(tmp_path):
     for fld in fields:
         write_snapshot_csv(tmp_path / "snap.csv", fld)
         assert (tmp_path / "snap.csv").read_bytes() == _reference_snapshot_bytes(fld)
+
+
+def _parabola_system(panels):
+    problem = build_problem({"variant": "p1", "dim": 2, "targets": parabola_targets(12).points.tolist()})
+    return ResidualSystem(problem, build_grid(unit_domain(2), panels, 6))
+
+
+def test_a_snapshot_keeps_nothing_per_node():
+    # N = 12 on the 24x6 grid (20,736 nodes): a field holds psi, t and the
+    # kernel that the run already holds, where the labels alone take 166 KB
+    # and the t = 0.5 weights 2 MB
+    system = _parabola_system(24)
+    psi = system.initial_state().psi0
+    capture_snapshot(system, psi, 0.5)
+    tracemalloc.start()
+    try:
+        fields = [capture_snapshot(system, psi, t) for t in (0.5, 1.0)]
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 * 1024 and [f.t for f in fields] == [0.5, 1.0]
+
+
+def test_streamed_snapshot_bytes_across_kernel_chunks(tmp_path):
+    # 102 nodes per axis: the 10,404 nodes are a multiple of neither the
+    # writer's block nor the kernel's chunk, so both end short
+    system = _parabola_system(17)
+    grid = system.grid
+    assert grid.n_nodes > CHUNK_NODES
+    assert grid.n_nodes % CHUNK_NODES and grid.n_nodes % cli.SNAPSHOT_ROWS
+    fields = [capture_snapshot(system, system.problem.offsets, t) for t in (0.5, 0.9999)]
+    for fld in fields:
+        write_snapshot_csv(tmp_path / f"t{fld.t}.csv", fld)
+    assert "nodes" not in vars(grid)  # the writer reads the per-axis coordinates
+    weights = fields[1].weights  # zeros, and weights below 1e-4
+    assert (weights == 0).any() and ((weights > 0) & (weights < 1e-4)).any()
+    for fld in fields:
+        assert (tmp_path / f"t{fld.t}.csv").read_bytes() == _reference_snapshot_bytes(fld)
 
 
 def test_label_snapshot_keeps_the_columns_of_empty_cells(tmp_path):
@@ -270,6 +319,22 @@ def test_g17_matches_percent_format():
         _assert_g17(values)
     _assert_g17(np.array([], dtype=float))
     _assert_g17(rng.random((7, 3)))  # any shape, flattened in C order
+
+
+def test_g17_block_transient_is_bounded():
+    # one writer block of 1,024 rows of 12 weights: beside its 32-byte slots
+    # the formatter holds at most about twelve more 8-byte values per value
+    # at once (the arithmetic runs in place; 188 bytes per value in all
+    # when each step formed a new array)
+    values = np.random.default_rng(3).random((1024, 12))
+    _g17_slots(values)  # the digit tables are built on first use
+    tracemalloc.start()
+    try:
+        slots = _g17_slots(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert slots.nbytes == G17_SLOT * values.size and peak <= 128 * values.size
 
 
 def test_scaled_digits_round_half_even():
@@ -503,6 +568,12 @@ BAD_INPUTS = [
                  id="n-repeat"),
     pytest.param(["run"], {"dt_list": [0.25, 0.25]}, 1,
                  "dt_list must not repeat a value, got [0.25, 0.25]", id="config-dt-repeat"),
+    # two dt values on one step lattice, or printed alike, would write the same files
+    pytest.param(["run", "--n", "2", "--dt", "0.25,0.2500000000001"], None, 1,
+                 "dt_list values 0.25 and 0.2500000000001 name one step lattice", id="dt-same-lattice"),
+    # 10**300 lattice states: refused at once, before any step or allocation
+    pytest.param(["run", "--n", "2", "--dt", "1e-300"], None, 1,
+                 "dt=1e-300 takes too many steps for its trajectory to fit in memory", id="dt-too-small"),
     pytest.param(["run"], "not json", 1, None, id="config-not-json"),
     # the file's top level is the mapping of ExperimentConfig fields
     pytest.param(["run"], "null", 1, "config file must hold a JSON object, got null", id="config-json-null"),
@@ -618,6 +689,12 @@ def test_bad_inputs_exit_with_documented_code(tmp_path, capsys, argv, config, co
     assert len(err.splitlines()) == 1 and err.startswith("configuration error: ")
     assert needle is None or needle in err
     assert not (tmp_path / "out").exists()  # a refused run writes nothing
+
+
+def test_dt_values_printed_alike_are_refused():
+    # 2,000,000 and 2,000,001 steps, both written as dt5e-07
+    with pytest.raises(ConfigError, match="dt_list values 5e-07 and 4.9999975e-07 name one file stem"):
+        ExperimentConfig(n_list=(2,), dt_list=(5e-7, 4.9999975e-7))
 
 
 @pytest.mark.parametrize("below", [False, True], ids=["existing-file", "below-a-file"])
