@@ -268,9 +268,8 @@ def criterion_7_conservation():
     grid = _grid(1)
     worst = 0.0
     for n in (2, 4, 8):
-        traj = integrate_homotopy(_problem("p1", n), 1e-2, grid)
-        for state in traj.states:
-            worst = max(worst, abs(float(np.exp(-state.psi).sum()) - 1.0))
+        psi = integrate_homotopy(_problem("p1", n), 1e-2, grid).psi_matrix
+        worst = max(worst, float(np.abs(np.exp(-psi).sum(axis=1) - 1.0).max()))
     return CriterionResult(
         cid=7,
         label="sum of exp(-psi) stays at 1 along every p1 path",

@@ -27,6 +27,7 @@ from .homotopy import (
     DEFAULT_ALPHA,
     DEFAULT_BETA,
     _check_stage_times,
+    _lattice,
     integrate_homotopy,
     lattice_steps,
     rk3_tableau,
@@ -156,10 +157,9 @@ class ExperimentConfig:
 
 def write_trajectory_csv(path, trajectory):
     """One row `t,psi_1,...,psi_N` per state, every value as '%.17g'."""
-    n = trajectory.states[0].psi.size
     rows = np.column_stack([trajectory.times, trajectory.psi_matrix])
     with open(path, "wb") as out:
-        out.write(("t," + ",".join(f"psi_{j + 1}" for j in range(n)) + "\n").encode())
+        out.write(("t," + ",".join(f"psi_{j}" for j in range(1, rows.shape[1])) + "\n").encode())
         for start in range(0, len(rows), SNAPSHOT_ROWS):
             out.write(_g17_rows(rows[start : start + SNAPSHOT_ROWS]).tobytes().translate(None, b"\0"))
 
@@ -327,21 +327,6 @@ def _text_table(texts):
     return table.view(np.uint8).reshape(len(texts), -1)
 
 
-def _row_blocks(cell_field):
-    """(lo, hi, weights) per block of at most SNAPSHOT_ROWS nodes lo to hi:
-    the (hi - lo, N) softmax weights, cut from the kernel's chunks as they
-    are formed, or None at t = 1."""
-    m = cell_field.grid.n_nodes
-    if cell_field.t == 1.0:
-        for lo in range(0, m, SNAPSHOT_ROWS):
-            yield lo, min(lo + SNAPSHOT_ROWS, m), None
-        return
-    for lo, pi in cell_field.kernel._weight_blocks(cell_field.psi, cell_field.t):
-        for start in range(0, pi.shape[1], SNAPSHOT_ROWS):
-            part = pi[:, start : start + SNAPSHOT_ROWS]
-            yield lo + start, lo + start + part.shape[1], part.T
-
-
 def write_snapshot_csv(path, cell_field):
     grid, n = cell_field.grid, cell_field.n
     header = ",".join(
@@ -354,24 +339,28 @@ def write_snapshot_csv(path, cell_field):
     # uint8 array written with its NULs deleted.  Labels are exported
     # 1-based.  Each axis coordinate is formatted once, and node p * n2 + q
     # reads entries p and q of the per-axis tables; at t = 1 the label and
-    # its one-hot weights are formatted once per label.
+    # its one-hot weights are formatted once per label, else the (N, k)
+    # softmax weights of each block are formed for that block alone.
     axes = [_text_table(["%.17g," % v for v in x.tolist()]) for x in grid.axes]
-    n2 = grid.axes[-1].size
+    m, n2 = grid.n_nodes, grid.axes[-1].size
     if cell_field.t == 1.0:
         one_hot = ",".join(["%d"] + ["%.17g"] * n) + "\n"
         rows = np.column_stack([np.arange(1.0, n + 1.0), np.eye(n)]).tolist()
         tails = _text_table([one_hot % tuple(row) for row in rows])
+        blocks = ((lo, None) for lo in range(0, m, SNAPSHOT_ROWS))
     else:
         tails = _text_table([f"{j + 1}," for j in range(n)])
+        blocks = cell_field.kernel._weight_blocks(cell_field.psi, cell_field.t, SNAPSHOT_ROWS)
     labels = cell_field.labels
     with open(path, "wb") as out:
         out.write(header.encode() + b"\n")
-        for lo, hi, weights in _row_blocks(cell_field):
+        for lo, pi in blocks:
+            hi = min(lo + SNAPSHOT_ROWS, m) if pi is None else lo + pi.shape[1]
             index = np.divmod(np.arange(lo, hi), n2) if grid.dim == 2 else (slice(lo, hi),)
             columns = [table[i] for table, i in zip(axes, index)]
             columns.append(tails[labels[lo:hi]])
-            if weights is not None:
-                columns.append(_g17_rows(weights))
+            if pi is not None:
+                columns.append(_g17_rows(pi.T))
             out.write(np.concatenate(columns, axis=1).tobytes().translate(None, b"\0"))
 
 
@@ -413,13 +402,8 @@ def run_experiment(config):
         raise ConfigError(
             "the quadrature grid does not fit in memory; lower quad_panels or quad_order"
         ) from None
-    for dt in config.dt_list:
-        try:  # every lattice state is kept: a trajectory that cannot be allocated is refused
-            np.empty((lattice_steps(dt) + 1, max(config.n_list)))
-        except (ValueError, MemoryError):
-            raise ConfigError(
-                f"dt={dt!r} takes too many steps for its trajectory to fit in memory; raise dt"
-            ) from None
+    for dt in config.dt_list:  # the integrator's own refusal of a lattice it cannot hold
+        _lattice(dt, max(config.n_list))
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file at, or on the way to, the output path

@@ -6,6 +6,11 @@ times of the two-parameter tableau family are (0, alpha, beta) with
 alpha, beta in (0, 1), so no stage ever evaluates the kernel at t = 1;
 variants whose right-hand side is singular at t=0 instead supply psi'(0) in
 closed form, which replaces the first stage of the first step only.
+
+The trajectory is the lattice times and the (steps + 1, N) states, row k
+at t = k / steps, allocated before the first stage and read-only after the
+last.  A dt whose trajectory cannot be allocated is refused there with a
+`ConfigError`; `otpath run` makes the same check before it writes a file.
 """
 
 import time
@@ -109,25 +114,23 @@ class TerminalReport:
 
 @dataclass
 class Trajectory:
-    """Computed states on the step lattice plus snapshots and the end report."""
+    """Lattice times and states, row k at t = k / steps, plus snapshots and the end report."""
 
-    states: list
+    times: np.ndarray
+    psi_matrix: np.ndarray
     snapshots: list = field(default_factory=list)
     report: TerminalReport = None
 
     @property
-    def times(self):
-        return np.array([s.t for s in self.states])
-
-    @property
-    def psi_matrix(self):
-        return np.stack([s.psi for s in self.states])
+    def states(self):
+        """A `DualState` view of every row."""
+        return [DualState(t=t, psi=psi) for t, psi in zip(self.times.tolist(), self.psi_matrix)]
 
     def state_at(self, t):
         idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.states[idx].t - t) > 1e-9:
+        if abs(self.times[idx] - t) > 1e-9:
             raise KeyError(f"no stored state at t={t}")
-        return self.states[idx]
+        return DualState(t=float(self.times[idx]), psi=self.psi_matrix[idx])
 
 
 class _Flow:
@@ -164,16 +167,27 @@ def lattice_steps(dt):
     return steps
 
 
+def _lattice(dt, n):
+    """Unwritten times and (steps + 1, n) states of the lattice of dt, or a refusal."""
+    steps = lattice_steps(dt)
+    try:
+        return np.empty(steps + 1), np.empty((steps + 1, n))
+    except (ValueError, MemoryError):
+        raise ConfigError(
+            f"dt={dt!r} takes too many steps for its trajectory to fit in memory; raise dt"
+        ) from None
+
+
 def snapshot_steps(snapshot_times, steps):
-    """Map lattice index -> snapshot time; every time must be a lattice time."""
-    snap_set = {}
+    """Sorted lattice indices of the snapshot times; each must be a lattice time."""
+    indices = set()
     for t_snap in map(float, snapshot_times):
         # round() refuses inf and nan, which are on no lattice either
         k = round(t_snap * steps) if np.isfinite(t_snap) else -1
         if not 0 <= k <= steps or abs(k / steps - t_snap) > 1e-9:
             raise ConfigError(f"snapshot time {t_snap} is not on the step lattice")
-        snap_set[k] = t_snap
-    return snap_set
+        indices.add(k)
+    return sorted(indices)
 
 
 def _check_stage_times(tableau):
@@ -198,7 +212,7 @@ def integrate_homotopy(
     Parameters
     ----------
     problem, grid : the instance and its quadrature rule.
-    dt : step size; 1/dt must be an integer of at least 4.
+    dt : step size; 1/dt must be an integer of at least 4 (and fit in memory).
     tableau : RKTableau, defaults to the (1/8, 1/4) member.
     snapshot_times : lattice times at which to export cell fields.
 
@@ -208,41 +222,34 @@ def integrate_homotopy(
     under quadratic cost are exact intervals that read only its box), and
     the wall time of the integration loop plus terminal evaluation.
     """
-    steps = lattice_steps(dt)
+    times, psi_matrix = _lattice(dt, problem.n)
+    steps = times.size - 1
     if tableau is None:
         tableau = rk3_tableau(DEFAULT_ALPHA, DEFAULT_BETA)
     _check_stage_times(tableau)
 
-    snap_set = snapshot_steps(snapshot_times, steps)
+    snap_steps = snapshot_steps(snapshot_times, steps)
 
     start = time.perf_counter()
     flow = _Flow(problem, grid)
     init = flow.base.initial_state()
-    psi = init.psi0.copy()
-    states = [DualState(t=0.0, psi=psi.copy())]
-    snapshots = []
-    if 0 in snap_set:
-        snapshots.append((0.0, capture_snapshot(flow.base, psi, 0.0)))
+    psi = init.psi0
+    times[0], psi_matrix[0] = 0.0, psi
 
     b1, b2, b3 = tableau.b
     for k in range(steps):
-        t0 = k / steps
-        t1 = (k + 1) / steps
+        t0, t1 = k / steps, (k + 1) / steps
         h = t1 - t0
-        if k == 0 and init.dpsi0 is not None:
-            k1 = init.dpsi0
-        else:
-            k1 = flow.rhs(psi, t0)
+        k1 = init.dpsi0 if k == 0 and init.dpsi0 is not None else flow.rhs(psi, t0)
         k2 = flow.rhs(psi + h * tableau.a21 * k1, t0 + tableau.alpha * h)
-        k3 = flow.rhs(
-            psi + h * (tableau.a31 * k1 + tableau.a32 * k2), t0 + tableau.beta * h
-        )
+        k3 = flow.rhs(psi + h * (tableau.a31 * k1 + tableau.a32 * k2), t0 + tableau.beta * h)
         psi = psi + h * (b1 * k1 + b2 * k2 + b3 * k3)
         if not np.all(np.isfinite(psi)):
             raise NonFiniteValueError(f"state became non-finite at t={t1:.6g}")
-        states.append(DualState(t=t1, psi=psi.copy()))
-        if k + 1 in snap_set:
-            snapshots.append((t1, capture_snapshot(flow.base, psi, t1)))
+        times[k + 1], psi_matrix[k + 1] = t1, psi
+    times.setflags(write=False)
+    psi_matrix.setflags(write=False)
+    snapshots = [(k / steps, capture_snapshot(flow.base, psi_matrix[k], k / steps)) for k in snap_steps]
 
     boosted = flow.boosted  # the report grid: its cells are built already
     residual = unregularized_residual(
@@ -255,4 +262,4 @@ def integrate_homotopy(
         runtime_seconds=time.perf_counter() - start,
         grid=boosted.grid,
     )
-    return Trajectory(states=states, snapshots=snapshots, report=report)
+    return Trajectory(times=times, psi_matrix=psi_matrix, snapshots=snapshots, report=report)

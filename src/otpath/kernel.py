@@ -68,9 +68,9 @@ node axis.  It reads the cost chunk by chunk from the source density's
 quadratic cost that the cells hold as per-axis tables, chunks formed from
 those tables, so a refused stage builds no (N, M) matrix.  The one-off
 passes (the labels, the 2-D terminal residual) read the same chunks, and so
-do the snapshot weights: `_weight_blocks` yields the softmax of one chunk at
-a time, the snapshot writer formats each before the next is formed, and
-`node_weights` fills the whole (M, N) array from it.  `evaluate` passes over
+do the snapshot weights: `_weight_blocks` yields the softmax of one block of
+the writer's rows at a time, formatted before the next is formed, and
+`node_weights` fills the whole (M, N) array.  `evaluate` passes over
 the nodes in chunks of `laguerre.CHUNK_NODES` columns, so the temporaries
 stay in cache, and accumulates S and spread with piw = pi*w.  Passes per
 chunk: the exponents are formed as a/(1-t) - (t/(1-t))*C (one scale and one
@@ -97,7 +97,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteValueError
-from .laguerre import GridCells
+from .laguerre import CHUNK_NODES, GridCells
 
 # MAX_AXIS_GAP bounds how far the per-axis shifts of the separable route may
 # undershoot the per-node maximum (see the module docstring): the node sums
@@ -219,16 +219,20 @@ class KernelEvaluator:
         """(M, N) softmax weights at every quadrature node, filled from
         `_weight_blocks`."""
         out = np.empty((self.n, self.cells.node_mass.size))
-        for lo, pi in self._weight_blocks(psi, t):
+        for lo, pi in self._weight_blocks(psi, t, CHUNK_NODES):
             out[:, lo : lo + pi.shape[1]] = pi
         return out.T
 
-    def _weight_blocks(self, psi, t):
-        """(lo, pi) per chunk of the cells' `blocks`: the (N, k) softmax
-        weights of nodes lo to lo + k, each chunk formed when the one before
-        it has been taken.  psi and t are checked on the call."""
+    def _weight_blocks(self, psi, t, size):
+        """(lo, pi) per block of at most `size` nodes of the cells' `blocks`:
+        the (N, k) softmax weights of nodes lo to lo + k, each formed when the
+        one before has been taken; psi and t are checked on the call."""
         a = self._depth(psi, t)
-        return ((lo, _softmax(a, t, cost)) for lo, cost in self.cells.blocks())
+        return (
+            (lo + start, _softmax(a, t, cost[:, start : start + size]))
+            for lo, cost in self.cells.blocks()
+            for start in range(0, cost.shape[1], size)
+        )
 
     def value(self, psi, t):
         """Dual transport value -(1-t) * integral of log-sum-exp.

@@ -13,7 +13,6 @@ import otpath
 import otpath.cli as cli
 from otpath import (
     ConfigError,
-    DualState,
     KernelEvaluator,
     NearSingularJacobianError,
     QuadratureGrid,
@@ -87,7 +86,7 @@ def test_trajectory_csv_matches_percent_format(tmp_path, monkeypatch, block):
         (0.75, [np.nextafter(1.0, 2.0), -1e300, 5e-324]),
         (1.0, [0.1, -0.2, 0.30000000000000004]),
     ]
-    traj = Trajectory(states=[DualState(t=t, psi=np.array(psi)) for t, psi in rows])
+    traj = Trajectory(times=np.array([t for t, _ in rows]), psi_matrix=np.array([psi for _, psi in rows]))
     path = tmp_path / "traj.csv"
     cli.write_trajectory_csv(path, traj)
     expected = ["t,psi_1,psi_2,psi_3"] + [",".join("%.17g" % v for v in [t, *psi]) for t, psi in rows]

@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import otpath
 from otpath import (
     ConfigError,
     NearSingularJacobianError,
@@ -421,3 +425,44 @@ def test_state_lookup(grid1, p1_1d):
     assert traj.state_at(0.3).t == pytest.approx(0.3, abs=1e-12)
     with pytest.raises(KeyError):
         traj.state_at(0.33)
+
+
+def test_trajectory_arrays(grid1):
+    # row k of the read-only arrays is the state at t = k / steps, exactly;
+    # the per-row states are views of the rows
+    prob = build_problem({"variant": "p2", "dim": 1, "n_targets": 3, "seed": 4})
+    traj = integrate_homotopy(prob, 0.1, grid1)
+    steps = 10
+    assert traj.times.shape == (steps + 1,) and traj.psi_matrix.shape == (steps + 1, 3)
+    assert [traj.times[k] for k in range(steps + 1)] == [k / steps for k in range(steps + 1)]
+    for rows in (traj.times, traj.psi_matrix):
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0] = 1.0
+    assert np.array_equal(traj.psi_matrix[0], ResidualSystem(prob, grid1).initial_state().psi0)
+    assert np.array_equal(traj.psi_matrix[-1], traj.report.psi)
+    assert len(traj.states) == steps + 1
+    for k, state in enumerate(traj.states):
+        for got in (state, traj.state_at(k / steps)):
+            assert got.t == k / steps
+            assert np.array_equal(got.psi, traj.psi_matrix[k])
+            assert np.shares_memory(got.psi, traj.psi_matrix[k])
+
+
+def test_library_refuses_a_lattice_it_cannot_hold():
+    # 10**300 lattice states cannot be allocated: the call is refused before
+    # any stage, in a fresh interpreter that a call which ran on would hold
+    # past the timeout
+    src = str(Path(otpath.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "from otpath import ConfigError, build_grid, build_problem, integrate_homotopy, unit_domain\n"
+        "problem = build_problem({'variant': 'p1', 'dim': 1, 'n_targets': 2, 'seed': 4})\n"
+        "try:\n"
+        "    integrate_homotopy(problem, 1e-300, build_grid(unit_domain(1), 64, 8))\n"
+        "except ConfigError as exc:\n"
+        "    print(exc)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=20)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "dt=1e-300 takes too many steps for its trajectory to fit in memory; raise dt\n"
