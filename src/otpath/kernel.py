@@ -64,15 +64,17 @@ Chunked route (1-D, cubic cost, and refused stages).  It sweeps the
 target-major (N, M) cost matrix, so every per-node reduction (the softmax
 max and sum) runs across the N rows and stays vectorized along the long
 node axis.  It reads the cost chunk by chunk from the source density's
-`laguerre.GridCells` (`blocks`): columns of the matrix, or, for a 2-D
-quadratic cost that the cells hold as per-axis tables, chunks formed from
-those tables, so a refused stage builds no (N, M) matrix.  The one-off
-passes (the labels, the 2-D terminal residual) read the same chunks, and so
-do the snapshot weights: `_weight_blocks` yields the softmax of one block of
-the writer's rows at a time, formatted before the next is formed, and
-`node_weights` fills the whole (M, N) array.  `evaluate` passes over
-the nodes in chunks of `laguerre.CHUNK_NODES` columns, so the temporaries
-stay in cache, and accumulates S and spread with piw = pi*w.  Passes per
+`laguerre.GridCells` (`blocks(size)`), in chunks of the size the reader
+asks for: columns of the matrix, or, for a 2-D quadratic cost that the
+cells hold as per-axis tables, a new array per chunk formed from those
+tables, so a refused stage builds no (N, M) matrix and a chunk kept past
+the next one stays as it was.  The one-off passes (the labels, the 2-D
+terminal residual) read the same chunks, and so do the snapshot weights:
+`_weight_blocks` yields the softmax of one chunk of the writer's rows at a
+time, formatted before the next is formed, and `node_weights` fills the
+whole (M, N) array.  `evaluate` passes over the nodes in chunks of
+`laguerre.CHUNK_NODES` columns, so the temporaries stay in cache, and
+accumulates S and spread with piw = pi*w.  Passes per
 chunk: the exponents are formed as a/(1-t) - (t/(1-t))*C (one scale and one
 row shift), shifted by their per-node maximum, exponentiated, and normalized by
 multiplying with the reciprocal of the per-node sum.  Then piw, S (one
@@ -174,10 +176,9 @@ class _PairTables:
         )
 
 
-def _softmax(a, t, cost, out=None):
-    """Target-major softmax weights for the (N, m) cost block `cost`, written
-    into `out` (N, m) if given."""
-    out = np.multiply(cost, -t / (1.0 - t), out=out)
+def _softmax(a, t, cost):
+    """Target-major softmax weights for the (N, m) cost block `cost`."""
+    out = np.multiply(cost, -t / (1.0 - t))
     out += (a / (1.0 - t))[:, None]
     peak = np.max(out, axis=0)
     out -= peak
@@ -228,11 +229,7 @@ class KernelEvaluator:
         the (N, k) softmax weights of nodes lo to lo + k, each formed when the
         one before has been taken; psi and t are checked on the call."""
         a = self._depth(psi, t)
-        return (
-            (lo + start, _softmax(a, t, cost[:, start : start + size]))
-            for lo, cost in self.cells.blocks()
-            for start in range(0, cost.shape[1], size)
-        )
+        return ((lo, _softmax(a, t, cost)) for lo, cost in self.cells.blocks(size))
 
     def value(self, psi, t):
         """Dual transport value -(1-t) * integral of log-sum-exp.

@@ -27,9 +27,11 @@ and the cost exponent.  For quadratic cost on a 2-D tensor grid that is the
 per-axis tables (y_jd - x_d)^2, N*(n1 + n2) numbers, from which any node's
 column is formed as the same float sum as the (N, M) matrix; every other
 cost is the matrix.  So no pass of a 2-D quadratic run builds the matrix:
-the kernel's refused stages stream the tables in chunks, and the p4 rho
-cells at every stage, the snapshots and the terminal residual label them
-row by row.
+the kernel's refused stages and the snapshot weights read the tables in
+chunks (`GridCells.blocks`), each a new array of the size its reader asks
+for (CHUNK_NODES for the sweeps, the writer's row block for snapshots),
+and the p4 rho cells at every stage, the snapshots and the terminal
+residual label them row by row.
 
 Grid passes: one pass per call labels every node.  Its float part takes the
 cost in blocks of nodes, one row at a time, each vectorized along the
@@ -207,36 +209,23 @@ def _node_cost(targets, grid, exponent):
     return cost_matrix(targets.points, None, exponent, grid.axes)
 
 
-def _cost_blocks(cost):
-    """(lo, block) per chunk of CHUNK_NODES nodes of a `_node_cost`: the
-    (N, k) cost of nodes lo to lo + k, a view of the matrix, or formed from
-    the tables in one scratch buffer that the next block reuses (the float
-    sum `cost_matrix` forms).
-
-    The tables' outer sum d1[j, p] + d2[j, q] is formed as the product of
-    [d1, 1] and [1; d2] over an inner axis of two: both terms are exact
-    products by one, so each entry is the one rounding fl(d1 + d2) in
-    whatever order the product sums them, and the product runs about three
-    times faster than numpy's broadcast add.  It holds about 2*CHUNK_NODES
-    multiply-adds per target, far below the size at which BLAS starts
-    threads."""
+def _cost_blocks(cost, size=CHUNK_NODES):
+    """(lo, block) per block of `size` nodes of a `_node_cost`: the (N, k)
+    cost of nodes lo to lo + k, a view of the matrix, or a new array formed
+    from the tables by one broadcast add, the float sum fl(d1 + d2) that
+    `cost_matrix` forms.  No block shares storage with another, so a block
+    kept by its reader stays as it was."""
     if isinstance(cost, np.ndarray):
-        for lo in range(0, cost.shape[1], CHUNK_NODES):
-            yield lo, cost[:, lo : lo + CHUNK_NODES]
+        for lo in range(0, cost.shape[1], size):
+            yield lo, cost[:, lo : lo + size]
         return
     d1, d2 = cost
     n, n2 = d2.shape
     m = d1.shape[1] * n2
-    left = np.ones(d1.shape + (2,))
-    left[..., 0] = d1
-    right = np.ones((n, 2, n2))
-    right[:, 1] = d2
-    # the axis rows p0 to p1 that hold one chunk's nodes
-    scratch = np.empty((n, -(-min(m, CHUNK_NODES) // n2) + 1, n2))
-    for lo in range(0, m, CHUNK_NODES):
-        hi = min(lo + CHUNK_NODES, m)
-        p0, p1 = lo // n2, -(-hi // n2)
-        rows = np.matmul(left[:, p0:p1], right, out=scratch[:, : p1 - p0])
+    for lo in range(0, m, size):
+        hi = min(lo + size, m)
+        p0, p1 = lo // n2, -(-hi // n2)  # the axis rows that hold the block
+        rows = np.add(d1[:, p0:p1, None], d2[:, None, :])
         yield lo, rows.reshape(n, -1)[:, lo - p0 * n2 : hi - p0 * n2]
 
 
@@ -340,10 +329,10 @@ class GridCells:
         cost = _node_cost(targets, grid, cost_exponent)
         return cls(targets, cost, _node_mass(grid, density), spacing, grid.axes[-1])
 
-    def blocks(self):
-        """(lo, block) per chunk of CHUNK_NODES nodes: the (N, k) cost of
-        nodes lo to lo + k (see `_cost_blocks`)."""
-        return _cost_blocks(self.tables or self.cost)
+    def blocks(self, size=CHUNK_NODES):
+        """(lo, block) per block of `size` nodes: the (N, k) cost of nodes
+        lo to lo + k, each block its own array or view (see `_cost_blocks`)."""
+        return _cost_blocks(self.tables or self.cost, size)
 
     def _sweep(self, weights, reach=None):
         """Labels: per node the argmin of cost - weights, ties to the lowest

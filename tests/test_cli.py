@@ -417,6 +417,19 @@ def test_failed_cell_recorded_and_sweep_continues(tmp_path, monkeypatch):
     assert row[1] != "NAN" and row[3] != "NAN"
 
 
+def test_p4_start_that_does_not_converge_is_a_failed_cell(tmp_path):
+    # on a 2x2-node grid the 8 rho cells cannot all reach equal grid-label
+    # masses, so the equal-mass solve for the p4 start fails: the cell
+    # records the error and a NAN, and the run still exits 0
+    out = tmp_path / "out"
+    argv = ["--problem", "p4", "--dim", "2", "--n", "8", "--dt", "0.25"]
+    assert main(["run", *argv, "--quad-panels", "1", "--quad-order", "2", "--out", str(out)]) == 0
+    failed = json.loads((out / "p4_2d_n8_dt0.25.json").read_text())
+    assert failed == {"error": "equal-mass weight solve for the p4 start did not converge"}
+    assert not (out / "p4_2d_n8_dt0.25.csv").exists()
+    assert (out / "summary.csv").read_text().splitlines() == ["dt,N=8", "0.25,NAN"]
+
+
 def test_solver_failure_outside_a_cell_exits_2(tmp_path, capsys, monkeypatch):
     # the baseline runs outside the per-cell guard, so its failure ends the run
     def failing(problem, psi0=None):

@@ -13,6 +13,7 @@ import otpath
 from otpath import (
     ConfigError,
     NearSingularJacobianError,
+    NonFiniteValueError,
     ResidualSystem,
     RKTableau,
     SolverError,
@@ -25,7 +26,7 @@ from otpath import (
     unit_domain,
     unregularized_residual,
 )
-from otpath import laguerre, residuals
+from otpath import homotopy, laguerre, residuals
 from otpath.cli import ExperimentConfig, run_experiment, write_trajectory_csv
 from otpath.homotopy import BOOST_FACTOR
 from otpath.linsolve import solve_dual_system
@@ -418,6 +419,23 @@ def test_bad_steps_rejected(grid1, p1_1d):
         integrate_homotopy(p1_1d, 0.1, grid1, snapshot_times=(0.05,))
     with pytest.raises(ConfigError):
         integrate_homotopy(p1_1d, 0.1, grid1, tableau=rk3_tableau(0.5, 1.5))
+
+
+def test_non_finite_state_refused(grid1, p1_1d, monkeypatch):
+    # the third stage solve of the first step overflows (as a finite,
+    # well-conditioned system whose solution overflows does), so the state
+    # after that step is non-finite and the run stops there
+    calls = []
+
+    def overflowing(mat, rhs, **kwargs):
+        calls.append(None)
+        x = solve_dual_system(mat, rhs, **kwargs)
+        return np.full_like(x, np.inf) if len(calls) == 3 else x
+
+    monkeypatch.setattr(homotopy, "solve_dual_system", overflowing)
+    with pytest.raises(NonFiniteValueError, match=r"state became non-finite at t=0\.25$"):
+        integrate_homotopy(p1_1d, 0.25, grid1)
+    assert len(calls) == 3
 
 
 def test_state_lookup(grid1, p1_1d):

@@ -21,7 +21,7 @@ from otpath import (
     unit_domain,
     unregularized_residual,
 )
-from otpath import homotopy, laguerre
+from otpath import cli, homotopy, laguerre
 from otpath.laguerre import (
     FD_STEP,
     GridCells,
@@ -581,21 +581,27 @@ def test_cell_operands_keep_no_evaluation(dom1, dom2, monkeypatch):
 
 @pytest.mark.parametrize("panels, order", [(24, 6), (31, 5), (1, 3)])
 def test_streamed_blocks_are_the_matrix_columns(panels, order):
-    # every chunk formed from the per-axis tables is the matrix's block to
-    # the bit, for targets in and far outside the box, chunks cutting axis
-    # rows (24x6, 31x5) and a grid smaller than one chunk
+    # every block of one pass, all kept until the pass ends, is the matrix's
+    # block to the bit: blocks formed from the per-axis tables (quadratic
+    # cost), for targets in and far outside the box, and views of the matrix
+    # (cubic cost); at the sweeps' and the writer's block sizes and at 1,000
+    # nodes, which cuts the 144- and 155-node axis rows, and on a grid
+    # smaller than one block
     dom = Domain(lower=(-0.5, 0.25), upper=(1.5, 1.0))
     grid = build_grid(dom, panels, order)
     for seed, spread in ((0, 1.0), (1, 1e3)):
         box = Domain(lower=(-spread, -spread), upper=(spread, spread))
         targets = sample_targets(5, 2, box, seed)
-        cells = GridCells.build(targets, grid, uniform_density(dom))
-        matrix = cost_matrix(targets.points, grid.nodes, 2.0, grid.axes)
-        covered = 0
-        for lo, block in cells.blocks():
-            assert np.array_equal(block, matrix[:, lo : lo + block.shape[1]])
-            covered += block.shape[1]
-        assert cells.tables is not None and covered == grid.n_nodes
+        for exponent in (2.0, 3.0):
+            cells = GridCells.build(targets, grid, uniform_density(dom), exponent)
+            assert (cells.tables is None) == (exponent != 2.0)
+            matrix = cost_matrix(targets.points, grid.nodes, exponent)
+            for size in (laguerre.CHUNK_NODES, cli.SNAPSHOT_ROWS, 1000):
+                kept = list(cells.blocks(size))
+                assert [lo for lo, _ in kept] == list(range(0, grid.n_nodes, size))
+                for lo, block in kept:
+                    assert np.array_equal(block, matrix[:, lo : lo + size])
+                assert sum(block.shape[1] for _, block in kept) == grid.n_nodes
 
 
 @pytest.mark.parametrize("kind", ["uniform", "gauss"])

@@ -7,6 +7,7 @@ from otpath import (
     KernelEvaluator,
     NearSingularJacobianError,
     ResidualSystem,
+    SolverError,
     build_problem,
     cell_operands,
     fixed_t_oracle,
@@ -299,3 +300,76 @@ def test_damped_newton_reports_exhausted_halvings():
     assert len(points) == 3 + newton.MAX_HALVINGS + 1
     assert not report.converged and report.iterations == 1
     assert report.psi.tolist() == [1.0] and report.residual_sup == 1.0
+
+
+def test_newton_1d_reports_a_refused_stage_solve(mirror_pair, monkeypatch):
+    def refusing(mat, rhs, deflate=False):
+        raise NearSingularJacobianError(1.0, "toy refusal")
+
+    monkeypatch.setattr(newton, "solve_dual_system", refusing)
+    report = newton_1d(mirror_pair)
+    assert not report.converged and report.iterations == 0
+    assert report.residual_sup == np.inf and report.psi.tolist() == [0.0, 0.0]
+
+
+def test_newton_1d_reports_divergence_past_its_guard(mirror_pair, monkeypatch):
+    # a finite step that carries psi past 1e8 stops the iteration after it
+    def overshooting(mat, rhs, deflate=False):
+        return np.full(2, -2e8)
+
+    monkeypatch.setattr(newton, "solve_dual_system", overshooting)
+    report = newton_1d(mirror_pair)
+    assert not report.converged and report.iterations == 1
+    assert report.residual_sup == np.inf and report.psi.tolist() == [2e8, 2e8]
+
+
+def test_newton_direction_climbs_the_regularization_ladder(monkeypatch):
+    # jac has a zero eigenvalue and one of -2e-8: the plain solve and the
+    # first shift, 1e-8 * 2 (the largest |entry|), leave it singular, and
+    # the second shift, 1e-6 * 2, solves
+    shifts = []
+    original = newton.solve_dual_system
+
+    def recording(mat, rhs, deflate=False):
+        shifts.append(float(mat[1, 1]))
+        return original(mat, rhs, deflate=deflate)
+
+    monkeypatch.setattr(newton, "solve_dual_system", recording)
+    jac = np.diag([2.0, 0.0, -2e-8])
+    g = np.array([1.0, 1.0, 1.0])
+    step = newton._newton_direction(jac, g, deflate=False)
+    assert shifts == [0.0, 2e-8, 2e-6]
+    assert np.array_equal(step, original(jac + 2e-6 * np.eye(3), g))
+
+
+def test_newton_direction_refuses_a_jacobian_beyond_repair():
+    # no diagonal shift makes a non-finite Jacobian solvable
+    jac = np.array([[1.0, np.nan], [0.0, 1.0]])
+    with pytest.raises(SolverError, match="singular beyond repair"):
+        newton._newton_direction(jac, np.ones(2), deflate=False)
+
+
+def test_damped_newton_reports_a_direction_it_cannot_form():
+    # g(x) = x with a non-finite Jacobian: no step, so the start is reported
+    def evaluate(x):
+        return x.copy(), np.full((1, 1), np.nan)
+
+    report = newton._damped_newton(evaluate, np.array([3.0]), tol=1e-8)
+    assert not report.converged and report.iterations == 0
+    assert report.psi.tolist() == [3.0] and report.residual_sup == 3.0
+
+
+def test_damped_newton_stops_after_max_iter():
+    # g(x) = x with Jacobian 2: every full step halves x and is accepted, so
+    # after MAX_ITER updates x = 2**-100, still above the tolerance
+    points = []
+
+    def evaluate(x):
+        points.append(float(x[0]))
+        return x.copy(), np.array([[2.0]])
+
+    report = newton._damped_newton(evaluate, np.array([1.0]), tol=1e-40)
+    assert len(points) == newton.MAX_ITER + 1
+    assert not report.converged and report.iterations == newton.MAX_ITER
+    assert report.psi.tolist() == [2.0 ** -newton.MAX_ITER]
+    assert report.residual_sup == 2.0 ** -newton.MAX_ITER
